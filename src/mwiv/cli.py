@@ -20,6 +20,7 @@ from .errors import DataError, NumericalError, TableError
 from .estimators import jive_point_estimate, jive_variance, normalized_stats
 from .inference import (
     CurveLibrary,
+    _fmt_bool,
     cs_csv_text,
     invert_confidence_set,
     run_test,
@@ -38,10 +39,6 @@ from .projection import build_projection
 __all__ = ["main"]
 
 _DEFAULT_METHODS = "vtfo,cw,ms1,ms2,lm"
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _resolve_cache_dir(flag: str | None) -> str:

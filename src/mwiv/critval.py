@@ -7,7 +7,7 @@ Three families live here:
   three-crossing continuation that keeps the conditional rejection
   probability at alpha for every conditioning value 0 <= T <= t_last, the
   last continuation step. Past the last knot the curve holds its final
-  value, which at the default nu_max ends within 0.014 of the chi-squared
+  value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
   constant q2 = 3.8415; there the measured conditional rejection rate at
   alpha 0.05 stays between 0.0496 and 0.0504, so at strong identification
   the test is the Wald test up to that cutoff gap. For T < 0 the curve is
@@ -36,7 +36,6 @@ from .errors import DataError, NumericalError, TableError
 __all__ = [
     "RHO_CAP",
     "RHO_BUILD_FLOOR",
-    "CurveBuildConfig",
     "CriticalValueCurve",
     "ContinuationState",
     "t2_w_curve",
@@ -46,8 +45,8 @@ __all__ = [
     "find_tangency",
     "extend_three_crossing",
     "build_vtfo_curve",
-    "evaluate_critical_value",
     "cw_critical_value",
+    "two_sided_chi2",
     "TwoSidedTable",
     "load_two_sided_table",
     "curve_csv_text",
@@ -59,7 +58,27 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "2"
+_FORMAT_VERSION = "3"
+
+# Curve construction grid and tolerances.
+T_STEP = 0.01  # continuation step in the conditioning value T
+NU_STEP = 0.01  # base panel width of the closed-form knots
+# The exact-size curve oscillates about q2 = 3.8415 with a period of
+# about 4|rho| z_{alpha/2} in nu and slowly shrinking swings; at rho 0.9
+# it dips below q2 by 0.159 (nu 10.5), 0.061 (17.9), 0.032 (25.1),
+# 0.020 (32.3) and 0.014 (39.4). Building out to 40 ends every grid
+# curve within 0.0137 of q2, so the constant extension past the last
+# knot holds size to within 5e-4. The knots below 12 do not depend on
+# NU_MAX.
+NU_MAX = 40.0
+ROOT_TOL = 1e-10
+MAX_ITER = 100000
+
+# Cache files carry this key in their names, so a change to the format or
+# to any build constant never reuses an old file.
+_CACHE_KEY = hashlib.sha256(
+    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
+).hexdigest()[:12]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -70,46 +89,6 @@ def _check_alpha(alpha: float) -> None:
 def two_sided_chi2(alpha: float) -> float:
     """Square of the two-sided standard-normal cutoff."""
     return float(ndtri(1.0 - alpha / 2.0) ** 2)
-
-
-@dataclass(frozen=True)
-class CurveBuildConfig:
-    """Grid and tolerance knobs for curve construction."""
-
-    t_grid_step: float = 0.01
-    nu_grid_step: float = 0.01
-    # The exact-size curve oscillates about q2 = 3.8415 with a period of
-    # about 4|rho| z_{alpha/2} in nu and slowly shrinking swings; at rho 0.9
-    # it dips below q2 by 0.159 (nu 10.5), 0.061 (17.9), 0.032 (25.1),
-    # 0.020 (32.3) and 0.014 (39.4). Building out to 40 ends every grid
-    # curve within 0.0137 of q2, so the constant extension past the last
-    # knot holds size to within 5e-4. The knots below 12 do not depend on
-    # nu_max.
-    nu_max: float = 40.0
-    root_tolerance: float = 1e-10
-    max_iterations: int = 100000
-
-    def __post_init__(self):
-        for name in ("t_grid_step", "nu_grid_step", "nu_max", "root_tolerance"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        if self.max_iterations <= 0:
-            raise DataError("max_iterations must be positive")
-        if self.root_tolerance > 1e-9:
-            raise DataError("root_tolerance must be <= 1e-9")
-
-    def cache_key(self) -> str:
-        payload = "|".join(
-            [
-                _FORMAT_VERSION,
-                repr(self.t_grid_step),
-                repr(self.nu_grid_step),
-                repr(self.nu_max),
-                repr(self.root_tolerance),
-                repr(self.max_iterations),
-            ]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -124,7 +103,7 @@ class CriticalValueCurve:
 
     A built curve has conditional size exactly alpha for 0 <= T <=
     ``t_last``. Past it the constant extension is not exact: with the
-    default build range the measured conditional rejection rate at alpha
+    build range out to NU_MAX the measured conditional rejection rate at alpha
     0.05 stays between 0.0496 and 0.0504 (grid rho 0.02 to 0.99 and the
     cap, T up to 200).
     """
@@ -138,19 +117,13 @@ class CriticalValueCurve:
     t_last: float | None = None
 
     def evaluate(self, nu: float) -> float:
-        if nu < self.domain_low:
-            return float("inf")
-        return float(np.interp(nu, self.knots_nu, self.knots_c))
+        return float(self.evaluate_array(nu))
 
     def evaluate_array(self, nu: np.ndarray) -> np.ndarray:
+        """Linear interpolation with the +inf sentinel below the domain floor."""
         nu = np.asarray(nu, dtype=float)
         out = np.interp(nu, self.knots_nu, self.knots_c)
         return np.where(nu < self.domain_low, np.inf, out)
-
-
-def evaluate_critical_value(curve: CriticalValueCurve, nu: float) -> float:
-    """Linear interpolation with the +inf sentinel below the domain floor."""
-    return curve.evaluate(nu)
 
 
 def t2_w_curve(nu: float, t: float, rho: float) -> float:
@@ -169,25 +142,31 @@ def _t2_vec(nu: np.ndarray, t: float, rho: float) -> np.ndarray:
         return nu**2 * u**2 / denom
 
 
-def closed_form_c(nu_bar: float, rho: float, alpha: float) -> float:
-    """Initial curve segment: c = nu^2 / (rho^2 (nu/(|rho| sqrt(q)) - 1)^2 + 1 - rho^2)."""
+def _closed(nu, rho_abs: float, nu_star: float):
+    """Closed-form segment nu^2 / (rho^2 (nu/nu* - 1)^2 + 1 - rho^2), on
+    floats or arrays."""
+    r2 = rho_abs**2
+    return nu**2 / (r2 * (nu / nu_star - 1.0) ** 2 + (1.0 - r2))
+
+
+def _nu_star(rho: float, alpha: float) -> tuple[float, float]:
+    """(|rho|, nu* = |rho| sqrt(q)) after the checks every closed-form entry point shares."""
     _check_alpha(alpha)
     rho_abs = abs(rho)
     if rho_abs == 0.0 or rho_abs >= 1.0:
         raise NumericalError("closed form undefined at rho boundary")
-    sqrt_q = float(ndtri(1.0 - alpha))
-    return nu_bar**2 / (rho**2 * (nu_bar / (rho_abs * sqrt_q) - 1.0) ** 2 + (1.0 - rho**2))
+    return rho_abs, rho_abs * float(ndtri(1.0 - alpha))
+
+
+def closed_form_c(nu_bar: float, rho: float, alpha: float) -> float:
+    """Initial curve segment: c = nu^2 / (rho^2 (nu/(|rho| sqrt(q)) - 1)^2 + 1 - rho^2)."""
+    return _closed(nu_bar, *_nu_star(rho, alpha))
 
 
 def fixed_point(rho: float, alpha: float) -> tuple[float, float]:
     """Starting knot (nu*, c*) = (|rho| sqrt(q), rho^2 q / (1 - rho^2))."""
-    _check_alpha(alpha)
-    rho_abs = abs(rho)
-    if rho_abs == 0.0 or rho_abs >= 1.0:
-        raise NumericalError("closed form undefined at rho boundary")
-    sqrt_q = float(ndtri(1.0 - alpha))
-    nu_star = rho_abs * sqrt_q
-    return nu_star, nu_star**2 / (1.0 - rho_abs**2)
+    rho_abs, nu_star = _nu_star(rho, alpha)
+    return nu_star, _closed(nu_star, rho_abs, nu_star)
 
 
 def small_rho_limit_c(nu_bar: float, alpha: float = 0.05) -> float:
@@ -232,80 +211,72 @@ def _refine_max(f, x0: float, x1: float, x2: float, rounds: int = 6) -> float:
     return best
 
 
-def _hump_excess(t: float, rho_abs: float, alpha: float, nu_star: float, n_grid: int = 241) -> float:
+def _hump_excess(t: float, rho_abs: float, nu_star: float, n_grid: int = 241) -> float:
     """Largest value of t2 - c over the hump region (nu*, T); -inf if empty."""
     lo = nu_star * (1.0 + 1e-12)
     hi = t * (1.0 - 1e-12)
     if hi <= lo:
         return float("-inf")
     grid = np.linspace(lo, hi, n_grid)
-    c_vals = grid**2 / (rho_abs**2 * (grid / nu_star - 1.0) ** 2 + (1.0 - rho_abs**2))
-    h = _t2_vec(grid, t, rho_abs) - c_vals
+    h = _t2_vec(grid, t, rho_abs) - _closed(grid, rho_abs, nu_star)
     i = int(np.argmax(h))
     if i == 0 or i == n_grid - 1:
         return float(h[i])
 
     def f(nu):
-        return t2_w_curve(nu, t, rho_abs) - closed_form_c(nu, rho_abs, alpha)
+        return t2_w_curve(nu, t, rho_abs) - _closed(nu, rho_abs, nu_star)
 
     return max(float(h[i]), _refine_max(f, grid[i - 1], grid[i], grid[i + 1]))
 
 
-def find_tangency(rho: float, alpha: float, cfg: CurveBuildConfig | None = None) -> tuple[float, float]:
+def find_tangency(rho: float, alpha: float) -> tuple[float, float]:
     """First conditioning value T with multiple statistic/curve crossings.
 
     Scans a T grid for the onset of a hump excess, then bisects (the excess
-    is monotone in T) down to ``root_tolerance``. Returns (t_tilde,
-    nu_tilde) where nu_tilde is the surviving single-crossing root at
-    t_tilde.
+    is monotone in T) down to ``ROOT_TOL``. Returns (t_tilde, nu_tilde)
+    where nu_tilde is the surviving single-crossing root at t_tilde.
     """
-    cfg = cfg or CurveBuildConfig()
-    _check_alpha(alpha)
-    rho_abs = abs(rho)
-    if rho_abs == 0.0 or rho_abs >= 1.0:
-        raise NumericalError("closed form undefined at rho boundary")
-    sqrt_q = float(ndtri(1.0 - alpha))
-    nu_star = rho_abs * sqrt_q
+    rho_abs, nu_star = _nu_star(rho, alpha)
 
     t_hi = None
-    n_steps = max(1, int(np.ceil(cfg.nu_max / cfg.t_grid_step)))
+    n_steps = max(1, int(np.ceil(NU_MAX / T_STEP)))
     for step_idx in range(1, n_steps + 1):
-        t = step_idx * cfg.t_grid_step
-        if _hump_excess(t, rho_abs, alpha, nu_star) > 0.0:
+        t = step_idx * T_STEP
+        if _hump_excess(t, rho_abs, nu_star) > 0.0:
             t_hi = t
             break
     if t_hi is None:
         raise NumericalError("tangency not found in range")
-    t_lo = t_hi - cfg.t_grid_step
-    while t_lo > 0.0 and _hump_excess(t_lo, rho_abs, alpha, nu_star) > 0.0:
+    t_lo = t_hi - T_STEP
+    while t_lo > 0.0 and _hump_excess(t_lo, rho_abs, nu_star) > 0.0:
         t_hi = t_lo
-        t_lo -= cfg.t_grid_step
+        t_lo -= T_STEP
     if t_lo <= 0.0:
         t_lo = t_hi / 2.0
-        while _hump_excess(t_lo, rho_abs, alpha, nu_star) > 0.0:
+        while _hump_excess(t_lo, rho_abs, nu_star) > 0.0:
             t_hi = t_lo
             t_lo /= 2.0
             if t_lo < 1e-12:
                 raise NumericalError("tangency not found in range")
 
-    for _ in range(cfg.max_iterations):
-        if t_hi - t_lo <= cfg.root_tolerance:
+    for _ in range(MAX_ITER):
+        if t_hi - t_lo <= ROOT_TOL:
             break
         mid = 0.5 * (t_lo + t_hi)
-        if _hump_excess(mid, rho_abs, alpha, nu_star) > 0.0:
+        if _hump_excess(mid, rho_abs, nu_star) > 0.0:
             t_hi = mid
         else:
             t_lo = mid
     t_tilde = 0.5 * (t_lo + t_hi)
 
     def h(nu):
-        return t2_w_curve(nu, t_tilde, rho_abs) - closed_form_c(nu, rho_abs, alpha)
+        return t2_w_curve(nu, t_tilde, rho_abs) - _closed(nu, rho_abs, nu_star)
 
     lo = t_tilde + 0.5 * nu_star
     hi = t_tilde + 1.5 * nu_star
     if not h(lo) < 0.0 < h(hi):
         raise NumericalError("tangency not found in range: crossing bracket failed")
-    nu_tilde = float(brentq(h, lo, hi, xtol=cfg.root_tolerance))
+    nu_tilde = float(brentq(h, lo, hi, xtol=ROOT_TOL))
     return t_tilde, nu_tilde
 
 
@@ -326,16 +297,12 @@ class ContinuationState:
     c_tilde: float = field(init=False)
 
     def __post_init__(self):
-        self.c_tilde = self._closed(self.nu_tilde)
-
-    def _closed(self, nu: float) -> float:
-        r2 = self.rho_abs**2
-        return nu**2 / (r2 * (nu / self.nu_star - 1.0) ** 2 + (1.0 - r2))
+        self.c_tilde = _closed(self.nu_tilde, self.rho_abs, self.nu_star)
 
     def curve_value(self, nu: float) -> float:
         """Built curve so far: exact closed form, then the appended knots."""
         if nu <= self.nu_tilde:
-            return self._closed(nu)
+            return _closed(nu, self.rho_abs, self.nu_star)
         if not self.cont_nu:
             return self.c_tilde
         i = bisect_right(self.cont_nu, nu)
@@ -365,13 +332,10 @@ def _expand_bracket(h, lo: float, hi: float, cap: float, grow: float) -> tuple[f
     raise NumericalError("continuation step failed: root bracketing failure")
 
 
-def extend_three_crossing(
-    state: ContinuationState, t_next: float, cfg: CurveBuildConfig | None = None
-) -> tuple[float, float]:
+def extend_three_crossing(state: ContinuationState, t_next: float) -> tuple[float, float]:
     """One continuation step: solve the middle/low crossings on the built
     segment, place the high crossing from the acceptance-probability
     equation, and append the new knot. Returns (nu_h, c_h)."""
-    cfg = cfg or CurveBuildConfig()
     rho = state.rho_abs
     t = float(t_next)
     if t < state.t_tilde - 1e-12:
@@ -392,16 +356,16 @@ def extend_three_crossing(
     lo_edge = state.nu_star * (1.0 + 1e-12)
     hi_edge = state.prev_nu_l if state.prev_nu_l is not None else max(nu_touch, quad_lo + 1e-9)
     if h(lo_edge) >= 0.0 or h(hi_edge) <= 0.0:
-        lo_edge, hi_edge = _expand_bracket(h, lo_edge, hi_edge, cap=t, grow=cfg.t_grid_step)
-    nu_l = float(brentq(h, lo_edge, hi_edge, xtol=cfg.root_tolerance))
+        lo_edge, hi_edge = _expand_bracket(h, lo_edge, hi_edge, cap=t, grow=T_STEP)
+    nu_l = float(brentq(h, lo_edge, hi_edge, xtol=ROOT_TOL))
 
     # Middle crossing: moves up with T, capped strictly below T.
     cap = t * (1.0 - 1e-12)
     lo_m = state.prev_nu_m if state.prev_nu_m is not None else max(nu_touch, nu_l + 1e-12)
-    hi_m = min(max(quad_hi, lo_m + cfg.t_grid_step), cap)
+    hi_m = min(max(quad_hi, lo_m + T_STEP), cap)
     if h(lo_m) <= 0.0 or h(hi_m) >= 0.0:
-        lo_m, hi_m = _expand_bracket(h, lo_m, hi_m, cap=cap, grow=cfg.t_grid_step)
-    nu_m = float(brentq(h, lo_m, hi_m, xtol=cfg.root_tolerance))
+        lo_m, hi_m = _expand_bracket(h, lo_m, hi_m, cap=cap, grow=T_STEP)
+    nu_m = float(brentq(h, lo_m, hi_m, xtol=ROOT_TOL))
 
     if not state.nu_star <= nu_l <= nu_m <= t:
         raise NumericalError("crossing order violated")
@@ -425,9 +389,37 @@ def extend_three_crossing(
     return nu_h, c_h
 
 
-def _closed_form_knots(rho_abs: float, alpha: float, nu_star: float, nu_end: float, cfg: CurveBuildConfig):
-    """Knots for the closed-form segment, refined until the piecewise-linear
-    interpolant tracks the segment to ~5e-7.
+def _base_grid(lo: float, hi: float) -> np.ndarray:
+    return np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / NU_STEP)) + 1))
+
+
+def _refine_knots(c, base: np.ndarray, pairs: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
+    """Knots for c over the panels of ``base``, halved until the
+    piecewise-linear interpolant tracks c to ~5e-7, merged with the knots
+    already in ``pairs``."""
+    stack = [(float(base[i]), float(base[i + 1])) for i in range(len(base) - 2, -1, -1)]
+    while stack:
+        a, b = stack.pop()
+        mid = 0.5 * (a + b)
+        ca, cb, cm = c(a), c(b), c(mid)
+        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * ROOT_TOL:
+            stack.append((mid, b))
+            stack.append((a, mid))
+        else:
+            pairs.append((mid, cm))
+            pairs.append((b, cb))
+    pairs.sort()
+    nus: list[float] = []
+    cs: list[float] = []
+    for nu, cc in pairs:
+        if not nus or nu > nus[-1]:
+            nus.append(nu)
+            cs.append(cc)
+    return nus, cs
+
+
+def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
+    """Knots for the closed-form segment on [nu*, nu_end].
 
     At T = 0 the statistic surface touches the curve tangentially at the
     fixed point, so interpolation error there converts into conditional
@@ -437,71 +429,19 @@ def _closed_form_knots(rho_abs: float, alpha: float, nu_star: float, nu_end: flo
     """
 
     def c(nu):
-        return closed_form_c(nu, rho_abs, alpha)
+        return _closed(nu, rho_abs, nu_star)
 
-    n_base = max(2, int(np.ceil((nu_end - nu_star) / cfg.nu_grid_step)) + 1)
-    base = np.linspace(nu_star, nu_end, n_base)
+    base = _base_grid(nu_star, nu_end)
     pairs = [(float(base[0]), c(base[0]))]
     eps = 1e-8 * max(nu_star, 1.0)
     first_step = float(base[1] - base[0])
     while eps < first_step and nu_star + eps < nu_end:
         pairs.append((nu_star + eps, c(nu_star + eps)))
         eps *= 1.4
-    stack = [(float(base[i]), float(base[i + 1])) for i in range(n_base - 2, -1, -1)]
-    while stack:
-        a, b = stack.pop()
-        mid = 0.5 * (a + b)
-        ca, cb, cm = c(a), c(b), c(mid)
-        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * cfg.root_tolerance:
-            stack.append((mid, b))
-            stack.append((a, mid))
-        else:
-            pairs.append((mid, cm))
-            pairs.append((b, cb))
-    pairs.sort()
-    nus: list[float] = []
-    cs: list[float] = []
-    for nu, cc in pairs:
-        if not nus or nu > nus[-1]:
-            nus.append(nu)
-            cs.append(cc)
-    return nus, cs
+    return _refine_knots(c, base, pairs)
 
 
-def _small_rho_knots(alpha: float, cfg: CurveBuildConfig):
-    """Knots for the small-rho limit curve over [0, nu_max], refined with
-    the same midpoint rule as the closed-form segment."""
-
-    def c(nu):
-        return small_rho_limit_c(nu, alpha)
-
-    n_base = max(2, int(np.ceil(cfg.nu_max / cfg.nu_grid_step)) + 1)
-    base = np.linspace(0.0, cfg.nu_max, n_base)
-    pairs = [(0.0, 0.0)]
-    stack = [(float(base[i]), float(base[i + 1])) for i in range(n_base - 2, -1, -1)]
-    while stack:
-        a, b = stack.pop()
-        mid = 0.5 * (a + b)
-        ca, cb, cm = c(a), c(b), c(mid)
-        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * cfg.root_tolerance:
-            stack.append((mid, b))
-            stack.append((a, mid))
-        else:
-            pairs.append((mid, cm))
-            pairs.append((b, cb))
-    pairs.sort()
-    nus: list[float] = []
-    cs: list[float] = []
-    for nu, cc in pairs:
-        if not nus or nu > nus[-1]:
-            nus.append(nu)
-            cs.append(cc)
-    return nus, cs
-
-
-def build_vtfo_curve(
-    rho: float, alpha: float = 0.05, cfg: CurveBuildConfig | None = None
-) -> CriticalValueCurve:
+def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
     The construction only sees rho through rho^2 and |rho|, so the sign of
@@ -512,39 +452,31 @@ def build_vtfo_curve(
     ~6e-4 of the exact curve at the floor, a conditional size error of
     roughly 2e-5.
     """
-    cfg = cfg or CurveBuildConfig()
     _check_alpha(alpha)
     rho_abs = abs(float(rho))
     if rho_abs > RHO_CAP:
         raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}")
 
+    def curve(nus, cs, domain_low, **extra):
+        knots_nu, knots_c = np.array(nus), np.array(cs)
+        return CriticalValueCurve(rho_abs, alpha, knots_nu, knots_c, domain_low, **extra)
+
     if rho_abs < RHO_BUILD_FLOOR:
-        nus, cs = _small_rho_knots(alpha, cfg)
-        return CriticalValueCurve(
-            rho_abs=rho_abs,
-            alpha=alpha,
-            knots_nu=np.array(nus),
-            knots_c=np.array(cs),
-            domain_low=0.0,
-        )
+        def limit(nu):
+            return small_rho_limit_c(nu, alpha)
+
+        return curve(*_refine_knots(limit, _base_grid(0.0, NU_MAX), [(0.0, 0.0)]), 0.0)
 
     nu_star, _ = fixed_point(rho_abs, alpha)
     try:
-        t_tilde, nu_tilde = find_tangency(rho_abs, alpha, cfg)
+        t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
     except NumericalError as exc:
         if "tangency not found in range" not in str(exc):
             raise
         # Pure closed form over the requested range.
-        nus, cs = _closed_form_knots(rho_abs, alpha, nu_star, cfg.nu_max, cfg)
-        return CriticalValueCurve(
-            rho_abs=rho_abs,
-            alpha=alpha,
-            knots_nu=np.array(nus),
-            knots_c=np.array(cs),
-            domain_low=nu_star,
-        )
+        return curve(*_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
-    nus, cs = _closed_form_knots(rho_abs, alpha, nu_star, nu_tilde, cfg)
+    nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
     state = ContinuationState(
         rho_abs=rho_abs,
         alpha=alpha,
@@ -553,27 +485,18 @@ def build_vtfo_curve(
         nu_tilde=nu_tilde,
     )
     t = t_tilde
-    for _ in range(cfg.max_iterations):
-        t += cfg.t_grid_step
-        nu_h, _ = extend_three_crossing(state, t, cfg)
-        if nu_h >= cfg.nu_max:
+    for _ in range(MAX_ITER):
+        t += T_STEP
+        nu_h, _ = extend_three_crossing(state, t)
+        if nu_h >= NU_MAX:
             break
     else:
-        raise NumericalError("continuation step failed: nu_max not reached")
+        raise NumericalError("continuation step failed: NU_MAX not reached")
 
-    knots_nu = np.array(nus + state.cont_nu)
-    knots_c = np.array(cs + state.cont_c)
-    if not np.all(np.diff(knots_nu) > 0.0):
+    knots = curve(nus + state.cont_nu, cs + state.cont_c, nu_star, t_tilde=t_tilde, t_last=state.last_t)
+    if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
-    return CriticalValueCurve(
-        rho_abs=rho_abs,
-        alpha=alpha,
-        knots_nu=knots_nu,
-        knots_c=knots_c,
-        domain_low=nu_star,
-        t_tilde=t_tilde,
-        t_last=state.last_t,
-    )
+    return knots
 
 
 def cw_critical_value(rho: float, t_stat: float, alpha: float = 0.05) -> float:
@@ -653,7 +576,8 @@ def _sidecar_key(base: str, rho_abs: float, multi: bool) -> str:
 def curve_csv_text(curves) -> str:
     """Curve CSV as a string: comment sidecar, `rho,nu,crit` header, rows
     sorted by (rho, nu). Infinite values are never serialized; the domain
-    floor rides in the sidecar."""
+    floor rides in the sidecar, and ``knots`` records each curve's row
+    count so that a truncated file is detected on load."""
     if isinstance(curves, CriticalValueCurve):
         curves = [curves]
     curves = sorted(curves, key=lambda c: c.rho_abs)
@@ -666,6 +590,7 @@ def curve_csv_text(curves) -> str:
             lines.append(f"# {_sidecar_key('t_tilde', cv.rho_abs, multi)}={cv.t_tilde!r}\n")
         if cv.t_last is not None:
             lines.append(f"# {_sidecar_key('t_last', cv.rho_abs, multi)}={cv.t_last!r}\n")
+        lines.append(f"# {_sidecar_key('knots', cv.rho_abs, multi)}={cv.knots_nu.size}\n")
     lines.append("rho,nu,crit\n")
     for cv in curves:
         for nu, c in zip(cv.knots_nu, cv.knots_c):
@@ -679,8 +604,10 @@ def write_curve_csv(path, curves) -> None:
 
 
 def _parse_curve_file(path):
+    """(sidecar, rows, whether the last line ends with a line break)."""
     meta: dict[str, float] = {}
     rows: list[tuple[float, float, float]] = []
+    raw = ""
     try:
         with open(path, encoding="utf-8") as fh:
             saw_header = False
@@ -714,56 +641,48 @@ def _parse_curve_file(path):
         raise TableError(f"table parse error: {exc}") from exc
     if not saw_header or not rows:
         raise TableError("table parse error: empty table")
-    return meta, rows
-
-
-def _group_blocks(meta, rows):
-    blocks = []
-    current_rho = None
-    nus: list[float] = []
-    cs: list[float] = []
-
-    def flush():
-        if current_rho is None:
-            return
-        nu_arr = np.array(nus)
-        if np.any(np.diff(nu_arr) <= 0.0):
-            raise TableError("table grid error: nu not strictly increasing")
-        multi_key = f"domain_low[rho={current_rho!r}]"
-        domain = meta.get(multi_key, meta.get("domain_low", nus[0]))
-        blocks.append((current_rho, nu_arr, np.array(cs), float(domain)))
-
-    for rho, nu, c in rows:
-        if rho != current_rho:
-            flush()
-            current_rho = rho
-            nus, cs = [], []
-        nus.append(nu)
-        cs.append(c)
-    flush()
-    rhos = [b[0] for b in blocks]
-    if sorted(rhos) != rhos or len(set(rhos)) != len(rhos):
-        raise TableError("table grid error: rho blocks not sorted")
-    return blocks
+    return meta, rows, raw.endswith("\n")
 
 
 def load_curve_csv(path) -> list[CriticalValueCurve]:
-    """Read curves back; sidecar metadata is optional."""
-    meta, rows = _parse_curve_file(path)
-    blocks = _group_blocks(meta, rows)
-    multi = len(blocks) > 1
-    out = []
-    for rho, nus, cs, domain in blocks:
-        def get(base, default=None):
-            return meta.get(_sidecar_key(base, rho, multi), meta.get(base, default))
+    """Read curves back; sidecar metadata is optional.
 
+    A file that records ``knots`` must hold exactly that many rows per
+    curve, one curve per ``knots`` entry, and end with a line break;
+    otherwise it was cut short and a TableError is raised.
+    """
+    meta, rows, complete = _parse_curve_file(path)
+    blocks: list[tuple[float, list[float], list[float]]] = []
+    current = None
+    for rho, nu, c in rows:
+        if rho != current:
+            current, nus, cs = rho, [], []
+            blocks.append((rho, nus, cs))
+        nus.append(nu)
+        cs.append(c)
+    rhos = [b[0] for b in blocks]
+    if sorted(rhos) != rhos or len(set(rhos)) != len(rhos):
+        raise TableError("table grid error: rho blocks not sorted")
+    n_counts = sum(1 for key in meta if key.partition("[")[0] == "knots")
+    if n_counts and (n_counts != len(blocks) or not complete):
+        raise TableError("table truncated: curves or rows missing")
+    out = []
+    for rho, nus, cs in blocks:
+        def get(base, default=None):
+            return meta.get(f"{base}[rho={rho!r}]", meta.get(base, default))
+
+        nu_arr = np.array(nus)
+        if np.any(np.diff(nu_arr) <= 0.0):
+            raise TableError("table grid error: nu not strictly increasing")
+        if n_counts and get("knots") != len(nus):
+            raise TableError(f"table truncated: rho {rho!r} has {len(nus)} rows, knots={get('knots')!r}")
         out.append(
             CriticalValueCurve(
                 rho_abs=rho,
                 alpha=float(get("alpha", float("nan"))),
-                knots_nu=nus,
-                knots_c=cs,
-                domain_low=domain,
+                knots_nu=nu_arr,
+                knots_c=np.array(cs),
+                domain_low=float(get("domain_low", nus[0])),
                 t_tilde=get("t_tilde"),
                 t_last=get("t_last"),
             )
@@ -773,27 +692,24 @@ def load_curve_csv(path) -> list[CriticalValueCurve]:
 
 @dataclass(frozen=True)
 class TwoSidedTable:
-    """Externally supplied c(nu, rho) lookup, bilinear between blocks."""
+    """Externally supplied c(nu, rho) lookup, bilinear between curves."""
 
-    blocks: tuple[tuple[float, np.ndarray, np.ndarray, float], ...]
-
-    def _block_eval(self, idx: int, nu) -> np.ndarray:
-        rho, nus, cs, domain = self.blocks[idx]
-        nu = np.asarray(nu, dtype=float)
-        vals = np.interp(nu, nus, cs)
-        return np.where(nu < domain, np.inf, vals)
+    curves: tuple[CriticalValueCurve, ...]
 
     def lookup_array(self, nu, rho: float) -> np.ndarray:
-        rhos = [b[0] for b in self.blocks]
+        rhos = [c.rho_abs for c in self.curves]
         r = abs(float(rho))
         if r <= rhos[0] or len(rhos) == 1:
-            return self._block_eval(0, nu)
+            return self.curves[0].evaluate_array(nu)
         if r >= rhos[-1]:
-            return self._block_eval(len(rhos) - 1, nu)
+            return self.curves[-1].evaluate_array(nu)
         j = bisect_right(rhos, r)
         r0, r1 = rhos[j - 1], rhos[j]
+        if r == r0:
+            # on a curve: 0 * inf below the next curve's floor would be nan
+            return self.curves[j - 1].evaluate_array(nu)
         w = (r - r0) / (r1 - r0)
-        return (1.0 - w) * self._block_eval(j - 1, nu) + w * self._block_eval(j, nu)
+        return (1.0 - w) * self.curves[j - 1].evaluate_array(nu) + w * self.curves[j].evaluate_array(nu)
 
     def lookup(self, nu: float, rho: float) -> float:
         return float(self.lookup_array(np.array([nu]), rho)[0])
@@ -801,8 +717,7 @@ class TwoSidedTable:
 
 def load_two_sided_table(path) -> TwoSidedTable:
     """Load an external two-sided table in the curve CSV format."""
-    meta, rows = _parse_curve_file(path)
-    return TwoSidedTable(blocks=tuple(_group_blocks(meta, rows)))
+    return TwoSidedTable(curves=tuple(load_curve_csv(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -822,24 +737,25 @@ def snap_rho_to_grid(rho: float) -> float:
 
 
 class CurveCache:
-    """Build-once curve store keyed by (rho, alpha, build config).
+    """Build-once curve store keyed by (rho, alpha).
 
-    ``directory=None`` keeps curves in memory only. Disk writes go through
-    a temporary file and an atomic rename, so concurrent builders can race
-    without corrupting the cache.
+    ``directory=None`` keeps curves in memory only. File names carry a key
+    over the file format and the build constants. Disk writes go through a
+    temporary file and an atomic rename, so concurrent builders can race
+    without corrupting the cache; a file that fails to load (cut short,
+    say) is rebuilt and replaced.
     """
 
-    def __init__(self, directory=None, cfg: CurveBuildConfig | None = None):
+    def __init__(self, directory=None):
         self.directory = directory
-        self.cfg = cfg or CurveBuildConfig()
-        self._memory: dict[tuple[str, str, str], CriticalValueCurve] = {}
+        self._memory: dict[tuple[str, str], CriticalValueCurve] = {}
 
     def _filename(self, rho_abs: float, alpha: float) -> str:
-        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{self.cfg.cache_key()}.csv"
+        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}.csv"
 
     def get(self, rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         rho_abs = abs(float(rho))
-        key = (repr(rho_abs), repr(float(alpha)), self.cfg.cache_key())
+        key = (repr(rho_abs), repr(float(alpha)))
         hit = self._memory.get(key)
         if hit is not None:
             return hit
@@ -847,10 +763,12 @@ class CurveCache:
         if self.directory is not None:
             path = os.path.join(self.directory, self._filename(rho_abs, alpha))
             if os.path.exists(path):
-                curve = load_curve_csv(path)[0]
-                self._memory[key] = curve
-                return curve
-        curve = build_vtfo_curve(rho_abs, alpha, self.cfg)
+                try:
+                    self._memory[key] = load_curve_csv(path)[0]
+                    return self._memory[key]
+                except TableError:
+                    pass  # cut short or damaged: rebuilt below and replaced
+        curve = build_vtfo_curve(rho_abs, alpha)
         if path is not None:
             os.makedirs(self.directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

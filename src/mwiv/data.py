@@ -43,13 +43,15 @@ class Dataset:
                 inst = as_int
         elif inst.ndim == 2:
             inst = inst.astype(float)
+            if not np.all(np.isfinite(inst)):
+                raise DataError("instruments contain non-finite values")
         else:
             raise DataError("dimension error: instruments must be 1-D labels or an N x K matrix")
         n = y.shape[0]
         if y.ndim != 1 or x.ndim != 1 or x.shape[0] != n or inst.shape[0] != n:
             raise DataError("dimension error: y, x, instruments must share length N")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise DataError("y, x contain no non-finite values")
+            raise DataError("y or x contains non-finite values")
         k = self.k_instruments(inst)
         if not n > k >= 1:
             raise DataError(f"need N > K >= 1, got N={n}, K={k}")

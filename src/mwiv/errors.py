@@ -5,6 +5,8 @@ DataError -> 2 (bad input), TableError -> 3 (missing external table),
 NumericalError -> 4 (degenerate statistic or failed construction).
 """
 
+__all__ = ["MwivError", "DataError", "TableError", "NumericalError"]
+
 
 class MwivError(Exception):
     """Base class for all package errors."""

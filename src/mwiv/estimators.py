@@ -24,6 +24,7 @@ __all__ = [
     "jive_variance",
     "variance_estimates_at",
     "normalized_stats",
+    "t_squared_from_triple",
     "jive_t_squared",
 ]
 

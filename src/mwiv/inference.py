@@ -20,7 +20,6 @@ from .critval import (
     TwoSidedTable,
     _check_alpha,
     cw_critical_value,
-    evaluate_critical_value,
     snap_rho_to_grid,
     two_sided_chi2,
 )
@@ -112,7 +111,7 @@ def _decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibr
     """Map (method, stats) to the (statistic, critical value) pair."""
     if method == "vtfo":
         curve = curves.cache.get(snap_rho_to_grid(stats.rho), alpha)
-        return stats.t_squared, evaluate_critical_value(curve, stats.nu)
+        return stats.t_squared, curve.evaluate(stats.nu)
     if method == "vtf":
         if curves.two_sided is None:
             raise TableError("two-sided table unavailable")

@@ -47,29 +47,6 @@ class ProjectionContext:
     pair_w: np.ndarray | None = None  # shared within-judge Ptil2 value
     inv_counts: np.ndarray | None = field(default=None, repr=False)
 
-    # -- scalar accessors -------------------------------------------------
-
-    def p_entry(self, i: int, j: int) -> float:
-        if self.kind == "dense":
-            return float(self.p[i, j])
-        if self.labels[i] != self.labels[j]:
-            return 0.0
-        return float(self.inv_counts[self.labels[i]])
-
-    def m_diag(self, i: int) -> float:
-        return float(self.m[i])
-
-    def p_tilde_sq(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if self.kind == "dense":
-            return float(self.ptil2[i, j])
-        if self.labels[i] != self.labels[j]:
-            return 0.0
-        return float(self.pair_w[self.labels[i]])
-
-    # -- vector kernels ---------------------------------------------------
-
     def _check_length(self, *vecs: np.ndarray) -> list[np.ndarray]:
         out = []
         for v in vecs:
@@ -101,10 +78,11 @@ class ProjectionContext:
     def quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
         """Unnormalized sum_{i != j} P_ij a_i b_j, exactly symmetric in (a, b)."""
         a, b = self._check_length(a, b)
-        # Canonical argument order so swapped calls run the same float ops.
-        if a.tobytes() > b.tobytes():
-            a, b = b, a
         if self.kind == "dense":
+            # Canonical argument order so swapped calls run the same float
+            # ops; the judge-block arithmetic below is symmetric as written.
+            if a.tobytes() > b.tobytes():
+                a, b = b, a
             return float(a @ (self.p @ b) - np.sum(np.diag(self.p) * a * b))
         sa = self._judge_sums(a)
         sb = self._judge_sums(b)
@@ -114,9 +92,9 @@ class ProjectionContext:
     def pair_weighted(self, f: np.ndarray, g: np.ndarray) -> float:
         """Unnormalized sum_{i != j} Ptil2_ij f_i g_j, exactly symmetric."""
         f, g = self._check_length(f, g)
-        if f.tobytes() > g.tobytes():
-            f, g = g, f
         if self.kind == "dense":
+            if f.tobytes() > g.tobytes():
+                f, g = g, f
             return float(f @ (self.ptil2 @ g))
         sf = self._judge_sums(f)
         sg = self._judge_sums(g)

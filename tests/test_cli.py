@@ -85,6 +85,16 @@ class TestEstimate:
         assert code == 2
         assert "dataset missing column 'x'" in err
 
+    def test_nonfinite_instruments(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        rows = [f"{i}.0,{i % 3}.0,{float(np.sin(i))!r},{float(np.cos(i))!r}\n" for i in range(10)]
+        rows[4] = "4.0,1.0,nan,0.5\n"
+        path.write_text("y,x,z1,z2\n" + "".join(rows))
+        code = main(["estimate", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "instruments contain non-finite values" in err
+
     def test_degenerate_first_stage(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("y,x,judge\n" + "".join(f"{i}.0,0.0,{i % 2}\n" for i in range(8)))
@@ -116,6 +126,19 @@ class TestTest:
         err = capsys.readouterr().err
         assert code == 3
         assert "two-sided table unavailable" in err
+
+    def test_truncated_vtf_table(self, strong_csv, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        cache = str(tmp_path / "cache")
+        assert main(["curve", "--rho", "0.3,0.6", "--out", str(table), "--cache-dir", cache]) == 0
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[:-3]))  # cut at a row boundary
+        code = main([
+            "test", "--data", str(strong_csv), "--method", "vtf",
+            "--vtf-table", str(table), "--cache-dir", cache,
+        ])
+        assert code == 3
+        assert "table truncated" in capsys.readouterr().err
 
 
 class TestConfidenceSet:
@@ -179,6 +202,17 @@ class TestCurve:
         assert main(["curve", "--rho", "0.35", "--out", str(b), "--cache-dir", cache]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert cached[0].stat().st_mtime_ns == stamp
+
+    def test_truncated_cache_file_rebuilt(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["curve", "--rho", "0.35", "--out", str(a), "--cache-dir", str(cache)]) == 0
+        (cached,) = cache.glob("vtfo_rho0.35_alpha0.05_*")
+        text = cached.read_text()
+        cached.write_text(text[: len(text) // 3])  # cut in the middle of a row
+        assert main(["curve", "--rho", "0.35", "--out", str(b), "--cache-dir", str(cache)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert cached.read_text() == text
 
     def test_multi_rho_stdout(self, tmp_path, capsys):
         code = main([

@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from mwiv import (
     ContinuationState,
-    CurveBuildConfig,
     CurveCache,
     DataError,
     NumericalError,
@@ -202,9 +201,8 @@ class TestBuildCurve:
             assert np.max(jumps) <= slope_cap * np.max(steps)
 
     def test_sign_symmetry(self):
-        cfg = CurveBuildConfig(nu_max=4.0)
-        plus = build_vtfo_curve(0.4, 0.05, cfg)
-        minus = build_vtfo_curve(-0.4, 0.05, cfg)
+        plus = build_vtfo_curve(0.4, 0.05)
+        minus = build_vtfo_curve(-0.4, 0.05)
         assert np.array_equal(plus.knots_nu, minus.knots_nu)
         assert np.array_equal(plus.knots_c, minus.knots_c)
 
@@ -245,14 +243,6 @@ class TestBuildCurve:
     def test_alpha_out_of_range(self):
         with pytest.raises(DataError, match="alpha must be in"):
             build_vtfo_curve(0.5, alpha=0.6)
-
-    def test_config_validation(self):
-        with pytest.raises(DataError, match="t_grid_step must be positive"):
-            CurveBuildConfig(t_grid_step=-0.01)
-        with pytest.raises(DataError, match="max_iterations must be positive"):
-            CurveBuildConfig(max_iterations=0)
-        with pytest.raises(DataError, match="root_tolerance must be <= 1e-9"):
-            CurveBuildConfig(root_tolerance=1e-6)
 
 
 class TestConditionalWald:
@@ -328,6 +318,37 @@ class TestSerialization:
         # below a block domain the table is infinite
         assert table.lookup(0.1, 0.3) == math.inf
 
+    def test_lookup_on_an_interior_curve(self, curve_library, tmp_path):
+        curves = [curve_library.cache.get(r, 0.05) for r in (0.3, 0.5, 0.9)]
+        path = tmp_path / "three.csv"
+        write_curve_csv(path, curves)
+        table = load_two_sided_table(path)
+        # between the 0.5 and 0.9 floors only the 0.5 curve is finite
+        nus = np.linspace(curves[1].domain_low, curves[2].domain_low, 50, endpoint=False)
+        assert np.array_equal(table.lookup_array(nus, 0.5), curves[1].evaluate_array(nus))
+        assert np.all(np.isinf(table.lookup_array(nus, 0.6)))
+
+    def test_knots_sidecar(self, curve_library, tmp_path):
+        a = curve_library.cache.get(0.3, 0.05)
+        b = curve_library.cache.get(0.5, 0.05)
+        path = tmp_path / "pair.csv"
+        write_curve_csv(path, [a, b])
+        text = path.read_text()
+        assert f"# knots[rho=0.3]={a.knots_nu.size}\n" in text
+        assert f"# knots[rho=0.5]={b.knots_nu.size}\n" in text
+        lines = text.splitlines(keepends=True)
+        cuts = {
+            "row boundary": "".join(lines[:-1]),
+            "middle of a row": "".join(lines)[:-3],
+            "a whole curve": "".join(line for line in lines if not line.startswith("0.5,")),
+        }
+        for what, cut in cuts.items():
+            path.write_text(cut)
+            with pytest.raises(TableError):
+                load_curve_csv(path)
+            with pytest.raises(TableError):
+                load_two_sided_table(path)
+
     def test_parse_errors(self, tmp_path):
         cases = {
             "empty.csv": ("", "table parse error: empty table"),
@@ -372,15 +393,14 @@ class TestSnapAndCache:
             assert snapped >= abs(rho) - 1e-12 or snapped == RHO_CAP
 
     def test_memory_and_disk_reuse(self, tmp_path):
-        cfg = CurveBuildConfig(nu_max=3.0)
-        cache = CurveCache(directory=str(tmp_path), cfg=cfg)
+        cache = CurveCache(directory=str(tmp_path))
         first = cache.get(0.35, 0.05)
         assert cache.get(0.35, 0.05) is first
         files = os.listdir(tmp_path)
         assert len(files) == 1 and files[0].startswith("vtfo_rho0.35_alpha0.05_")
         raw = (tmp_path / files[0]).read_bytes()
 
-        fresh = CurveCache(directory=str(tmp_path), cfg=cfg)
+        fresh = CurveCache(directory=str(tmp_path))
         reloaded = fresh.get(0.35, 0.05)
         assert reloaded is not first
         assert np.array_equal(reloaded.knots_nu, first.knots_nu)
@@ -388,6 +408,20 @@ class TestSnapAndCache:
         assert (tmp_path / files[0]).read_bytes() == raw
 
     def test_memory_only_cache(self):
-        cfg = CurveBuildConfig(nu_max=3.0)
-        cache = CurveCache(cfg=cfg)
+        cache = CurveCache()
         assert cache.get(0.2, 0.05) is cache.get(0.2, 0.05)
+
+    @pytest.mark.parametrize("cut", ["row boundary", "middle of a row"])
+    def test_truncated_file_is_rebuilt(self, curve_library, tmp_path, cut):
+        want = curve_library.cache.get(0.3, 0.05)
+        CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
+        (path,) = tmp_path.iterdir()
+        lines = path.read_text().splitlines(keepends=True)
+        head = "".join(lines[:480])
+        path.write_text(head if cut == "row boundary" else head + lines[480][:9])
+        got = CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
+        assert got.evaluate(10.0) == want.evaluate(10.0)
+        assert got.evaluate(10.0) == pytest.approx(3.721, abs=5e-4)
+        assert np.array_equal(got.knots_nu, want.knots_nu)
+        # the damaged file was replaced by the rebuilt curve
+        assert path.read_text() == "".join(lines)

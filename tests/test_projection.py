@@ -33,23 +33,44 @@ def random_judge_labels(rng, n_judges, lo=2, hi=12):
     return np.repeat(np.arange(n_judges), sizes)
 
 
+def symmetry_dataset(kind, rng):
+    if kind == "judge":
+        return judge_dataset(random_judge_labels(rng, 6), rng)
+    return dense_dataset(rng.standard_normal((40, 5)), rng)
+
+
+def p_matrix(ctx):
+    """P through the public kernels: leave_out_fit on unit vectors gives the
+    off-diagonal entries, 1 - M_ii the diagonal."""
+    p = np.column_stack([ctx.leave_out_fit(e) for e in np.eye(ctx.n)])
+    p[np.diag_indices(ctx.n)] = 1.0 - ctx.m
+    return p
+
+
+def ptilde_sq_matrix(ctx):
+    """Ptil2 (zero diagonal) from pair_weighted on unit vectors."""
+    eye = np.eye(ctx.n)
+    return np.array([[ctx.pair_weighted(ei, ej) for ej in eye] for ei in eye])
+
+
 class TestEntries:
     def test_balanced_judge_entries(self):
         # three judges, four cases each: P_ii = 1/4, M_ii = 3/4
         labels = np.repeat([0, 1, 2], 4)
         rng = np.random.default_rng(0)
         ctx = build_projection(judge_dataset(labels, rng))
+        p = p_matrix(ctx)
         for i in (0, 5, 11):
-            assert ctx.p_entry(i, i) == pytest.approx(0.25, abs=1e-14)
-            assert ctx.m_diag(i) == pytest.approx(0.75, abs=1e-14)
-        assert ctx.p_entry(0, 1) == pytest.approx(0.25, abs=1e-14)
-        assert ctx.p_entry(0, 4) == 0.0
+            assert p[i, i] == pytest.approx(0.25, abs=1e-14)
+            assert ctx.m[i] == pytest.approx(0.75, abs=1e-14)
+        assert p[0, 1] == pytest.approx(0.25, abs=1e-14)
+        assert p[0, 4] == 0.0
 
     def test_dense_trace_and_idempotence(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((60, 6))
         ctx = build_projection(dense_dataset(z, rng))
-        p = np.array([[ctx.p_entry(i, j) for j in range(60)] for i in range(60)])
+        p = p_matrix(ctx)
         assert abs(np.trace(p) - 6.0) <= 1e-10
         assert np.max(np.abs(p @ p - p)) <= 1e-10
 
@@ -62,25 +83,21 @@ class TestEntries:
         ctx_d = build_projection(
             Dataset(y=data_j.y, x=data_j.x, instruments=z)
         )
-        n = labels.size
-        for i in range(0, n, 3):
-            for j in range(0, n, 4):
-                assert ctx_j.p_entry(i, j) == pytest.approx(
-                    ctx_d.p_entry(i, j), abs=1e-12
-                )
-                assert ctx_j.p_tilde_sq(i, j) == pytest.approx(
-                    ctx_d.p_tilde_sq(i, j), abs=1e-12
-                )
+        assert np.max(np.abs(p_matrix(ctx_j) - p_matrix(ctx_d))) <= 1e-12
+        assert np.max(np.abs(ptilde_sq_matrix(ctx_j) - ptilde_sq_matrix(ctx_d))) <= 1e-12
 
     def test_judge_ptilde_constant_within_judge(self):
         labels = np.repeat([0, 1], [4, 7])
         rng = np.random.default_rng(3)
-        ctx = build_projection(judge_dataset(labels, rng))
+        ptil2 = ptilde_sq_matrix(build_projection(judge_dataset(labels, rng)))
         for k, nk in ((0, 4), (1, 7)):
             p = 1.0 / nk
             want = p**2 / ((1.0 - p) ** 2 + p**2)
-            i = 0 if k == 0 else 4
-            assert ctx.p_tilde_sq(i, i + 1) == pytest.approx(want, rel=1e-13)
+            block = ptil2[labels == k][:, labels == k]
+            off = ~np.eye(nk, dtype=bool)
+            assert np.allclose(block[off], want, rtol=1e-13, atol=0.0)
+            assert np.all(np.diag(block) == 0.0)
+            assert np.all(ptil2[labels == k][:, labels != k] == 0.0)
 
 
 class TestQuadraticForm:
@@ -116,9 +133,10 @@ class TestQuadraticForm:
         want = oracle_q(p, 5, data.y, data.x)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_argument_symmetry_exact(self):
+    @pytest.mark.parametrize("kind", ["judge", "dense"])
+    def test_argument_symmetry_exact(self, kind):
         rng = np.random.default_rng(7)
-        data = judge_dataset(random_judge_labels(rng, 6), rng)
+        data = symmetry_dataset(kind, rng)
         ctx = build_projection(data)
         assert quadratic_form_Q(ctx, data.y, data.x) == quadratic_form_Q(
             ctx, data.x, data.y
@@ -160,9 +178,10 @@ class TestCrossMoment:
         want = oracle_b(p, 4, data.x, data.y, data.x, data.y)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_pair_swap_symmetry_exact(self):
+    @pytest.mark.parametrize("kind", ["judge", "dense"])
+    def test_pair_swap_symmetry_exact(self, kind):
         rng = np.random.default_rng(11)
-        data = judge_dataset(random_judge_labels(rng, 5), rng)
+        data = symmetry_dataset(kind, rng)
         ctx = build_projection(data)
         a, b = data.x, data.y
         c = np.sin(np.arange(data.n, dtype=float))
@@ -220,6 +239,21 @@ class TestFastPathStructure:
 
 
 class TestBuildErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_instruments(self, bad):
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((30, 3))
+        z[7, 1] = bad
+        with pytest.raises(DataError, match="instruments contain non-finite values"):
+            dense_dataset(z, rng)
+
+    def test_nonfinite_outcome(self):
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal(12)
+        y[3] = np.nan
+        with pytest.raises(DataError, match="y or x contains non-finite values"):
+            judge_dataset(np.repeat([0, 1, 2], 4), y=y, x=np.ones(12))
+
     def test_singleton_judge(self):
         with pytest.raises(DataError, match="insufficient cluster size"):
             build_projection(
