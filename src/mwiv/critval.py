@@ -499,69 +499,197 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     return knots
 
 
-def cw_critical_value(rho: float, t_stat: float, alpha: float = 0.05) -> float:
+# Brent settings of the cw quantile, shared by both drivers.
+_CW_XTOL = 1e-9
+_CW_MAXITER = 200
+_SUBDIAGONAL = {n: np.eye(n, k=-1) for n in (1, 2, 4)}
+
+
+def _real_roots(first_row: np.ndarray) -> np.ndarray:
+    """Real roots of monic polynomials given the first rows of their
+    companion matrices, one polynomial per row; a complex root comes back
+    as +inf, which sorts past the real ones."""
+    m, n = first_row.shape
+    comp = np.empty((m, n, n))
+    comp[:] = _SUBDIAGONAL[n]
+    comp[:, 0] = first_row
+    try:
+        ev = np.linalg.eigvals(comp)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"CW quantile failure: {exc}") from exc
+    return np.where(np.abs(ev.imag) <= 1e-9 * (1.0 + np.abs(ev.real)), ev.real, np.inf)
+
+
+def _cw_accept(rho_abs: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays t and c.
+
+    t2 <= c is the quartic inequality r^2 z^4 + 2 t r z^3 + (t^2 - c(1 -
+    r^2)) z^2 - c t^2 <= 0 in z. As in ``np.roots``, trailing zero
+    coefficients are split off as exact zero roots, and the other roots are
+    the eigenvalues of the companion matrices, stacked by degree. The roots
+    cut the line into intervals, and the normal mass of each interval whose
+    midpoint satisfies the inequality is summed from left to right.
+    """
+    live = c > 0.0
+    if not live.all():
+        prob = np.zeros(t.shape)
+        if live.any():
+            prob[live] = _cw_accept(rho_abs, t[live], c[live])
+        return prob
+    t, c = t[:, None], c[:, None]
+    r2 = rho_abs**2
+    a3 = 2.0 * t * rho_abs
+    a2 = t * t - c * (1.0 - r2)
+    a0 = -c * t * t
+    first_row = np.concatenate([a3, a2, np.zeros(t.shape), a0], axis=1) / -r2
+    edges = np.full((t.size, 6), np.inf)
+    edges[:, 0] = -np.inf
+    if a0.all():  # every polynomial a full quartic: one batch, no grouping
+        edges[:, 1:5] = _real_roots(first_row)
+    else:
+        deg = np.where(a0 != 0.0, 4, np.where(a2 != 0.0, 2, np.where(a3 != 0.0, 1, 0)))[:, 0]
+        edges[:, 1:5] = 0.0
+        for n in (4, 2, 1):
+            rows = deg == n
+            if rows.any():
+                edges[rows, 1 : n + 1] = _real_roots(first_row[rows, :n])
+    edges.sort(axis=1)
+    left, right = edges[:, :-1], edges[:, 1:]
+    finite = np.isfinite(edges)
+    left_fin, right_fin = finite[:, :-1], finite[:, 1:]
+    with np.errstate(invalid="ignore"):
+        mid = np.where(
+            left_fin,
+            np.where(right_fin, 0.5 * (left + right), left + 1.0),
+            np.where(right_fin, right - 1.0, 0.0),
+        )
+        v = a3 + r2 * mid
+        v = a2 + v * mid
+        v = 0.0 + v * mid
+        v = a0 + v * mid
+    inside = (right > left) & (v <= 0.0)
+    cdf = ndtr(edges)
+    return np.cumsum(np.where(inside, cdf[:, 1:] - cdf[:, :-1], 0.0), axis=1)[:, -1]
+
+
+def _cw_bracket(rho_abs: float, t: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
+    """Double each upper end ``hi`` (in place) until it accepts with
+    probability at least ``target``; returns the acceptance there."""
+    p_hi = np.empty(t.size)
+    open_ = np.arange(t.size)
+    for _ in range(200):
+        p = _cw_accept(rho_abs, t[open_], hi[open_])
+        ok = p >= target
+        p_hi[open_[ok]] = p[ok]
+        open_ = open_[~ok]
+        if not open_.size:
+            return p_hi
+        hi[open_] *= 2.0
+    raise NumericalError("CW quantile failure: no upper bracket")
+
+
+def _brentq_array(f, hi: np.ndarray, f_lo: float, f_hi: np.ndarray) -> np.ndarray:
+    """``brentq(f_i, 0, hi_i, xtol=_CW_XTOL, maxiter=_CW_MAXITER)`` for every i at once.
+
+    A numpy transcription of scipy's C Brent iteration (``brentq.c``, with
+    its default rtol): the same updates in the same floating-point order,
+    so every root equals the scalar solver's bit for bit. ``f(idx, x)``
+    evaluates the functions ``idx`` at ``x``; ``f_lo`` is their common
+    value at 0 and ``f_hi`` their values at ``hi``. Each step updates the
+    still-open brackets only.
+    """
+    xtol, rtol = _CW_XTOL, 4.0 * np.finfo(float).eps
+    out = np.array(hi, dtype=float)
+    idx = np.flatnonzero(f_hi != 0.0)
+    xcur, fcur = out[idx], f_hi[idx]
+    xpre, fpre = np.zeros(idx.size), np.full(idx.size, f_lo)
+    xblk, fblk = np.zeros(idx.size), np.zeros(idx.size)
+    spre, scur = np.zeros(idx.size), np.zeros(idx.size)
+    for _ in range(_CW_MAXITER):
+        new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            out[idx[done]] = xcur[done]
+            keep = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+        if not idx.size:
+            return out
+
+        # both steps are formed everywhere and used only where C would
+        with np.errstate(all="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            inverse_quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, inverse_quad)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        short &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(idx, xcur)
+    raise NumericalError(f"CW quantile failure: no convergence after {_CW_MAXITER} iterations")
+
+
+def cw_critical_value(rho: float, t_stat, alpha: float = 0.05):
     """Conditional quantile of the statistic given T = t_stat.
 
-    Solves P(t2(T + rho Z, T, rho) <= c) = 1 - alpha over Z ~ N(0,1) by
-    monotone bisection in c; the acceptance set for a candidate c is read
-    off the real roots of a quartic in z.
+    Solves P(t2(T + rho Z, T, rho) <= c) = 1 - alpha over Z ~ N(0,1) for c
+    by Brent's method on [0, hi], where ``hi`` doubles until it accepts;
+    the acceptance probability comes from the real roots of a quartic in z
+    (``_cw_accept``). ``t_stat`` is a float or an array of any shape; a
+    float or 0-d array gives a float, any other input an array of its
+    shape. The root finder follows the number of T values: one T runs
+    scipy's C ``brentq``, whose per-call cost is lowest, and several run
+    ``_brentq_array``, a numpy transcription of the same iteration that
+    solves them all at once. Both give the same value for the same T, bit
+    for bit.
     """
     _check_alpha(alpha)
-    rho_abs = abs(float(rho))
+    rho = float(rho)
+    t = np.asarray(t_stat, dtype=float)
+    if not (np.isfinite(rho) and np.all(np.isfinite(t))):
+        raise DataError("the conditional quantile needs finite rho and T")
+    rho_abs = abs(rho)
     if rho_abs >= 1.0:
         raise DataError("rho out of range: |rho| must be < 1 for the conditional quantile")
-    t = float(t_stat)
     q2 = two_sided_chi2(alpha)
+    flat = t.ravel()
     if rho_abs < 1e-12:
-        if t == 0.0:
-            return 0.0
-        return q2 * t * t / (t * t + q2)
-
-    def accept_prob(c: float) -> float:
-        if c <= 0.0:
-            return 0.0
-        # t2 <= c as a quartic inequality in z (leading coefficient > 0).
-        coeffs = [
-            rho_abs**2,
-            2.0 * t * rho_abs,
-            t * t - c * (1.0 - rho_abs**2),
-            0.0,
-            -c * t * t,
-        ]
-        roots = np.roots(coeffs)
-        real = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))].real)
-        points = [float(r) for r in real]
-        prob = 0.0
-        prev = -np.inf
-        poly = np.polynomial.Polynomial(coeffs[::-1])
-        for right in points + [np.inf]:
-            if right > prev:
-                if np.isinf(prev):
-                    mid = (right - 1.0) if np.isfinite(right) else 0.0
-                elif np.isinf(right):
-                    mid = prev + 1.0
-                else:
-                    mid = 0.5 * (prev + right)
-                if poly(mid) <= 0.0:
-                    lo_cdf = 0.0 if np.isinf(prev) else float(ndtr(prev))
-                    hi_cdf = 1.0 if np.isinf(right) else float(ndtr(right))
-                    prob += hi_cdf - lo_cdf
-                prev = right
-        return prob
-
-    target = 1.0 - alpha
-    hi = max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2), t * t)
-    for _ in range(200):
-        if accept_prob(hi) >= target:
-            break
-        hi *= 2.0
+        c_star = q2 * flat * flat / (flat * flat + q2)
     else:
-        raise NumericalError("CW quantile failure: no upper bracket")
-    try:
-        c_star = float(brentq(lambda c: accept_prob(c) - target, 0.0, hi, xtol=1e-9, maxiter=200))
-    except (RuntimeError, ValueError) as exc:
-        raise NumericalError(f"CW quantile failure: {exc}") from exc
-    return c_star
+        target = 1.0 - alpha
+        hi = np.maximum(max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2)), flat * flat)
+        p_hi = _cw_bracket(rho_abs, flat, hi, target)
+        if flat.size == 1:
+            hi1, p_hi1 = float(hi[0]), float(p_hi[0])
+
+            def f(c: float) -> float:
+                # brentq evaluates its upper end again; that value is known
+                return (p_hi1 if c == hi1 else float(_cw_accept(rho_abs, flat, np.array([c]))[0])) - target
+
+            try:
+                c_star = brentq(f, 0.0, hi1, xtol=_CW_XTOL, maxiter=_CW_MAXITER)
+            except (RuntimeError, ValueError) as exc:
+                raise NumericalError(f"CW quantile failure: {exc}") from exc
+            c_star = np.array([c_star])
+        else:
+            c_star = _brentq_array(
+                lambda idx, c: _cw_accept(rho_abs, flat[idx], c) - target,
+                hi, -target, p_hi - target,
+            )
+    return float(c_star[0]) if t.ndim == 0 else c_star.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

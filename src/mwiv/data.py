@@ -37,6 +37,8 @@ class Dataset:
         inst = np.asarray(self.instruments)
         if inst.ndim == 1:
             if not np.issubdtype(inst.dtype, np.integer):
+                if inst.dtype.kind in "fc" and not np.all(np.isfinite(inst)):
+                    raise DataError("judge labels contain non-finite values")
                 as_int = inst.astype(np.int64)
                 if not np.array_equal(as_int, inst):
                     raise DataError("dimension error: judge labels must be integers")

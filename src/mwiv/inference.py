@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .critval import (
     CurveCache,
@@ -120,7 +120,7 @@ def _decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibr
         t_cond = stats.nu - stats.rho * stats.xi
         return stats.t_squared, cw_critical_value(stats.rho, t_cond, alpha)
     if method == "ms1":
-        return stats.ar, float(norm.ppf(1.0 - alpha))
+        return stats.ar, float(ndtri(1.0 - alpha))
     if method == "ms2":
         return stats.ar**2, two_sided_chi2(alpha)
     if method == "lm":
@@ -264,7 +264,7 @@ def detect_unbounded(method: str, stats: NormalizedStats, alpha: float = 0.05) -
     characterization and raises ValueError.
     """
     _check_alpha(alpha)
-    sq = float(norm.ppf(1.0 - alpha))
+    sq = float(ndtri(1.0 - alpha))
     q2 = two_sided_chi2(alpha)
     have_moments = stats.b_xxxx is not None and np.isfinite(stats.q_xx)
     quartic_leading = stats.q_xx**2 - q2 * stats.b_xxxx if have_moments else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .critval import RHO_CAP, _check_alpha, cw_critical_value, two_sided_chi2
 from .errors import DataError, TableError
@@ -140,10 +140,10 @@ def analytic_power_bounds(s: float, alpha: float = 0.05) -> tuple[float, float]:
     is 0.061 at |delta| = 8, 0.0042 at 80 and 0.0008 at 800.
     """
     _check_alpha(alpha)
-    sq = float(norm.ppf(1.0 - alpha))
-    z = float(norm.ppf(1.0 - alpha / 2.0))
-    one_sided = 1.0 - float(norm.cdf(sq - s))
-    two_sided = 1.0 - float(norm.cdf(z - s) - norm.cdf(-z - s))
+    sq = float(ndtri(1.0 - alpha))
+    z = float(ndtri(1.0 - alpha / 2.0))
+    one_sided = 1.0 - float(ndtr(sq - s))
+    two_sided = 1.0 - float(ndtr(z - s) - ndtr(-z - s))
     return one_sided, two_sided
 
 
@@ -173,14 +173,17 @@ class PowerCurveResult:
 
 
 def _cw_critical_grid(rho: float, t_vals: np.ndarray, alpha: float, n_grid: int = 512) -> np.ndarray:
-    """Per-draw cw critical values via interpolation on a T grid."""
+    """Per-draw cw critical values via interpolation on a T grid.
+
+    The whole grid is one ``cw_critical_value`` call, which solves every
+    grid quantile at once with the array Brent driver.
+    """
     t_lo, t_hi = float(np.min(t_vals)), float(np.max(t_vals))
     if t_hi - t_lo < 1e-9:
         c = cw_critical_value(rho, 0.5 * (t_lo + t_hi), alpha)
         return np.full(t_vals.shape, c)
     grid = np.linspace(t_lo, t_hi, n_grid)
-    cs = np.array([cw_critical_value(rho, t, alpha) for t in grid])
-    return np.interp(t_vals, grid, cs)
+    return np.interp(t_vals, grid, cw_critical_value(rho, grid, alpha))
 
 
 def rejection_rates(
@@ -197,7 +200,9 @@ def rejection_rates(
     Every delta gets its own RNG substream spawned from the seed, so the
     result is independent of evaluation order. Known (not estimated)
     variance objects enter the normalizations, and the curve test builds
-    the curve at the exact correlation implied by each delta.
+    the curve at the exact correlation implied by each delta. The cw test
+    interpolates its critical value on a 512-point T grid per delta, solved
+    as one array of quantiles (see ``cw_critical_value``).
     """
     _check_alpha(alpha)
     if n_draws < 1:
@@ -213,7 +218,7 @@ def rejection_rates(
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.ndim != 1 or delta_grid.size == 0:
         raise DataError("delta_grid must be a nonempty 1-D array")
-    sq = float(norm.ppf(1.0 - alpha))
+    sq = float(ndtri(1.0 - alpha))
     q2 = two_sided_chi2(alpha)
     rates = {m: np.zeros(delta_grid.size) for m in methods}
     children = np.random.SeedSequence(seed).spawn(delta_grid.size)

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from mwiv import CurveCache, CurveLibrary, t2_w_curve
@@ -188,3 +189,61 @@ def curve_library(tmp_path_factory):
     """One cache shared across the whole run so slow builds happen once."""
     directory = tmp_path_factory.mktemp("curve-cache")
     return CurveLibrary(cache=CurveCache(directory=str(directory)))
+
+
+def oracle_cw_quantile(rho, t, alpha=0.05):
+    """The conditional-Wald quantile by one scalar solve per T.
+
+    The acceptance probability of a candidate c comes from ``np.roots`` on
+    the quartic in z and a ``Polynomial`` sign test between its real roots;
+    ``brentq`` solves for c. The package's array solver must agree with it
+    bit for bit.
+    """
+    rho_abs = abs(float(rho))
+    t = float(t)
+    q2 = float(ndtri(1.0 - alpha / 2.0) ** 2)
+    if rho_abs < 1e-12:
+        if t == 0.0:
+            return 0.0
+        return q2 * t * t / (t * t + q2)
+
+    def accept_prob(c):
+        if c <= 0.0:
+            return 0.0
+        coeffs = [
+            rho_abs**2,
+            2.0 * t * rho_abs,
+            t * t - c * (1.0 - rho_abs**2),
+            0.0,
+            -c * t * t,
+        ]
+        roots = np.roots(coeffs)
+        real = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))].real)
+        points = [float(r) for r in real]
+        prob = 0.0
+        prev = -np.inf
+        poly = np.polynomial.Polynomial(coeffs[::-1])
+        for right in points + [np.inf]:
+            if right > prev:
+                if np.isinf(prev):
+                    mid = (right - 1.0) if np.isfinite(right) else 0.0
+                elif np.isinf(right):
+                    mid = prev + 1.0
+                else:
+                    mid = 0.5 * (prev + right)
+                if poly(mid) <= 0.0:
+                    lo_cdf = 0.0 if np.isinf(prev) else float(ndtr(prev))
+                    hi_cdf = 1.0 if np.isinf(right) else float(ndtr(right))
+                    prob += hi_cdf - lo_cdf
+                prev = right
+        return prob
+
+    target = 1.0 - alpha
+    hi = max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2), t * t)
+    for _ in range(200):
+        if accept_prob(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("no upper bracket")
+    return float(brentq(lambda c: accept_prob(c) - target, 0.0, hi, xtol=1e-9, maxiter=200))

@@ -176,7 +176,7 @@ def test_criterion_4_null_size(curve_library):
             vtfo_pos = float(np.mean(vtfo_rej[t_cond >= 0.0]))
 
             t_knots = np.linspace(float(t_cond.min()), float(t_cond.max()), 512)
-            c_knots = np.array([cw_critical_value(rho, t) for t in t_knots])
+            c_knots = cw_critical_value(rho, t_knots)
             cw_rate = float(np.mean(t2 > np.interp(t_cond, t_knots, c_knots)))
 
             cell = f"(S={s:g},rho={rho})"

@@ -1,8 +1,12 @@
 """Public API: every exported name resolves and is exported by the module
-that defines it, so a deleted name cannot linger in an export list."""
+that defines it, so a deleted name cannot linger in an export list; and
+importing the package stays light."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import mwiv
 
@@ -35,3 +39,14 @@ def test_every_export_is_in_its_module_all():
         if not any(name in mod.__all__ for mod in owners):
             unlisted.append(name)
     assert unlisted == []
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half of `import mwiv`, paid by every CLI
+    # process; the package needs only scipy.special and scipy.optimize
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mwiv.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mwiv, mwiv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

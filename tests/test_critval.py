@@ -31,7 +31,7 @@ from mwiv import (
     write_curve_csv,
 )
 
-from conftest import conditional_reject_prob
+from conftest import conditional_reject_prob, oracle_cw_quantile
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -267,19 +267,78 @@ class TestConditionalWald:
         )
 
     def test_monte_carlo_size_at_fixed_t(self):
-        rho, t = 0.7, 1.2
-        c = cw_critical_value(rho, t, 0.05)
+        # one array call for several T; each quantile holds size at its T,
+        # and the scalar call returns the same value
+        rho = 0.7
+        ts = np.array([-0.4, 1.2, 3.0])
+        cs = cw_critical_value(rho, ts, 0.05)
+        assert cw_critical_value(rho, 1.2, 0.05) == cs[1]
         rng = np.random.default_rng(20260814)
         z = rng.standard_normal(100000)
-        nu = t + rho * z
-        u = nu - t
-        stat = nu**2 * u**2 / (rho**2 * t**2 + (1.0 - rho**2) * u**2)
-        rate = float(np.mean(stat > c))
-        assert abs(rate - 0.05) <= 0.005
+        for t, c in zip(ts, cs):
+            nu = t + rho * z
+            u = nu - t
+            stat = nu**2 * u**2 / (rho**2 * t**2 + (1.0 - rho**2) * u**2)
+            rate = float(np.mean(stat > c))
+            assert abs(rate - 0.05) <= 0.005, (t, rate)
 
     def test_rho_domain(self):
         with pytest.raises(DataError, match="rho out of range"):
             cw_critical_value(1.0, 2.0, 0.05)
+
+    def test_overflowing_t(self):
+        # T^2 c overflows the quartic's coefficients
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            cw_critical_value(0.5, 1e200)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input(self, bad):
+        for rho, t in ((bad, 1.0), (0.5, bad), (0.5, np.array([0.3, bad, 2.0]))):
+            with pytest.raises(DataError):
+                cw_critical_value(rho, t, 0.05)
+
+    def test_shapes(self):
+        assert type(cw_critical_value(0.5, np.float64(1.0))) is float
+        assert type(cw_critical_value(0.5, np.array(1.0))) is float
+        for shape in ((1,), (5,), (2, 3), (0,)):
+            t = np.linspace(-1.0, 4.0, int(np.prod(shape))).reshape(shape)
+            got = cw_critical_value(0.5, t)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
+
+# The oracle's sets: correlations from small to the build cap and one
+# negative; T on a grid across the power lab's range plus T = 0, a far
+# negative T and a huge one.
+ORACLE_RHO = [0.05, 0.3, 0.5, 0.7, 0.931, 0.99, 0.9999, -0.6]
+ORACLE_EXTRA_T = [0.0, -50.0, 1e6]
+ORACLE_T = np.concatenate([np.linspace(-6.3, 14.1, 61), ORACLE_EXTRA_T])
+
+
+class TestConditionalWaldOracle:
+    """Both drivers reproduce the scalar np.roots + brentq solver exactly."""
+
+    @pytest.mark.parametrize("rho", ORACLE_RHO)
+    def test_array_driver(self, rho):
+        want = np.array([oracle_cw_quantile(rho, t) for t in ORACLE_T])
+        assert np.array_equal(cw_critical_value(rho, ORACLE_T), want)
+
+    @pytest.mark.parametrize("rho", ORACLE_RHO)
+    def test_scalar_driver(self, rho):
+        for t in [*ORACLE_T[:61:4], *ORACLE_EXTRA_T]:
+            assert cw_critical_value(rho, float(t)) == oracle_cw_quantile(rho, t)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3])
+    def test_other_levels(self, alpha):
+        t = ORACLE_T[::8]
+        want = np.array([oracle_cw_quantile(0.4, x, alpha) for x in t])
+        assert np.array_equal(cw_critical_value(0.4, t, alpha), want)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-13, -5e-13])
+    def test_closed_form_below_1e_12(self, rho):
+        t = np.array([-3.0, -0.0, 0.0, 0.25, 2.0, 1e6])
+        want = np.array([oracle_cw_quantile(rho, x) for x in t])
+        assert np.array_equal(cw_critical_value(rho, t), want)
+        assert cw_critical_value(rho, 0.0) == 0.0
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Projection context: hat-matrix entries, Q and B kernels, fast paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,15 @@ class TestBuildErrors:
         z[7, 1] = bad
         with pytest.raises(DataError, match="instruments contain non-finite values"):
             dense_dataset(z, rng)
+
+    def test_nonfinite_judge_labels(self):
+        # checked before the integer cast, so no cast warning leaks out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf):
+                labels = np.array([0.0, bad, 1.0, 1.0, 0.0])
+                with pytest.raises(DataError, match="judge labels contain non-finite values"):
+                    Dataset(y=np.zeros(5), x=np.ones(5), instruments=labels)
 
     def test_nonfinite_outcome(self):
         rng = np.random.default_rng(14)
