@@ -499,10 +499,10 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     return knots
 
 
-# Brent settings of the cw quantile, shared by both drivers.
+# Brent settings of the cw quantile.
 _CW_XTOL = 1e-9
 _CW_MAXITER = 200
-_SUBDIAGONAL = {n: np.eye(n, k=-1) for n in (1, 2, 4)}
+_SUBDIAGONAL = {n: np.eye(n, k=-1) for n in (2, 4)}
 
 
 def _real_roots(first_row: np.ndarray) -> np.ndarray:
@@ -521,38 +521,31 @@ def _real_roots(first_row: np.ndarray) -> np.ndarray:
 
 
 def _cw_accept(rho_abs: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays t and c.
+    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays t and c > 0.
 
     t2 <= c is the quartic inequality r^2 z^4 + 2 t r z^3 + (t^2 - c(1 -
     r^2)) z^2 - c t^2 <= 0 in z. As in ``np.roots``, trailing zero
     coefficients are split off as exact zero roots, and the other roots are
-    the eigenvalues of the companion matrices, stacked by degree. The roots
-    cut the line into intervals, and the normal mass of each interval whose
-    midpoint satisfies the inequality is summed from left to right.
+    the eigenvalues of the companion matrices. The constant -c t^2 is zero
+    only where t^2 underflows, and the z^2 coefficient is then -c(1 - r^2),
+    which is not, so such a row is a quadratic times z^2; no lower degree
+    occurs. The roots cut the line into intervals, and the normal mass of
+    each interval whose midpoint satisfies the inequality is summed from
+    left to right.
     """
-    live = c > 0.0
-    if not live.all():
-        prob = np.zeros(t.shape)
-        if live.any():
-            prob[live] = _cw_accept(rho_abs, t[live], c[live])
-        return prob
     t, c = t[:, None], c[:, None]
     r2 = rho_abs**2
     a3 = 2.0 * t * rho_abs
     a2 = t * t - c * (1.0 - r2)
     a0 = -c * t * t
     first_row = np.concatenate([a3, a2, np.zeros(t.shape), a0], axis=1) / -r2
-    edges = np.full((t.size, 6), np.inf)
-    edges[:, 0] = -np.inf
-    if a0.all():  # every polynomial a full quartic: one batch, no grouping
-        edges[:, 1:5] = _real_roots(first_row)
-    else:
-        deg = np.where(a0 != 0.0, 4, np.where(a2 != 0.0, 2, np.where(a3 != 0.0, 1, 0)))[:, 0]
-        edges[:, 1:5] = 0.0
-        for n in (4, 2, 1):
-            rows = deg == n
-            if rows.any():
-                edges[rows, 1 : n + 1] = _real_roots(first_row[rows, :n])
+    quad = a0[:, 0] == 0.0
+    edges = np.empty((t.size, 6))
+    edges[:, 0], edges[:, 5] = -np.inf, np.inf
+    edges[~quad, 1:5] = _real_roots(first_row[~quad])
+    if quad.any():
+        edges[quad, 1:3] = _real_roots(first_row[quad, :2])
+        edges[quad, 3:5] = 0.0
     edges.sort(axis=1)
     left, right = edges[:, :-1], edges[:, 1:]
     finite = np.isfinite(edges)
@@ -650,11 +643,9 @@ def cw_critical_value(rho: float, t_stat, alpha: float = 0.05):
     the acceptance probability comes from the real roots of a quartic in z
     (``_cw_accept``). ``t_stat`` is a float or an array of any shape; a
     float or 0-d array gives a float, any other input an array of its
-    shape. The root finder follows the number of T values: one T runs
-    scipy's C ``brentq``, whose per-call cost is lowest, and several run
-    ``_brentq_array``, a numpy transcription of the same iteration that
-    solves them all at once. Both give the same value for the same T, bit
-    for bit.
+    shape. Every T, one or many, goes through ``_brentq_array``, a numpy
+    transcription of scipy's ``brentq`` that solves them all at once and
+    gives each T the value the scalar iteration would, bit for bit.
     """
     _check_alpha(alpha)
     rho = float(rho)
@@ -672,23 +663,10 @@ def cw_critical_value(rho: float, t_stat, alpha: float = 0.05):
         target = 1.0 - alpha
         hi = np.maximum(max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2)), flat * flat)
         p_hi = _cw_bracket(rho_abs, flat, hi, target)
-        if flat.size == 1:
-            hi1, p_hi1 = float(hi[0]), float(p_hi[0])
-
-            def f(c: float) -> float:
-                # brentq evaluates its upper end again; that value is known
-                return (p_hi1 if c == hi1 else float(_cw_accept(rho_abs, flat, np.array([c]))[0])) - target
-
-            try:
-                c_star = brentq(f, 0.0, hi1, xtol=_CW_XTOL, maxiter=_CW_MAXITER)
-            except (RuntimeError, ValueError) as exc:
-                raise NumericalError(f"CW quantile failure: {exc}") from exc
-            c_star = np.array([c_star])
-        else:
-            c_star = _brentq_array(
-                lambda idx, c: _cw_accept(rho_abs, flat[idx], c) - target,
-                hi, -target, p_hi - target,
-            )
+        c_star = _brentq_array(
+            lambda idx, c: _cw_accept(rho_abs, flat[idx], c) - target,
+            hi, -target, p_hi - target,
+        )
     return float(c_star[0]) if t.ndim == 0 else c_star.reshape(t.shape)
 
 

@@ -175,8 +175,8 @@ class PowerCurveResult:
 def _cw_critical_grid(rho: float, t_vals: np.ndarray, alpha: float, n_grid: int = 512) -> np.ndarray:
     """Per-draw cw critical values via interpolation on a T grid.
 
-    The whole grid is one ``cw_critical_value`` call, which solves every
-    grid quantile at once with the array Brent driver.
+    The whole grid is one ``cw_critical_value`` call, which runs Brent's
+    method on every grid quantile at once.
     """
     t_lo, t_hi = float(np.min(t_vals)), float(np.max(t_vals))
     if t_hi - t_lo < 1e-9:

@@ -315,15 +315,16 @@ ORACLE_T = np.concatenate([np.linspace(-6.3, 14.1, 61), ORACLE_EXTRA_T])
 
 
 class TestConditionalWaldOracle:
-    """Both drivers reproduce the scalar np.roots + brentq solver exactly."""
+    """One T and an array of T reproduce the scalar np.roots + brentq
+    solver exactly."""
 
     @pytest.mark.parametrize("rho", ORACLE_RHO)
-    def test_array_driver(self, rho):
+    def test_array_of_t(self, rho):
         want = np.array([oracle_cw_quantile(rho, t) for t in ORACLE_T])
         assert np.array_equal(cw_critical_value(rho, ORACLE_T), want)
 
     @pytest.mark.parametrize("rho", ORACLE_RHO)
-    def test_scalar_driver(self, rho):
+    def test_single_t(self, rho):
         for t in [*ORACLE_T[:61:4], *ORACLE_EXTRA_T]:
             assert cw_critical_value(rho, float(t)) == oracle_cw_quantile(rho, t)
 
