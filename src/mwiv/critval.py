@@ -3,11 +3,15 @@
 Three families live here:
 
 * the one-sided curve c(nu) built for a given (|rho|, alpha): a closed-form
-  segment from the fixed point up to the tangency, then an iterative
-  three-crossing continuation that keeps the conditional rejection
-  probability at alpha for every conditioning value 0 <= T <= t_last, the
-  last continuation step. Past the last knot the curve holds its final
-  value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
+  segment from the fixed point nu* = |rho| z_alpha up to nu_tilde =
+  t_tilde + nu*, where t_tilde = (3 + 2 sqrt 2) nu* is the first
+  conditioning value with three statistic/curve crossings (both follow
+  from the algebra of the closed form), then an iterative three-crossing
+  continuation that keeps the conditional rejection probability at alpha
+  for every conditioning value 0 <= T <= t_last, the last continuation
+  step. Each step takes its low crossing from a quadratic root and solves
+  only the middle one numerically. Past the last knot the curve holds its
+  final value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
   constant q2 = 3.8415; there the measured conditional rejection rate at
   alpha 0.05 stays between 0.0496 and 0.0504, so at strong identification
   the test is the Wald test up to that cutoff gap. For T < 0 the curve is
@@ -22,10 +26,11 @@ step, so a small disk cache with atomic writes is provided.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -37,13 +42,10 @@ __all__ = [
     "RHO_CAP",
     "RHO_BUILD_FLOOR",
     "CriticalValueCurve",
-    "ContinuationState",
-    "t2_w_curve",
     "closed_form_c",
     "small_rho_limit_c",
     "fixed_point",
     "find_tangency",
-    "extend_three_crossing",
     "build_vtfo_curve",
     "cw_critical_value",
     "two_sided_chi2",
@@ -58,7 +60,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "3"
+_FORMAT_VERSION = "4"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -135,13 +137,6 @@ def t2_w_curve(nu: float, t: float, rho: float) -> float:
     return nu**2 * u**2 / denom
 
 
-def _t2_vec(nu: np.ndarray, t: float, rho: float) -> np.ndarray:
-    u = nu - t
-    denom = rho**2 * t**2 + (1.0 - rho**2) * u**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return nu**2 * u**2 / denom
-
-
 def _closed(nu, rho_abs: float, nu_star: float):
     """Closed-form segment nu^2 / (rho^2 (nu/nu* - 1)^2 + 1 - rho^2), on
     floats or arrays."""
@@ -182,140 +177,51 @@ def small_rho_limit_c(nu_bar: float, alpha: float = 0.05) -> float:
     return q2 * nu_bar**2 / (nu_bar**2 + q2)
 
 
-def _refine_max(f, x0: float, x1: float, x2: float, rounds: int = 6) -> float:
-    """Parabolic refinement of an interior maximum bracketed by x0 < x1 < x2."""
-    fx0, fx1, fx2 = f(x0), f(x1), f(x2)
-    best = fx1
-    for _ in range(rounds):
-        d1 = (x1 - x0) * (fx1 - fx2)
-        d2 = (x1 - x2) * (fx1 - fx0)
-        denom = d1 - d2
-        if denom == 0.0:
-            break
-        xv = x1 - 0.5 * ((x1 - x0) * d1 - (x1 - x2) * d2) / denom
-        if not (x0 < xv < x2) or xv == x1:
-            break
-        fv = f(xv)
-        best = max(best, fv)
-        # Keep a bracketing triple around the larger of the two candidates.
-        if xv < x1:
-            if fv > fx1:
-                x2, fx2, x1, fx1 = x1, fx1, xv, fv
-            else:
-                x0, fx0 = xv, fv
-        else:
-            if fv > fx1:
-                x0, fx0, x1, fx1 = x1, fx1, xv, fv
-            else:
-                x2, fx2 = xv, fv
-    return best
-
-
-def _hump_excess(t: float, rho_abs: float, nu_star: float, n_grid: int = 241) -> float:
-    """Largest value of t2 - c over the hump region (nu*, T); -inf if empty."""
-    lo = nu_star * (1.0 + 1e-12)
-    hi = t * (1.0 - 1e-12)
-    if hi <= lo:
-        return float("-inf")
-    grid = np.linspace(lo, hi, n_grid)
-    h = _t2_vec(grid, t, rho_abs) - _closed(grid, rho_abs, nu_star)
-    i = int(np.argmax(h))
-    if i == 0 or i == n_grid - 1:
-        return float(h[i])
-
-    def f(nu):
-        return t2_w_curve(nu, t, rho_abs) - _closed(nu, rho_abs, nu_star)
-
-    return max(float(h[i]), _refine_max(f, grid[i - 1], grid[i], grid[i + 1]))
-
-
 def find_tangency(rho: float, alpha: float) -> tuple[float, float]:
-    """First conditioning value T with multiple statistic/curve crossings.
+    """Onset (t_tilde, nu_tilde) of the three-crossing region, in closed form.
 
-    Scans a T grid for the onset of a hump excess, then bisects (the excess
-    is monotone in T) down to ``ROOT_TOL``. Returns (t_tilde, nu_tilde)
-    where nu_tilde is the surviving single-crossing root at t_tilde.
+    On the closed-form segment, t2(nu; T) = c(nu) reduces to
+    |nu - T| |nu - nu*| = nu* T. Between nu* and T that is the quadratic
+    nu^2 - (T + nu*) nu + 2 nu* T = 0, whose discriminant T^2 - 6 nu* T +
+    nu*^2 first vanishes at t_tilde = (3 + 2 sqrt 2) nu*. Above T the one
+    crossing is nu = T + nu*, so nu_tilde = t_tilde + nu*.
     """
-    rho_abs, nu_star = _nu_star(rho, alpha)
-
-    t_hi = None
-    n_steps = max(1, int(np.ceil(NU_MAX / T_STEP)))
-    for step_idx in range(1, n_steps + 1):
-        t = step_idx * T_STEP
-        if _hump_excess(t, rho_abs, nu_star) > 0.0:
-            t_hi = t
-            break
-    if t_hi is None:
-        raise NumericalError("tangency not found in range")
-    t_lo = t_hi - T_STEP
-    while t_lo > 0.0 and _hump_excess(t_lo, rho_abs, nu_star) > 0.0:
-        t_hi = t_lo
-        t_lo -= T_STEP
-    if t_lo <= 0.0:
-        t_lo = t_hi / 2.0
-        while _hump_excess(t_lo, rho_abs, nu_star) > 0.0:
-            t_hi = t_lo
-            t_lo /= 2.0
-            if t_lo < 1e-12:
-                raise NumericalError("tangency not found in range")
-
-    for _ in range(MAX_ITER):
-        if t_hi - t_lo <= ROOT_TOL:
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        if _hump_excess(mid, rho_abs, nu_star) > 0.0:
-            t_hi = mid
-        else:
-            t_lo = mid
-    t_tilde = 0.5 * (t_lo + t_hi)
-
-    def h(nu):
-        return t2_w_curve(nu, t_tilde, rho_abs) - _closed(nu, rho_abs, nu_star)
-
-    lo = t_tilde + 0.5 * nu_star
-    hi = t_tilde + 1.5 * nu_star
-    if not h(lo) < 0.0 < h(hi):
-        raise NumericalError("tangency not found in range: crossing bracket failed")
-    nu_tilde = float(brentq(h, lo, hi, xtol=ROOT_TOL))
-    return t_tilde, nu_tilde
+    _, nu_star = _nu_star(rho, alpha)
+    t_tilde = (3.0 + 2.0 * math.sqrt(2.0)) * nu_star
+    return t_tilde, t_tilde + nu_star
 
 
 @dataclass
 class ContinuationState:
-    """Mutable bookkeeping for the three-crossing continuation."""
+    """Mutable bookkeeping for the three-crossing continuation. Its knots
+    start at (nu_tilde, c(nu_tilde)), where the closed form ends."""
 
     rho_abs: float
     alpha: float
     nu_star: float
     t_tilde: float
     nu_tilde: float
-    cont_nu: list[float] = field(default_factory=list)
-    cont_c: list[float] = field(default_factory=list)
-    prev_nu_l: float | None = None
-    prev_nu_m: float | None = None
     last_t: float | None = None
-    c_tilde: float = field(init=False)
 
     def __post_init__(self):
-        self.c_tilde = _closed(self.nu_tilde, self.rho_abs, self.nu_star)
+        self.cont_nu = [self.nu_tilde]
+        self.cont_c = [_closed(self.nu_tilde, self.rho_abs, self.nu_star)]
+        # at t_tilde the low and middle crossings meet in the double root
+        self.prev_nu_m = 0.5 * (self.t_tilde + self.nu_star)
 
     def curve_value(self, nu: float) -> float:
-        """Built curve so far: exact closed form, then the appended knots."""
+        """Built curve so far: exact closed form, then the knots."""
         if nu <= self.nu_tilde:
             return _closed(nu, self.rho_abs, self.nu_star)
-        if not self.cont_nu:
-            return self.c_tilde
         i = bisect_right(self.cont_nu, nu)
-        if i >= len(self.cont_nu):
+        if i == len(self.cont_nu):
             return self.cont_c[-1]
-        x0 = self.cont_nu[i - 1] if i > 0 else self.nu_tilde
-        y0 = self.cont_c[i - 1] if i > 0 else self.c_tilde
-        x1, y1 = self.cont_nu[i], self.cont_c[i]
+        x0, y0, x1, y1 = self.cont_nu[i - 1], self.cont_c[i - 1], self.cont_nu[i], self.cont_c[i]
         return y0 + (nu - x0) / (x1 - x0) * (y1 - y0)
 
     @property
     def frontier(self) -> float:
-        return self.cont_nu[-1] if self.cont_nu else self.nu_tilde
+        return self.cont_nu[-1]
 
 
 def _expand_bracket(h, lo: float, hi: float, cap: float, grow: float) -> tuple[float, float]:
@@ -332,40 +238,44 @@ def _expand_bracket(h, lo: float, hi: float, cap: float, grow: float) -> tuple[f
     raise NumericalError("continuation step failed: root bracketing failure")
 
 
+def _closed_form_crossings(nu_star: float, t: float) -> tuple[float, float]:
+    """Roots nu_l <= nu_hi of nu^2 - (T + nu*) nu + 2 nu* T = 0, where the
+    statistic at T meets the closed form between nu* and T. For T >= t_tilde,
+    nu_l lies in (2 nu*, nu_tilde / 2], on the closed-form segment; it comes
+    from the product of the roots, 2 nu* T, which does not cancel."""
+    nu_hi = 0.5 * (t + nu_star + math.sqrt(max(t * t - 6.0 * nu_star * t + nu_star**2, 0.0)))
+    return 2.0 * nu_star * t / nu_hi, nu_hi
+
+
+def _statistic_gap(nu: float, t: float, state: ContinuationState) -> float:
+    """t2 - c at nu: the statistic at T = t against the curve built so far."""
+    return t2_w_curve(nu, t, state.rho_abs) - state.curve_value(nu)
+
+
 def extend_three_crossing(state: ContinuationState, t_next: float) -> tuple[float, float]:
-    """One continuation step: solve the middle/low crossings on the built
-    segment, place the high crossing from the acceptance-probability
-    equation, and append the new knot. Returns (nu_h, c_h)."""
+    """One continuation step at T = t_next: the low crossing from the
+    closed-form quadratic, the middle crossing by ``brentq`` on the built
+    curve, the high crossing from the acceptance-probability equation; the
+    new knot is appended. Returns (nu_h, c_h)."""
     rho = state.rho_abs
     t = float(t_next)
     if t < state.t_tilde - 1e-12:
         raise NumericalError("continuation step failed: T below the tangency onset")
 
     def h(nu):
-        return t2_w_curve(nu, t, rho) - state.curve_value(nu)
+        return _statistic_gap(nu, t, state)
 
-    # Warm starts from the crossing quadratic against the closed form:
-    # nu^2 - (T + nu*) nu + 2 nu* T = 0.
-    disc = max(t * t - 6.0 * state.nu_star * t + state.nu_star**2, 0.0)
-    root = np.sqrt(disc)
-    quad_lo = 0.5 * (t + state.nu_star - root)
-    quad_hi = 0.5 * (t + state.nu_star + root)
-    nu_touch = 0.5 * (state.t_tilde + state.nu_star)
+    nu_l, quad_hi = _closed_form_crossings(state.nu_star, t)
 
-    # Low crossing: between the domain floor and the previous low crossing.
-    lo_edge = state.nu_star * (1.0 + 1e-12)
-    hi_edge = state.prev_nu_l if state.prev_nu_l is not None else max(nu_touch, quad_lo + 1e-9)
-    if h(lo_edge) >= 0.0 or h(hi_edge) <= 0.0:
-        lo_edge, hi_edge = _expand_bracket(h, lo_edge, hi_edge, cap=t, grow=T_STEP)
-    nu_l = float(brentq(h, lo_edge, hi_edge, xtol=ROOT_TOL))
-
-    # Middle crossing: moves up with T, capped strictly below T.
+    # Middle crossing: moves up with T, capped strictly below T. brentq keeps
+    # its function in a reference cycle, so the state goes in args: a closure
+    # would hold every finished build's knots until a full collection.
     cap = t * (1.0 - 1e-12)
-    lo_m = state.prev_nu_m if state.prev_nu_m is not None else max(nu_touch, nu_l + 1e-12)
+    lo_m = state.prev_nu_m
     hi_m = min(max(quad_hi, lo_m + T_STEP), cap)
     if h(lo_m) <= 0.0 or h(hi_m) >= 0.0:
         lo_m, hi_m = _expand_bracket(h, lo_m, hi_m, cap=cap, grow=T_STEP)
-    nu_m = float(brentq(h, lo_m, hi_m, xtol=ROOT_TOL))
+    nu_m = float(brentq(_statistic_gap, lo_m, hi_m, args=(t, state), xtol=ROOT_TOL))
 
     if not state.nu_star <= nu_l <= nu_m <= t:
         raise NumericalError("crossing order violated")
@@ -383,7 +293,6 @@ def extend_three_crossing(state: ContinuationState, t_next: float) -> tuple[floa
 
     state.cont_nu.append(nu_h)
     state.cont_c.append(c_h)
-    state.prev_nu_l = nu_l
     state.prev_nu_m = nu_m
     state.last_t = t
     return nu_h, c_h
@@ -444,6 +353,12 @@ def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
 def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
+    Closed-form knots run from nu* to nu_tilde (``find_tangency``), then
+    the continuation steps T by T_STEP from t_tilde until its high
+    crossing passes NU_MAX. When t_tilde >= NU_MAX the three-crossing
+    region starts past the build range and the closed form alone is the
+    curve (at the cap, alpha below about 3.4e-12).
+
     The construction only sees rho through rho^2 and |rho|, so the sign of
     rho is irrelevant. Below RHO_BUILD_FLOOR the continuation is
     ill-conditioned (the hump probability approaches alpha and the
@@ -451,6 +366,10 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     so those curves use the small-rho limit instead. The limit sits within
     ~6e-4 of the exact curve at the floor, a conditional size error of
     roughly 2e-5.
+
+    The continuation is made for conventional levels: from alpha 0.14 some
+    steps meet five crossings, not three, and from alpha 0.18 (rho >= 0.3)
+    builds fail with a NumericalError naming rho and alpha.
     """
     _check_alpha(alpha)
     rho_abs = abs(float(rho))
@@ -468,12 +387,9 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         return curve(*_refine_knots(limit, _base_grid(0.0, NU_MAX), [(0.0, 0.0)]), 0.0)
 
     nu_star, _ = fixed_point(rho_abs, alpha)
-    try:
-        t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
-    except NumericalError as exc:
-        if "tangency not found in range" not in str(exc):
-            raise
-        # Pure closed form over the requested range.
+    t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
+    if t_tilde >= NU_MAX:
+        # the three-crossing region starts past the build range
         return curve(*_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
     nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
@@ -485,15 +401,18 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         nu_tilde=nu_tilde,
     )
     t = t_tilde
-    for _ in range(MAX_ITER):
-        t += T_STEP
-        nu_h, _ = extend_three_crossing(state, t)
-        if nu_h >= NU_MAX:
-            break
-    else:
-        raise NumericalError("continuation step failed: NU_MAX not reached")
+    try:
+        for _ in range(MAX_ITER):
+            t += T_STEP
+            nu_h, _ = extend_three_crossing(state, t)
+            if nu_h >= NU_MAX:
+                break
+        else:
+            raise NumericalError("continuation step failed: NU_MAX not reached")
+    except NumericalError as exc:
+        raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
-    knots = curve(nus + state.cont_nu, cs + state.cont_c, nu_star, t_tilde=t_tilde, t_last=state.last_t)
+    knots = curve(nus + state.cont_nu[1:], cs + state.cont_c[1:], nu_star, t_tilde=t_tilde, t_last=state.last_t)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots

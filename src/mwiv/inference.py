@@ -150,8 +150,8 @@ def run_test(
         statistic=float(statistic),
         critical=float(critical),
         reject=bool(statistic > critical),
-        nu=stats.nu,
-        rho=stats.rho,
+        nu=float(stats.nu),
+        rho=float(stats.rho),
         rho_clamped=stats.rho_clamped,
     )
 

@@ -200,7 +200,12 @@ def rejection_rates(
     Every delta gets its own RNG substream spawned from the seed, so the
     result is independent of evaluation order. Known (not estimated)
     variance objects enter the normalizations, and the curve test builds
-    the curve at the exact correlation implied by each delta. The cw test
+    the curve at the exact correlation implied by each delta: this is the
+    limit experiment at a known rho. The decision layer instead snaps its
+    estimated rho up to the 0.01 grid (``snap_rho_to_grid``). Snapping here
+    too would move vtfo power by up to 0.037 on the benchmark designs
+    (0.5804 to 0.5432 at s 2, r -0.3, delta 2, where rho 0.931 is built at
+    0.94), so the two rules stay apart on purpose. The cw test
     interpolates its critical value on a 512-point T grid per delta, solved
     as one array of quantiles (see ``cw_critical_value``).
     """

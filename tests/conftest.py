@@ -18,7 +18,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from mwiv import CurveCache, CurveLibrary, t2_w_curve
+from mwiv import CurveCache, CurveLibrary
+from mwiv.critval import t2_w_curve
 
 
 def judge_indicator_matrix(labels):

@@ -118,6 +118,33 @@ class TestTest:
         assert float(report["critical"]) == pytest.approx(3.8414588206941254, rel=1e-12)
         assert float(report["statistic"]) >= 0.0
 
+    @pytest.mark.parametrize("method", ["ms1", "ms2", "lm", "cw", "vtfo"])
+    def test_report_values_are_plain(self, strong_csv, tmp_path, capsys, method):
+        # numpy scalars must not leak their repr, e.g. nu=np.float64(...)
+        code = main([
+            "test", "--data", str(strong_csv), "--beta0", "0.5",
+            "--method", method, "--cache-dir", str(tmp_path / "cache"),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        report = parse_report(out)
+        assert report.pop("method") == method
+        assert set(report) == {"beta0", "alpha", "statistic", "critical", "reject", "nu", "rho"}
+        for key, value in report.items():
+            if value not in ("true", "false"):
+                float(value)
+
+    def test_failed_vtfo_build_names_rho_and_alpha(self, strong_csv, tmp_path, capsys):
+        # the continuation stops advancing at alpha 0.2 (rho here snaps to 0.85)
+        code = main([
+            "test", "--data", str(strong_csv), "--method", "vtfo", "--alpha", "0.2",
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == ("error: vtfo curve build failed at rho=0.85, alpha=0.2: "
+                       "continuation step failed: frontier did not advance\n")
+
     def test_vtf_needs_table(self, strong_csv, tmp_path, capsys):
         code = main([
             "test", "--data", str(strong_csv), "--method", "vtf",

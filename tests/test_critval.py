@@ -1,6 +1,7 @@
 """Critical value machinery: W surface, closed form, tangency,
 continuation, conditional quantiles, serialization, caching."""
 
+import gc
 import math
 import os
 
@@ -9,7 +10,6 @@ import pytest
 from scipy.stats import norm
 
 from mwiv import (
-    ContinuationState,
     CurveCache,
     DataError,
     NumericalError,
@@ -20,16 +20,16 @@ from mwiv import (
     build_vtfo_curve,
     closed_form_c,
     cw_critical_value,
-    extend_three_crossing,
     find_tangency,
     fixed_point,
     load_curve_csv,
     load_two_sided_table,
     snap_rho_to_grid,
-    t2_w_curve,
     two_sided_chi2,
     write_curve_csv,
 )
+from mwiv import critval
+from mwiv.critval import ContinuationState, extend_three_crossing, t2_w_curve
 
 from conftest import conditional_reject_prob, oracle_cw_quantile
 
@@ -81,13 +81,27 @@ class TestClosedForm:
 
 class TestTangency:
     def test_matches_analytic_onset(self):
-        for rho in (0.3, 0.5, 0.9):
-            nu_star = abs(rho) * SQ
-            t_tilde, nu_tilde = find_tangency(rho, 0.05)
-            assert t_tilde == pytest.approx((3.0 + 2.0 * math.sqrt(2.0)) * nu_star,
-                                            abs=1e-6)
-            assert nu_tilde == pytest.approx((4.0 + 2.0 * math.sqrt(2.0)) * nu_star,
-                                             abs=1e-6)
+        for rho in (0.02, 0.1, 0.5, 0.9, 0.9999):
+            for alpha in (0.001, 0.01, 0.05, 0.1):
+                nu_star = rho * norm.ppf(1.0 - alpha)
+                t_tilde, nu_tilde = find_tangency(-rho, alpha)
+                assert t_tilde == pytest.approx((3.0 + 2.0 * math.sqrt(2.0)) * nu_star, rel=1e-12)
+                assert nu_tilde == pytest.approx((4.0 + 2.0 * math.sqrt(2.0)) * nu_star, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    @pytest.mark.parametrize("rho", [0.02, 0.1, 0.5, 0.9, 0.9999])
+    def test_hump_excess_starts_at_onset(self, rho, alpha):
+        # largest t2 - c over the hump region (nu*, T), on a dense grid
+        t_tilde, _ = find_tangency(rho, alpha)
+        nu_star, _ = fixed_point(rho, alpha)
+
+        def excess(t):
+            nus = np.linspace(nu_star, t, 20001)[1:-1]
+            u = nus - t
+            t2 = nus**2 * u**2 / (rho**2 * t**2 + (1.0 - rho**2) * u**2)
+            return np.max(t2 - closed_form_c(nus, rho, alpha))
+
+        assert excess(0.999 * t_tilde) < 0.0 < excess(1.001 * t_tilde)
 
     def test_onset_grows_with_rho(self):
         t_small, _ = find_tangency(0.05, 0.05)
@@ -144,6 +158,32 @@ class TestContinuation:
         assert mids[s - 1] < target <= mids[s]
         assert max(mids) > nu_tilde
 
+    @pytest.mark.parametrize("rho,alpha", [(0.02, 0.05), (0.5, 0.05), (0.9, 0.05), (0.9, 0.01)])
+    def test_low_crossing_on_closed_form(self, monkeypatch, rho, alpha):
+        # every step's low crossing solves t2 = c on the closed-form segment
+        roots = []
+        crossings = critval._closed_form_crossings
+
+        def record(nu_star, t):
+            out = crossings(nu_star, t)
+            roots.append((t, out[0]))
+            return out
+
+        monkeypatch.setattr(critval, "_closed_form_crossings", record)
+        nu_star, _ = fixed_point(rho, alpha)
+        t_tilde, nu_tilde = find_tangency(rho, alpha)
+        state = ContinuationState(rho, alpha, nu_star, t_tilde, nu_tilde)
+        t, steps = t_tilde, 0
+        while state.frontier < critval.NU_MAX:
+            t += critval.T_STEP
+            extend_three_crossing(state, t)
+            steps += 1
+        assert len(roots) == steps > 100
+        for t, nu_l in roots:
+            assert nu_star < nu_l <= nu_tilde
+            c = closed_form_c(nu_l, rho, alpha)
+            assert abs(t2_w_curve(nu_l, t, rho) - c) <= 1e-12 * c
+
     def test_step_below_onset_rejected(self):
         rho = 0.5
         nu_star, _ = fixed_point(rho, 0.05)
@@ -157,6 +197,35 @@ class TestContinuation:
 
 
 class TestBuildCurve:
+    def test_closed_form_only_past_build_range(self, monkeypatch):
+        # t_tilde >= NU_MAX: no continuation; at the cap that takes alpha
+        # below about 3.4e-12, so the build range is moved here instead
+        rho = 0.9
+        nu_star, _ = fixed_point(rho, 0.05)
+        t_tilde, _ = find_tangency(rho, 0.05)
+        monkeypatch.setattr(critval, "NU_MAX", t_tilde)
+        curve = build_vtfo_curve(rho, 0.05)
+        assert curve.t_tilde is None and curve.t_last is None
+        assert curve.knots_nu[0] == nu_star and curve.knots_nu[-1] == t_tilde
+        np.testing.assert_allclose(curve.knots_c, closed_form_c(curve.knots_nu, rho, 0.05), rtol=1e-15)
+
+        monkeypatch.setattr(critval, "NU_MAX", math.nextafter(t_tilde, math.inf))
+        curve = build_vtfo_curve(rho, 0.05)
+        assert curve.t_tilde == t_tilde
+        assert curve.t_last == t_tilde + critval.T_STEP
+
+    def test_build_leaves_no_state_behind(self):
+        # brentq keeps its function in a reference cycle; a build must not
+        # hang its continuation state (every knot) on it, or finished builds
+        # pile up until a full garbage collection
+        gc.disable()
+        try:
+            build_vtfo_curve(0.5, 0.05)
+            alive = sum(isinstance(o, ContinuationState) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
+
     def test_knots_strictly_increasing(self, curve_library):
         for rho in (0.3, 0.5, 0.9):
             curve = curve_library.cache.get(rho, 0.05)
