@@ -439,8 +439,9 @@ def _real_roots(first_row: np.ndarray) -> np.ndarray:
     return np.where(np.abs(ev.imag) <= 1e-9 * (1.0 + np.abs(ev.real)), ev.real, np.inf)
 
 
-def _cw_accept(rho_abs: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays t and c > 0.
+def _cw_accept(rho_abs: np.ndarray, r2: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays of |rho|, its
+    square r2, t and c > 0, one row each.
 
     t2 <= c is the quartic inequality r^2 z^4 + 2 t r z^3 + (t^2 - c(1 -
     r^2)) z^2 - c t^2 <= 0 in z. As in ``np.roots``, trailing zero
@@ -452,8 +453,7 @@ def _cw_accept(rho_abs: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     each interval whose midpoint satisfies the inequality is summed from
     left to right.
     """
-    t, c = t[:, None], c[:, None]
-    r2 = rho_abs**2
+    rho_abs, r2, t, c = rho_abs[:, None], r2[:, None], t[:, None], c[:, None]
     a3 = 2.0 * t * rho_abs
     a2 = t * t - c * (1.0 - r2)
     a0 = -c * t * t
@@ -484,13 +484,13 @@ def _cw_accept(rho_abs: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(inside, cdf[:, 1:] - cdf[:, :-1], 0.0), axis=1)[:, -1]
 
 
-def _cw_bracket(rho_abs: float, t: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
+def _cw_bracket(rho_abs: np.ndarray, r2: np.ndarray, t: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
     """Double each upper end ``hi`` (in place) until it accepts with
     probability at least ``target``; returns the acceptance there."""
     p_hi = np.empty(t.size)
     open_ = np.arange(t.size)
     for _ in range(200):
-        p = _cw_accept(rho_abs, t[open_], hi[open_])
+        p = _cw_accept(rho_abs[open_], r2[open_], t[open_], hi[open_])
         ok = p >= target
         p_hi[open_[ok]] = p[ok]
         open_ = open_[~ok]
@@ -554,36 +554,39 @@ def _brentq_array(f, hi: np.ndarray, f_lo: float, f_hi: np.ndarray) -> np.ndarra
     raise NumericalError(f"CW quantile failure: no convergence after {_CW_MAXITER} iterations")
 
 
-def cw_critical_value(rho: float, t_stat, alpha: float = 0.05):
+def cw_critical_value(rho, t_stat, alpha: float = 0.05):
     """Conditional quantile of the statistic given T = t_stat.
 
     Solves P(t2(T + rho Z, T, rho) <= c) = 1 - alpha over Z ~ N(0,1) for c
     by Brent's method on [0, hi], where ``hi`` doubles until it accepts;
     the acceptance probability comes from the real roots of a quartic in z
-    (``_cw_accept``). ``t_stat`` is a float or an array of any shape; a
-    float or 0-d array gives a float, any other input an array of its
-    shape. Every T, one or many, goes through ``_brentq_array``, a numpy
-    transcription of scipy's ``brentq`` that solves them all at once and
-    gives each T the value the scalar iteration would, bit for bit.
+    (``_cw_accept``). ``rho`` and ``t_stat`` are floats or arrays that
+    broadcast against each other, so every row may carry its own rho. Two
+    floats (or 0-d arrays) give a float, anything else an array of the
+    broadcast shape. Every row, one or many, goes through
+    ``_brentq_array``, a numpy transcription of scipy's ``brentq`` that
+    solves them all at once and gives each row the value the scalar
+    iteration would, bit for bit.
     """
     _check_alpha(alpha)
-    rho = float(rho)
-    t = np.asarray(t_stat, dtype=float)
-    if not (np.isfinite(rho) and np.all(np.isfinite(t))):
+    rho, t = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(t_stat, dtype=float))
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(t))):
         raise DataError("the conditional quantile needs finite rho and T")
-    rho_abs = abs(rho)
-    if rho_abs >= 1.0:
+    rho_abs, flat = np.abs(rho).ravel(), t.ravel()
+    if np.any(rho_abs >= 1.0):
         raise DataError("rho out of range: |rho| must be < 1 for the conditional quantile")
     q2 = two_sided_chi2(alpha)
-    flat = t.ravel()
-    if rho_abs < 1e-12:
-        c_star = q2 * flat * flat / (flat * flat + q2)
-    else:
+    # Python's r**2 (libm pow), not numpy's r*r: each row is the scalar solve's
+    r2 = np.array([r**2 for r in rho_abs.tolist()])
+    c_star = q2 * flat * flat / (flat * flat + q2)  # the rho -> 0 closed form
+    solve = np.flatnonzero(rho_abs >= 1e-12)
+    if solve.size:
+        ra, r2s, ts = rho_abs[solve], r2[solve], flat[solve]
         target = 1.0 - alpha
-        hi = np.maximum(max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2)), flat * flat)
-        p_hi = _cw_bracket(rho_abs, flat, hi, target)
-        c_star = _brentq_array(
-            lambda idx, c: _cw_accept(rho_abs, flat[idx], c) - target,
+        hi = np.maximum(np.maximum(4.0 * q2, 2.0 * r2s * q2 / (1.0 - r2s)), ts * ts)
+        p_hi = _cw_bracket(ra, r2s, ts, hi, target)
+        c_star[solve] = _brentq_array(
+            lambda idx, c: _cw_accept(ra[idx], r2s[idx], ts[idx], c) - target,
             hi, -target, p_hi - target,
         )
     return float(c_star[0]) if t.ndim == 0 else c_star.reshape(t.shape)
@@ -721,20 +724,23 @@ class TwoSidedTable:
 
     curves: tuple[CriticalValueCurve, ...]
 
-    def lookup_array(self, nu, rho: float) -> np.ndarray:
-        rhos = [c.rho_abs for c in self.curves]
-        r = abs(float(rho))
-        if r <= rhos[0] or len(rhos) == 1:
-            return self.curves[0].evaluate_array(nu)
-        if r >= rhos[-1]:
-            return self.curves[-1].evaluate_array(nu)
-        j = bisect_right(rhos, r)
-        r0, r1 = rhos[j - 1], rhos[j]
-        if r == r0:
-            # on a curve: 0 * inf below the next curve's floor would be nan
-            return self.curves[j - 1].evaluate_array(nu)
-        w = (r - r0) / (r1 - r0)
-        return (1.0 - w) * self.curves[j - 1].evaluate_array(nu) + w * self.curves[j].evaluate_array(nu)
+    def lookup_array(self, nu, rho) -> np.ndarray:
+        """c(nu, |rho|), rho a float or an array broadcast against nu; linear
+        in |rho| between two curves, else the nearest curve alone."""
+        nu, r = np.broadcast_arrays(np.asarray(nu, dtype=float), np.abs(np.asarray(rho, dtype=float)))
+        rhos = np.array([c.rho_abs for c in self.curves])
+        lower = np.clip(np.searchsorted(rhos, r, side="right") - 1, 0, rhos.size - 1)
+        # on a curve the blend is skipped: 0 * inf below the next curve's floor would be nan
+        mix = (r > rhos[0]) & (r < rhos[-1]) & (r != rhos[lower])
+        out = np.full(nu.shape, np.nan)
+        for j in np.unique(lower):
+            rows = lower == j
+            out[rows] = self.curves[j].evaluate_array(nu[rows])
+            blend = rows & mix
+            if blend.any():
+                w = (r[blend] - rhos[j]) / (rhos[j + 1] - rhos[j])
+                out[blend] = (1.0 - w) * out[blend] + w * self.curves[j + 1].evaluate_array(nu[blend])
+        return out
 
     def lookup(self, nu: float, rho: float) -> float:
         return float(self.lookup_array(np.array([nu]), rho)[0])
@@ -750,15 +756,13 @@ def load_two_sided_table(path) -> TwoSidedTable:
 # ---------------------------------------------------------------------------
 
 
-def snap_rho_to_grid(rho: float) -> float:
-    """Nearest not-smaller |rho| on the tabulation grid {0.00..0.99, cap}."""
-    r = abs(float(rho))
-    if r > 0.99:
-        return RHO_CAP
-    snapped = float(np.ceil(r * 100.0 - 1e-9) / 100.0)
-    if snapped <= 0.0:
-        return 0.0
-    return min(snapped, 0.99)
+def snap_rho_to_grid(rho):
+    """Nearest not-smaller |rho| on the tabulation grid {0.00..0.99, cap};
+    a float gives a float, an array an array."""
+    r = np.abs(np.asarray(rho, dtype=float))
+    snapped = np.ceil(r * 100.0 - 1e-9) / 100.0
+    out = np.where(r > 0.99, RHO_CAP, np.where(snapped <= 0.0, 0.0, np.minimum(snapped, 0.99)))
+    return float(out) if out.ndim == 0 else out
 
 
 class CurveCache:

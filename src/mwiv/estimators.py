@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critval import RHO_CAP
 from .data import Dataset
 from .errors import NumericalError
 from .projection import ProjectionContext, quadratic_form_Q
@@ -27,9 +28,6 @@ __all__ = [
     "t_squared_from_triple",
     "jive_t_squared",
 ]
-
-RHO_CLAMP = 0.9999
-
 
 @dataclass(frozen=True)
 class VarianceEstimates:
@@ -52,7 +50,7 @@ class VarianceEstimates:
 class NormalizedStats:
     """(xi, nu, rho, ar, t_squared) at ``beta0``.
 
-    rho is clamped to [-0.9999, 0.9999] for curve lookup; rho_raw keeps the
+    rho is clamped to +-RHO_CAP (0.9999) for curve lookup; rho_raw keeps the
     unclamped value and feeds the exact t_squared identity. q_xx and b_xxxx
     ride along for unboundedness checks.
     """
@@ -162,8 +160,8 @@ def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0: float) -> Nor
     xi = q_xe / np.sqrt(est.psi_hat)
     nu = q_xx / np.sqrt(est.upsilon_hat)
     rho_raw = est.tau_hat / np.sqrt(est.psi_hat * est.upsilon_hat)
-    clamped = abs(rho_raw) > RHO_CLAMP
-    rho = float(np.clip(rho_raw, -RHO_CLAMP, RHO_CLAMP))
+    clamped = abs(rho_raw) > RHO_CAP
+    rho = float(np.clip(rho_raw, -RHO_CAP, RHO_CAP))
     ar = q_ee / np.sqrt(est.phi_hat)
     # The identity is raw algebra; it must see the unclamped correlation.
     t_squared = t_squared_from_triple(xi, nu, rho_raw)

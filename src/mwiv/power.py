@@ -15,9 +15,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .critval import RHO_CAP, _check_alpha, cw_critical_value, two_sided_chi2
-from .errors import DataError, TableError
-from .inference import METHODS, CurveLibrary
+from .critval import _check_alpha
+from .errors import DataError
+from .estimators import NormalizedStats
+from .inference import CurveLibrary, _check_method, decide
 
 __all__ = [
     "AsymptoticDGP",
@@ -172,20 +173,6 @@ class PowerCurveResult:
         return None
 
 
-def _cw_critical_grid(rho: float, t_vals: np.ndarray, alpha: float, n_grid: int = 512) -> np.ndarray:
-    """Per-draw cw critical values via interpolation on a T grid.
-
-    The whole grid is one ``cw_critical_value`` call, which runs Brent's
-    method on every grid quantile at once.
-    """
-    t_lo, t_hi = float(np.min(t_vals)), float(np.max(t_vals))
-    if t_hi - t_lo < 1e-9:
-        c = cw_critical_value(rho, 0.5 * (t_lo + t_hi), alpha)
-        return np.full(t_vals.shape, c)
-    grid = np.linspace(t_lo, t_hi, n_grid)
-    return np.interp(t_vals, grid, cw_critical_value(rho, grid, alpha))
-
-
 def rejection_rates(
     dgp: AsymptoticDGP,
     delta_grid,
@@ -199,32 +186,24 @@ def rejection_rates(
 
     Every delta gets its own RNG substream spawned from the seed, so the
     result is independent of evaluation order. Known (not estimated)
-    variance objects enter the normalizations, and the curve test builds
-    the curve at the exact correlation implied by each delta: this is the
-    limit experiment at a known rho. The decision layer instead snaps its
-    estimated rho up to the 0.01 grid (``snap_rho_to_grid``). Snapping here
-    too would move vtfo power by up to 0.037 on the benchmark designs
-    (0.5804 to 0.5432 at s 2, r -0.3, delta 2, where rho 0.931 is built at
-    0.94), so the two rules stay apart on purpose. The cw test
-    interpolates its critical value on a 512-point T grid per delta, solved
-    as one array of quantiles (see ``cw_critical_value``).
+    variance objects enter the normalizations: this is the limit
+    experiment at a known rho. Each (delta, method) is one ``decide`` call
+    on all the draws, with rho a float, so the curve test reads the curve
+    built at the exact rho and cw interpolates its quantile in T; see
+    ``decide`` for how that differs from the decision layer's estimated
+    rho.
     """
     _check_alpha(alpha)
     if n_draws < 1:
         raise DataError("n_draws must be >= 1")
     methods = tuple(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise DataError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
     curves = curves if curves is not None else CurveLibrary()
-    if "vtf" in methods and curves.two_sided is None:
-        raise TableError("two-sided table unavailable")
+    for m in methods:
+        _check_method(m, curves)
 
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.ndim != 1 or delta_grid.size == 0:
         raise DataError("delta_grid must be a nonempty 1-D array")
-    sq = float(ndtri(1.0 - alpha))
-    q2 = two_sided_chi2(alpha)
     rates = {m: np.zeros(delta_grid.size) for m in methods}
     children = np.random.SeedSequence(seed).spawn(delta_grid.size)
 
@@ -243,25 +222,12 @@ def rejection_rates(
         denom = (nu - rho0 * xi) ** 2 + (1.0 - rho0**2) * xi**2
         with np.errstate(divide="ignore", invalid="ignore"):
             t2 = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
-
+        stats = NormalizedStats(
+            xi=xi, nu=nu, rho=rho0, rho_raw=rho0, rho_clamped=False, ar=ar, t_squared=t2, beta0=float(d)
+        )
         for m in methods:
-            if m == "vtfo":
-                # Population correlations can creep past the build cap for
-                # huge |delta|; the capped curve sits above and stays valid.
-                curve = curves.cache.get(min(abs(rho0), RHO_CAP), alpha)
-                rej = t2 > curve.evaluate_array(nu)
-            elif m == "vtf":
-                rej = t2 > curves.two_sided.lookup_array(nu, rho0)
-            elif m == "cw":
-                t_cond = nu - rho0 * xi
-                rej = t2 > _cw_critical_grid(rho0, t_cond, alpha)
-            elif m == "ms1":
-                rej = ar > sq
-            elif m == "ms2":
-                rej = ar**2 > q2
-            else:
-                rej = xi**2 > q2
-            rates[m][i] = float(np.mean(rej))
+            statistic, critical = decide(m, stats, alpha, curves)
+            rates[m][i] = float(np.mean(statistic > critical))
 
     one_b, two_b = analytic_power_bounds(dgp.s, alpha)
     return PowerCurveResult(

@@ -18,7 +18,16 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from mwiv import CurveCache, CurveLibrary
+from mwiv import (
+    METHODS,
+    CurveCache,
+    CurveLibrary,
+    DataError,
+    TableError,
+    cw_critical_value,
+    snap_rho_to_grid,
+    two_sided_chi2,
+)
 from mwiv.critval import t2_w_curve
 
 
@@ -248,3 +257,27 @@ def oracle_cw_quantile(rho, t, alpha=0.05):
     else:
         raise RuntimeError("no upper bracket")
     return float(brentq(lambda c: accept_prob(c) - target, 0.0, hi, xtol=1e-9, maxiter=200))
+
+
+def oracle_decide(method, stats, alpha, curves):
+    """The per-point rejection rule: (statistic, critical value) for one
+    NormalizedStats, with scalar curve, table and quantile reads. The
+    package's array ``decide`` must give every grid point the same
+    critical value and reject flag."""
+    if method == "vtfo":
+        curve = curves.cache.get(snap_rho_to_grid(stats.rho), alpha)
+        return stats.t_squared, curve.evaluate(stats.nu)
+    if method == "vtf":
+        if curves.two_sided is None:
+            raise TableError("two-sided table unavailable")
+        return stats.t_squared, curves.two_sided.lookup(stats.nu, stats.rho)
+    if method == "cw":
+        t_cond = stats.nu - stats.rho * stats.xi
+        return stats.t_squared, cw_critical_value(stats.rho, t_cond, alpha)
+    if method == "ms1":
+        return stats.ar, float(ndtri(1.0 - alpha))
+    if method == "ms2":
+        return stats.ar**2, two_sided_chi2(alpha)
+    if method == "lm":
+        return stats.xi**2, two_sided_chi2(alpha)
+    raise DataError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")

@@ -193,6 +193,20 @@ class TestConfidenceSet:
         assert capsys.readouterr().out == ""
         assert out_path.read_text().startswith("# intervals=")
 
+    def test_failed_vtfo_build_exits_4(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--judges", "20", "--cluster-size", "10", "--pi", "0.5",
+                     "--seed", "4", "--out", str(data)]) == 0
+        code = main([
+            "cs", "--data", str(data), "--method", "vtfo", "--alpha", "0.2",
+            "--grid", "0:2:11", "--cache-dir", str(tmp_path / "cache"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: vtfo curve build failed at rho=0.")
+        assert ", alpha=0.2: " in err
+
     def test_bad_grid(self, strong_csv, capsys):
         code = main(["cs", "--data", str(strong_csv), "--grid", "oops"])
         err = capsys.readouterr().err

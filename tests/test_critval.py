@@ -403,6 +403,24 @@ class TestConditionalWaldOracle:
         want = np.array([oracle_cw_quantile(0.4, x, alpha) for x in t])
         assert np.array_equal(cw_critical_value(0.4, t, alpha), want)
 
+    def test_per_row_rho(self):
+        # the first six rho have r**2 != r*r in floating point; the next
+        # three take the rho -> 0 closed form
+        rng = np.random.default_rng(21)
+        rho = np.concatenate([
+            [-0.9509279772960734, -0.31683215226122874, 0.02845462364587026,
+             -0.9287619278133518, 0.9621699474964431, -0.48217326691204676],
+            [0.0, 1e-13, -5e-13],
+            rng.uniform(-0.999, 0.999, 41),
+        ])
+        t = rng.uniform(-4.0, 30.0, rho.size)
+        want = np.array([oracle_cw_quantile(r, x) for r, x in zip(rho, t)])
+        assert np.array_equal(cw_critical_value(rho, t), want)
+        # rho broadcasts against T
+        grid = cw_critical_value(rho[:4, None], t[None, :3])
+        assert grid.shape == (4, 3)
+        assert np.array_equal(grid, [[oracle_cw_quantile(r, x) for x in t[:3]] for r in rho[:4]])
+
     @pytest.mark.parametrize("rho", [0.0, 1e-13, -5e-13])
     def test_closed_form_below_1e_12(self, rho):
         t = np.array([-3.0, -0.0, 0.0, 0.25, 2.0, 1e6])
@@ -456,6 +474,17 @@ class TestSerialization:
         nus = np.linspace(curves[1].domain_low, curves[2].domain_low, 50, endpoint=False)
         assert np.array_equal(table.lookup_array(nus, 0.5), curves[1].evaluate_array(nus))
         assert np.all(np.isinf(table.lookup_array(nus, 0.6)))
+
+    def test_lookup_per_row_rho(self, curve_library, tmp_path):
+        curves = [curve_library.cache.get(r, 0.05) for r in (0.3, 0.5, 0.9)]
+        path = tmp_path / "three.csv"
+        write_curve_csv(path, curves)
+        table = load_two_sided_table(path)
+        # below, on, between and above the table's curves, each sign
+        rho = np.array([0.1, -0.3, 0.4, 0.5, -0.55, 0.9, 0.95, 0.77])
+        nu = np.linspace(0.5, 12.0, rho.size)
+        want = [table.lookup(float(n), float(r)) for n, r in zip(nu, rho)]
+        assert np.array_equal(table.lookup_array(nu, rho), want)
 
     def test_knots_sidecar(self, curve_library, tmp_path):
         a = curve_library.cache.get(0.3, 0.05)
@@ -520,6 +549,14 @@ class TestSnapAndCache:
         for rho in rng.uniform(-0.999, 0.999, size=200):
             snapped = snap_rho_to_grid(float(rho))
             assert snapped >= abs(rho) - 1e-12 or snapped == RHO_CAP
+
+    def test_snap_array(self):
+        rng = np.random.default_rng(2)
+        rho = np.concatenate([[0.0, -0.0, 1e-12, 0.13, 0.99, 0.995, -0.9999], rng.uniform(-1.0, 1.0, 200)])
+        snapped = snap_rho_to_grid(rho)
+        assert isinstance(snapped, np.ndarray) and snapped.shape == rho.shape
+        assert np.array_equal(snapped, [snap_rho_to_grid(float(r)) for r in rho])
+        assert type(snap_rho_to_grid(0.123)) is float
 
     def test_memory_and_disk_reuse(self, tmp_path):
         cache = CurveCache(directory=str(tmp_path))

@@ -7,7 +7,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from conftest import oracle_decide
 from mwiv import (
+    CurveLibrary,
     DataError,
     Dataset,
     JudgeDesignSpec,
@@ -17,6 +19,7 @@ from mwiv import (
     TableError,
     build_projection,
     cs_csv_text,
+    cw_critical_value,
     detect_unbounded,
     invert_confidence_set,
     jive_point_estimate,
@@ -24,10 +27,12 @@ from mwiv import (
     normalized_stats,
     run_test,
     simulate_judge_data,
+    snap_rho_to_grid,
     t_squared_from_triple,
     two_sided_chi2,
     write_curve_csv,
 )
+from mwiv import inference
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -251,6 +256,61 @@ class TestConfidenceSets:
         assert len(lines) == 2 + 21
         assert lines[2].split(",")[1] == "lm"
         assert lines[2].split(",")[4] in ("true", "false")
+
+
+class TestDecide:
+    def test_sets_match_the_per_point_rule(self, strong_data, curve_library, tmp_path):
+        # snapped rho runs over 15 grid bins, and the table's two curves
+        # leave rows below, between and above them
+        data, ctx = strong_data
+        beta_hat = jive_point_estimate(ctx, data)
+        grid = (beta_hat - 0.1, beta_hat + 0.1, 41)
+        path = tmp_path / "table.csv"
+        write_curve_csv(path, [curve_library.cache.get(r, 0.05) for r in (0.4, 0.45)])
+        lib = CurveLibrary(cache=curve_library.cache, two_sided=load_two_sided_table(path))
+        points = [normalized_stats(ctx, data, float(b)) for b in np.linspace(*grid)]
+        assert len({snap_rho_to_grid(p.rho) for p in points}) >= 10
+        for method in METHODS:
+            cs = invert_confidence_set(method, ctx, data, grid=grid, curves=lib)
+            want = np.array([oracle_decide(method, p, 0.05, lib) for p in points])
+            assert not cs.degenerate.any()
+            assert np.array_equal(cs.criticals, want[:, 1]), method
+            assert np.array_equal(cs.rejects, want[:, 0] > want[:, 1]), method
+            # squares of array statistics may round differently from scalar ones
+            assert np.all(np.abs(cs.statistics - want[:, 0]) <= np.spacing(np.abs(want[:, 0]))), method
+
+    def test_cw_set_is_one_quantile_call(self, strong_data, curve_library, monkeypatch):
+        data, ctx = strong_data
+        calls = []
+
+        def counting(rho, t_stat, alpha=0.05):
+            calls.append(np.shape(t_stat))
+            return cw_critical_value(rho, t_stat, alpha)
+
+        monkeypatch.setattr(inference, "cw_critical_value", counting)
+        invert_confidence_set("cw", ctx, data, grid=(0.0, 2.0, 101), curves=curve_library)
+        assert calls == [(101,)]
+
+    def test_failed_curve_build_is_not_a_degenerate_point(self):
+        # curve builds at alpha 0.2 stop advancing; the set must say so
+        # rather than report every point as degenerate
+        spec = JudgeDesignSpec(
+            n_judges=20, per_judge=(10,) * 20, pi=(0.5,) * 20, beta=1.0, error_corr=0.5, seed=4,
+        )
+        data = simulate_judge_data(spec)
+        ctx = build_projection(data)
+        with pytest.raises(NumericalError, match=r"vtfo curve build failed at rho=0\.\d+, alpha=0\.2: "):
+            invert_confidence_set("vtfo", ctx, data, alpha=0.2, grid=(0.0, 2.0, 11))
+
+    def test_unknown_method_before_any_work(self, monkeypatch):
+        def no_stats(*args):
+            raise AssertionError("normalized_stats ran")
+
+        monkeypatch.setattr(inference, "normalized_stats", no_stats)
+        with pytest.raises(DataError, match="unknown method 'tsls'; expected one of vtfo, vtf, cw, ms1, ms2, lm"):
+            invert_confidence_set("tsls", None, None, grid=(0.0, 1.0, 3))
+        with pytest.raises(TableError, match="two-sided table unavailable"):
+            run_test("vtf", None, None, 0.0)
 
 
 class TestDetectUnbounded:

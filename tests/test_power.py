@@ -230,6 +230,29 @@ class TestRejectionRates:
         assert 0.0 < rate < 0.15
 
 
+# Rates at s 3, r 0.5, 2,000 draws, seed 5, recorded with the per-method
+# rules that ``decide`` replaced; the lab's rejection rules must keep them.
+PINNED_RATES = {
+    "vtfo": [0.896, 0.0435, 0.811],
+    "cw": [0.8715, 0.0435, 0.7825],
+    "ms1": [0.8695, 0.042, 0.607],
+    "ms2": [0.7765, 0.044, 0.4855],
+    "lm": [0.877, 0.04, 0.7205],
+    "vtf": [0.922, 0.042, 0.8645],
+}
+
+
+def test_pinned_rates(curve_library, tmp_path):
+    path = tmp_path / "table.csv"
+    write_curve_csv(path, [curve_library.cache.get(r, 0.05) for r in (0.3, 0.6, 0.9)])
+    lib = CurveLibrary(cache=curve_library.cache, two_sided=load_two_sided_table(path))
+    res = rejection_rates(
+        AsymptoticDGP(s=3.0, r=0.5), [-2.0, 0.0, 2.0], methods=tuple(PINNED_RATES),
+        n_draws=2000, curves=lib, seed=5,
+    )
+    assert {m: res.rates[m].tolist() for m in res.methods} == PINNED_RATES
+
+
 @pytest.fixture(scope="module")
 def small_result(curve_library):
     dgp = AsymptoticDGP(s=3.0, r=0.5)
