@@ -66,6 +66,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DataError(f"grid must be lo:hi:n, got {text!r}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError(f"grid must be lo:hi:n with finite lo and hi, got {text!r}")
     return lo, hi, n
 
 

@@ -373,8 +373,8 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     """
     _check_alpha(alpha)
     rho_abs = abs(float(rho))
-    if rho_abs > RHO_CAP:
-        raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}")
+    if not rho_abs <= RHO_CAP:  # also rejects nan
+        raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}, got {float(rho)!r}")
 
     def curve(nus, cs, domain_low, **extra):
         knots_nu, knots_c = np.array(nus), np.array(cs)

@@ -1,10 +1,18 @@
 """Point estimate, jackknife variance, and normalized statistics.
 
-All hypothesis-dependent quantities are evaluated at residuals
-e(b0) = y - b0 * x. The central numerical fact, checked on every call to
-:func:`jive_t_squared`, is that the Wald ratio (bhat - b0)^2 / Vhat equals
-a closed form in the normalized triple (xi, nu, rho); this is exact algebra,
-not an approximation, so disagreement flags an implementation bug.
+With residuals e0 = y - b0 * x, every b0-dependent quantity is a
+polynomial in b0: Q_xe and tau have degree 1, Q_ee and psi degree 2, phi
+degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
+(ctx, data) takes their coefficients from fifteen kernel calls and
+evaluates them on a float or an array of b0 without forming an N x grid
+array; every public function here reads it. A psi or phi within 1e-12 of
+the summed magnitude of its terms counts as zero, so an exact fit (e0 = 0,
+where the terms cancel to about 1e-15, not 0) stays degenerate.
+
+The central numerical fact, checked on every call to :func:`jive_t_squared`,
+is that the Wald ratio (bhat - b0)^2 / Vhat equals a closed form in the
+normalized triple (xi, nu, rho); this is exact algebra, not an
+approximation, so disagreement flags an implementation bug.
 """
 
 from __future__ import annotations
@@ -12,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .critval import RHO_CAP
 from .data import Dataset
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .projection import ProjectionContext, quadratic_form_Q
 
 __all__ = [
@@ -28,6 +37,10 @@ __all__ = [
     "t_squared_from_triple",
     "jive_t_squared",
 ]
+
+# A sum within this fraction of its terms' summed magnitude is zero.
+_ZERO = 1e-12
+
 
 @dataclass(frozen=True)
 class VarianceEstimates:
@@ -52,7 +65,9 @@ class NormalizedStats:
 
     rho is clamped to +-RHO_CAP (0.9999) for curve lookup; rho_raw keeps the
     unclamped value and feeds the exact t_squared identity. q_xx and b_xxxx
-    ride along for unboundedness checks.
+    ride along for unboundedness checks. For an array of beta0 the
+    beta0-dependent fields are arrays of its shape; nu, q_xx and b_xxxx
+    stay scalars.
     """
 
     xi: float
@@ -67,10 +82,84 @@ class NormalizedStats:
     b_xxxx: float | None = None
 
 
+def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
+    """(xi, nu, rho_raw, ar, t_squared) from the quadratic forms and the
+    variance objects, elementwise over arrays; t_squared is inf where the
+    closed form's denominator is not positive."""
+    xi = q_xe / np.sqrt(psi)
+    nu = q_xx / np.sqrt(upsilon)
+    rho_raw = tau / np.sqrt(psi * upsilon)
+    ar = q_ee / np.sqrt(phi)
+    denom = (nu - rho_raw * xi) ** 2 + (1.0 - rho_raw**2) * xi**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_squared = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
+    return xi, nu, rho_raw, ar, t_squared
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """The b0 polynomials of one (ctx, data): Q_xe, Q_ee, tau, psi and phi,
+    coefficients ascending in b0."""
+
+    q_xx: float
+    upsilon: float
+    b_xxxx: float
+    polys: tuple
+
+    def values(self, beta0) -> list[np.ndarray]:
+        """The five polynomials at the flattened beta0; psi and phi are 0.0
+        where numerically zero."""
+        b = np.asarray(beta0, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(b)):
+            raise DataError("beta0 must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [polyval(b, c) for c in self.polys]
+            terms = [polyval(np.abs(b), np.abs(c)) for c in self.polys[3:]]
+        if not np.all(np.isfinite(out + terms)):
+            raise DataError(f"|beta0| up to {np.max(np.abs(b)):g} overflows the beta0 polynomials")
+        for i, scale in zip((3, 4), terms):
+            out[i] = np.where(np.abs(out[i]) <= _ZERO * scale, 0.0, out[i])
+        return out
+
+    def stats(self, beta0) -> tuple[NormalizedStats, np.ndarray]:
+        """NormalizedStats at beta0 (floats for a float) and the mask of
+        degenerate points (upsilon, psi or phi nonpositive, or t_squared not
+        finite), where the fields hold nan or inf."""
+        q_xe, q_ee, tau, psi, phi = self.values(beta0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi)
+        degenerate = (psi <= 0.0) | (phi <= 0.0) | ~np.isfinite(t_squared) | (self.upsilon <= 0.0)
+        per_point = dict(xi=xi, rho=np.clip(rho_raw, -RHO_CAP, RHO_CAP), rho_raw=rho_raw,
+                         rho_clamped=np.abs(rho_raw) > RHO_CAP, ar=ar, t_squared=t_squared,
+                         beta0=np.asarray(beta0, dtype=float), degenerate=degenerate)
+        out = {name: np.reshape(v, np.shape(beta0))[()] for name, v in per_point.items()}
+        degenerate = out.pop("degenerate")
+        return NormalizedStats(nu=nu, q_xx=self.q_xx, b_xxxx=self.b_xxxx, **out), degenerate
+
+
+def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
+    x, y, k = data.x, data.y, ctx.k
+    lead = ctx.leave_out_fit(x) ** 2 / ctx.m
+    mx, my = ctx.annihilate(x), ctx.annihilate(y)
+    # e0 (M e0) = u0 - b0 u1 + b0^2 u2 and e0 (M x) = w - b0 u2
+    u0, u1, u2, w = y * my, x * my + y * mx, x * mx, y * mx
+    l0, l1, l2 = (float(np.sum(lead * u)) for u in (u0, u1, u2))
+    p00, p01, p02, p11, p12, p22, pww, pw2 = (
+        ctx.pair_weighted(f, g)
+        for f, g in ((u0, u0), (u0, u1), (u0, u2), (u1, u1), (u1, u2), (u2, u2), (w, w), (w, u2))
+    )
+    q_xx, q_xy, q_yy = (quadratic_form_Q(ctx, a, b) for a, b in ((x, x), (x, y), (y, y)))
+    ups = (l2 + p22) / k
+    phi = (2.0 * p00, -4.0 * p01, 2.0 * (2.0 * p02 + p11), -4.0 * p12, 2.0 * p22)
+    polys = ((q_xy, -q_xx), (q_yy, -2.0 * q_xy, q_xx), ((0.5 * l1 + pw2) / k, -ups),
+             ((l0 + pww) / k, -(l1 + 2.0 * pw2) / k, ups), tuple(c / k for c in phi))
+    return _Profile(q_xx=q_xx, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
+
+
 def _q_xx_with_scale(ctx: ProjectionContext, x: np.ndarray) -> float:
     q_xx = quadratic_form_Q(ctx, x, x)
     scale = quadratic_form_Q(ctx, np.abs(x), np.abs(x))
-    if abs(q_xx) < 1e-12 * max(scale, 1e-300):
+    if abs(q_xx) < _ZERO * max(scale, 1e-300):
         raise NumericalError("degenerate first stage: |Q_xx| is numerically zero")
     return q_xx
 
@@ -81,64 +170,29 @@ def jive_point_estimate(ctx: ProjectionContext, data: Dataset) -> float:
     return quadratic_form_Q(ctx, data.y, data.x) / q_xx
 
 
-def _psi_kernel(ctx: ProjectionContext, x: np.ndarray, e: np.ndarray) -> float:
-    """(1/K)[ sum_i xhat_i^2 e_i(Me)_i/M_ii + pair(e*Mx, e*Mx) ]."""
-    xhat = ctx.leave_out_fit(x)
-    me = ctx.annihilate(e)
-    mx = ctx.annihilate(x)
-    lead = float(np.sum(xhat**2 * e * me / ctx.m))
-    pair = ctx.pair_weighted(e * mx, e * mx)
-    return (lead + pair) / ctx.k
-
-
 def jive_variance(ctx: ProjectionContext, data: Dataset, beta_hat: float) -> float:
-    """Jackknife variance of the point estimate, residuals at beta_hat."""
+    """Jackknife variance of the point estimate: psi at beta_hat over Q_xx^2,
+    and 0.0 at an exact fit (every residual zero at beta_hat)."""
     if not np.isfinite(beta_hat):
         raise NumericalError("variance estimate nonpositive: beta_hat not finite")
-    e_hat = data.y - beta_hat * data.x
-    q_xx = quadratic_form_Q(ctx, data.x, data.x)
-    v_hat = _psi_kernel(ctx, data.x, e_hat) / q_xx**2
-    if v_hat < 0.0 or (v_hat == 0.0 and np.any(e_hat != 0.0)):
+    profile = _profile(ctx, data)
+    psi = profile.values(beta_hat)[3][0]
+    if psi > 0.0:
+        return float(psi / profile.q_xx**2)
+    if np.any(data.y - beta_hat * data.x != 0.0):
         raise NumericalError("variance estimate nonpositive")
-    return v_hat
+    return 0.0
 
 
 def variance_estimates_at(ctx: ProjectionContext, data: Dataset, beta0: float) -> VarianceEstimates:
     """Evaluate the four variance objects at beta0."""
-    x = data.x
-    e0 = data.y - beta0 * x
-    xhat = ctx.leave_out_fit(x)
-    mx = ctx.annihilate(x)
-    me = ctx.annihilate(e0)
-    k = ctx.k
-    lead_base = xhat**2 / ctx.m
-
-    x_mx = x * mx
-    e_mx = e0 * mx
-    pair_xx = ctx.pair_weighted(x_mx, x_mx)
-    upsilon = (float(np.sum(lead_base * x_mx)) + pair_xx) / k
-    tau = (
-        0.5 * float(np.sum(lead_base * (x * me + e0 * mx)))
-        + ctx.pair_weighted(x_mx, e_mx)
-    ) / k
-    psi = (float(np.sum(lead_base * e0 * me)) + ctx.pair_weighted(e_mx, e_mx)) / k
-    # Fourth-moment plug-in; same pair kernel applied to e*(Me).
-    e_me = e0 * me
-    phi = 2.0 * ctx.pair_weighted(e_me, e_me) / k
-    b_xxxx = 2.0 * pair_xx / k
-
-    if upsilon <= 0.0:
+    profile = _profile(ctx, data)
+    _, _, tau, psi, phi = (float(v[0]) for v in profile.values(beta0))
+    if profile.upsilon <= 0.0:
         raise NumericalError("variance estimate nonpositive")
     if psi <= 0.0 or phi <= 0.0:
         raise NumericalError("variance estimate nonpositive at beta0")
-    return VarianceEstimates(
-        upsilon_hat=upsilon,
-        tau_hat=tau,
-        psi_hat=psi,
-        phi_hat=phi,
-        at_beta0=beta0,
-        b_xxxx=b_xxxx,
-    )
+    return VarianceEstimates(profile.upsilon, tau, psi, phi, beta0, profile.b_xxxx)
 
 
 def t_squared_from_triple(xi: float, nu: float, rho: float) -> float:
@@ -149,34 +203,19 @@ def t_squared_from_triple(xi: float, nu: float, rho: float) -> float:
     return (xi * nu) ** 2 / denom
 
 
-def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0: float) -> NormalizedStats:
-    """Normalized statistics (xi, nu, rho, ar) and the exact t_squared at beta0."""
-    est = variance_estimates_at(ctx, data, beta0)
-    e0 = data.y - beta0 * data.x
-    q_xx = quadratic_form_Q(ctx, data.x, data.x)
-    q_xe = quadratic_form_Q(ctx, data.x, e0)
-    q_ee = quadratic_form_Q(ctx, e0, e0)
+def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0) -> NormalizedStats:
+    """Normalized statistics (xi, nu, rho, ar) and the exact t_squared at beta0.
 
-    xi = q_xe / np.sqrt(est.psi_hat)
-    nu = q_xx / np.sqrt(est.upsilon_hat)
-    rho_raw = est.tau_hat / np.sqrt(est.psi_hat * est.upsilon_hat)
-    clamped = abs(rho_raw) > RHO_CAP
-    rho = float(np.clip(rho_raw, -RHO_CAP, RHO_CAP))
-    ar = q_ee / np.sqrt(est.phi_hat)
-    # The identity is raw algebra; it must see the unclamped correlation.
-    t_squared = t_squared_from_triple(xi, nu, rho_raw)
-    return NormalizedStats(
-        xi=xi,
-        nu=nu,
-        rho=rho,
-        rho_raw=rho_raw,
-        rho_clamped=clamped,
-        ar=ar,
-        t_squared=t_squared,
-        beta0=beta0,
-        q_xx=q_xx,
-        b_xxxx=est.b_xxxx,
-    )
+    A float beta0 gives float fields, an array gives arrays of its shape
+    from the same profile. Raises NumericalError if any point is
+    degenerate, DataError for a non-finite beta0 or one whose polynomials
+    overflow.
+    """
+    profile = _profile(ctx, data)
+    stats, degenerate = profile.stats(beta0)
+    if np.any(degenerate):
+        raise NumericalError("variance estimate nonpositive" + (" at beta0" if profile.upsilon > 0.0 else ""))
+    return stats
 
 
 def jive_t_squared(ctx: ProjectionContext, data: Dataset, beta0: float) -> float:

@@ -13,7 +13,7 @@ critical value never rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,6 +31,7 @@ from .data import Dataset
 from .errors import DataError, NumericalError, TableError
 from .estimators import (
     NormalizedStats,
+    _profile,
     jive_point_estimate,
     jive_variance,
     normalized_stats,
@@ -123,9 +124,10 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     """(statistic, critical value) arrays of one procedure's rejection rule;
     a test rejects where the statistic is strictly greater.
 
-    ``stats`` holds xi, nu, ar and t_squared as arrays of one shape: one
-    test's point, a confidence set's grid or the power lab's draws. The
-    shape of ``stats.rho`` says what rho is:
+    ``stats`` holds xi, ar and t_squared as arrays of one shape: one test's
+    point, a confidence set's grid or the power lab's draws; nu is an array
+    of that shape or, from the beta0 profile, one scalar. The shape of
+    ``stats.rho`` says what rho is:
 
     * an array holds one estimate per row. vtfo snaps each up to the
       tabulation grid (``snap_rho_to_grid``), so a set builds at most one
@@ -142,15 +144,16 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     _check_method(method, curves)
     rho = stats.rho
     known = np.ndim(rho) == 0
+    nu = np.broadcast_to(stats.nu, np.shape(stats.t_squared))
     if method == "vtfo":
-        bins = np.broadcast_to(min(abs(rho), RHO_CAP) if known else snap_rho_to_grid(rho), stats.nu.shape)
-        critical = np.full(stats.nu.shape, np.nan)
+        bins = np.broadcast_to(min(abs(rho), RHO_CAP) if known else snap_rho_to_grid(rho), nu.shape)
+        critical = np.full(nu.shape, np.nan)
         for r in np.unique(bins):
             rows = bins == r
-            critical[rows] = curves.cache.get(r, alpha).evaluate_array(stats.nu[rows])
+            critical[rows] = curves.cache.get(r, alpha).evaluate_array(nu[rows])
         return stats.t_squared, critical
     if method == "vtf":
-        return stats.t_squared, curves.two_sided.lookup_array(stats.nu, rho)
+        return stats.t_squared, curves.two_sided.lookup_array(nu, rho)
     if method == "cw":
         t_cond = stats.nu - rho * stats.xi
         if not known:
@@ -169,11 +172,6 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     return statistic, np.full(np.shape(statistic), critical)
 
 
-def _stack(points: list[NormalizedStats]) -> NormalizedStats:
-    """One NormalizedStats whose fields hold the points' values as arrays."""
-    return NormalizedStats(**{f.name: np.array([getattr(p, f.name) for p in points]) for f in fields(NormalizedStats)})
-
-
 def run_test(
     method: str,
     ctx: ProjectionContext,
@@ -186,8 +184,8 @@ def run_test(
     _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
-    stats = normalized_stats(ctx, data, beta0)
-    statistic, critical = (float(v[0]) for v in decide(method, _stack([stats]), alpha, curves))
+    stats = normalized_stats(ctx, data, np.array([beta0], dtype=float))
+    statistic, critical = (float(v[0]) for v in decide(method, stats, alpha, curves))
     return TestDecision(
         method=method,
         beta0=float(beta0),
@@ -196,8 +194,8 @@ def run_test(
         critical=critical,
         reject=statistic > critical,
         nu=float(stats.nu),
-        rho=float(stats.rho),
-        rho_clamped=stats.rho_clamped,
+        rho=float(stats.rho[0]),
+        rho_clamped=bool(stats.rho_clamped[0]),
     )
 
 
@@ -223,11 +221,14 @@ def invert_confidence_set(
 ) -> ConfidenceSet:
     """Accepted beta0 values on a grid, merged into closed intervals.
 
-    Grid points where the statistics are degenerate (nonpositive variance
-    estimates) are excluded from the set and marked; if every point is
-    degenerate the inversion has nothing to report and errors out. The
-    other points go through ``decide`` together, so an error there (a
-    failed curve build, say) is the set's error, not a degenerate point.
+    One beta0 profile of (ctx, data) gives the statistics on the whole
+    grid, so the projection kernels run once per set, not once per point.
+    Grid points where the statistics are degenerate (a nonpositive or
+    numerically zero variance object) are excluded from the set and
+    marked; if every point is degenerate the inversion has nothing to
+    report and errors out. The other points go through ``decide``
+    together, so an error there (a failed curve build, say) is the set's
+    error, not a degenerate point.
     """
     _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
@@ -239,18 +240,14 @@ def invert_confidence_set(
         raise DataError("grid must be finite with hi > lo and n >= 3")
 
     betas = np.linspace(lo, hi, n)
-    degenerate = np.zeros(n, dtype=bool)
-    points = []
-    for i, b0 in enumerate(betas):
-        try:
-            points.append(normalized_stats(ctx, data, float(b0)))
-        except NumericalError:
-            degenerate[i] = True
-    if not points:
+    profile = _profile(ctx, data)
+    stats, degenerate = profile.stats(betas)
+    if degenerate.all():
         raise NumericalError("inversion failed: all grid points degenerate")
     statistics = np.full(n, np.nan)
     criticals = np.full(n, np.nan)
-    statistics[~degenerate], criticals[~degenerate] = decide(method, _stack(points), alpha, curves)
+    keep = ~degenerate
+    statistics[keep], criticals[keep] = decide(method, profile.stats(betas[keep])[0], alpha, curves)
     rejects = degenerate | (statistics > criticals)
 
     accepted = ~rejects
@@ -266,7 +263,7 @@ def invert_confidence_set(
     else:
         reason = ""
     try:
-        analytic = bool(detect_unbounded(method, points[0], alpha))
+        analytic = bool(detect_unbounded(method, stats, alpha))
     except ValueError:
         analytic = None
     return ConfidenceSet(

@@ -17,7 +17,7 @@ from scipy.special import ndtr, ndtri
 
 from .critval import _check_alpha
 from .errors import DataError
-from .estimators import NormalizedStats
+from .estimators import NormalizedStats, _normalize
 from .inference import CurveLibrary, _check_method, decide
 
 __all__ = [
@@ -204,6 +204,8 @@ def rejection_rates(
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.ndim != 1 or delta_grid.size == 0:
         raise DataError("delta_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(delta_grid)):
+        raise DataError("delta_grid must be finite")
     rates = {m: np.zeros(delta_grid.size) for m in methods}
     children = np.random.SeedSequence(seed).spawn(delta_grid.size)
 
@@ -215,13 +217,7 @@ def rejection_rates(
         q_xe0 = q_xe + d * q_xx
         alt = alternative_variances(dgp, d)
 
-        xi = q_xe0 / np.sqrt(alt.psi_b0)
-        nu = q_xx / np.sqrt(dgp.upsilon)
-        rho0 = alt.tau_b0 / np.sqrt(alt.psi_b0 * dgp.upsilon)
-        ar = q_ee0 / np.sqrt(alt.phi_b0)
-        denom = (nu - rho0 * xi) ** 2 + (1.0 - rho0**2) * xi**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t2 = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
+        xi, nu, rho0, ar, t2 = _normalize(q_xe0, q_xx, q_ee0, dgp.upsilon, alt.tau_b0, alt.psi_b0, alt.phi_b0)
         stats = NormalizedStats(
             xi=xi, nu=nu, rho=rho0, rho_raw=rho0, rho_clamped=False, ar=ar, t_squared=t2, beta0=float(d)
         )

@@ -5,7 +5,10 @@ dense hat matrices come from a linear solve, the quadratic and cross
 moments from explicit double loops, and the conditional size auditor
 integrates the normal law directly against a built curve. None of it
 shares kernels with the package, so agreement is evidence rather than
-tautology.
+tautology. The loop oracles at the end (``oracle_cw_quantile``,
+``oracle_decide``, ``oracle_normalized_stats``) are different: they are
+the package's earlier scalar, per-point paths, kept so the array paths
+that replaced them can be checked against them.
 """
 
 import math
@@ -20,12 +23,17 @@ from scipy.stats import norm
 
 from mwiv import (
     METHODS,
+    RHO_CAP,
     CurveCache,
     CurveLibrary,
     DataError,
+    NormalizedStats,
+    NumericalError,
     TableError,
     cw_critical_value,
+    quadratic_form_Q,
     snap_rho_to_grid,
+    t_squared_from_triple,
     two_sided_chi2,
 )
 from mwiv.critval import t2_w_curve
@@ -281,3 +289,61 @@ def oracle_decide(method, stats, alpha, curves):
     if method == "lm":
         return stats.xi**2, two_sided_chi2(alpha)
     raise DataError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+
+
+def oracle_normalized_stats(ctx, data, beta0):
+    """The direct per-point path: the variance objects from the projection
+    kernels at e0 = y - beta0 x, then the normalization. The package's
+    beta0 profile must give the same statistics and the same degenerate
+    points (NumericalError here)."""
+    x = data.x
+    e0 = data.y - beta0 * x
+    xhat = ctx.leave_out_fit(x)
+    mx = ctx.annihilate(x)
+    me = ctx.annihilate(e0)
+    k = ctx.k
+    lead_base = xhat**2 / ctx.m
+
+    x_mx = x * mx
+    e_mx = e0 * mx
+    pair_xx = ctx.pair_weighted(x_mx, x_mx)
+    upsilon = (float(np.sum(lead_base * x_mx)) + pair_xx) / k
+    tau = (
+        0.5 * float(np.sum(lead_base * (x * me + e0 * mx)))
+        + ctx.pair_weighted(x_mx, e_mx)
+    ) / k
+    psi = (float(np.sum(lead_base * e0 * me)) + ctx.pair_weighted(e_mx, e_mx)) / k
+    # Fourth-moment plug-in; same pair kernel applied to e*(Me).
+    e_me = e0 * me
+    phi = 2.0 * ctx.pair_weighted(e_me, e_me) / k
+    b_xxxx = 2.0 * pair_xx / k
+
+    if upsilon <= 0.0:
+        raise NumericalError("variance estimate nonpositive")
+    if psi <= 0.0 or phi <= 0.0:
+        raise NumericalError("variance estimate nonpositive at beta0")
+
+    q_xx = quadratic_form_Q(ctx, data.x, data.x)
+    q_xe = quadratic_form_Q(ctx, data.x, e0)
+    q_ee = quadratic_form_Q(ctx, e0, e0)
+
+    xi = q_xe / np.sqrt(psi)
+    nu = q_xx / np.sqrt(upsilon)
+    rho_raw = tau / np.sqrt(psi * upsilon)
+    clamped = abs(rho_raw) > RHO_CAP
+    rho = float(np.clip(rho_raw, -RHO_CAP, RHO_CAP))
+    ar = q_ee / np.sqrt(phi)
+    # The identity is raw algebra; it must see the unclamped correlation.
+    t_squared = t_squared_from_triple(xi, nu, rho_raw)
+    return NormalizedStats(
+        xi=xi,
+        nu=nu,
+        rho=rho,
+        rho_raw=rho_raw,
+        rho_clamped=clamped,
+        ar=ar,
+        t_squared=t_squared,
+        beta0=beta0,
+        q_xx=q_xx,
+        b_xxxx=b_xxxx,
+    )

@@ -1,5 +1,7 @@
 """Command-line interface: reports, files, exit codes, cache behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,13 @@ class TestEstimate:
         assert code == 2
         assert "instruments contain non-finite values" in err
 
+    def test_nonfinite_beta0(self, strong_csv, capsys):
+        code = main(["estimate", "--data", str(strong_csv), "--beta0", "nan"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: beta0 must be finite\n"
+
     def test_degenerate_first_stage(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("y,x,judge\n" + "".join(f"{i}.0,0.0,{i % 2}\n" for i in range(8)))
@@ -133,6 +142,28 @@ class TestTest:
         for key, value in report.items():
             if value not in ("true", "false"):
                 float(value)
+
+    @pytest.mark.parametrize("method, beta0", [("ms2", "nan"), ("vtfo", "inf")])
+    def test_nonfinite_beta0(self, strong_csv, tmp_path, capsys, method, beta0):
+        code = main([
+            "test", "--data", str(strong_csv), "--beta0", beta0,
+            "--method", method, "--cache-dir", str(tmp_path / "cache"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: beta0 must be finite\n"
+
+    def test_overflowing_beta0_is_typed_and_quiet(self, strong_csv, tmp_path, capsys):
+        # the phi polynomial's b0^4 overflows; no numpy RuntimeWarning may leak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "test", "--data", str(strong_csv), "--beta0", "1e200",
+                "--method", "cw", "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert code == 2
+        assert "overflows the beta0 polynomials" in capsys.readouterr().err
 
     def test_failed_vtfo_build_names_rho_and_alpha(self, strong_csv, tmp_path, capsys):
         # the continuation stops advancing at alpha 0.2 (rho here snaps to 0.85)
@@ -271,6 +302,11 @@ class TestCurve:
         assert code == 2
         assert "rho out of range" in err
 
+    def test_nan_rho(self, tmp_path, capsys):
+        code = main(["curve", "--rho", "nan", "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert "rho out of range" in capsys.readouterr().err
+
     def test_bad_alpha(self, tmp_path, capsys):
         code = main([
             "curve", "--rho", "0.5", "--alpha", "0.6",
@@ -328,6 +364,16 @@ class TestPower:
         svg = tmp_path / "power.svg"
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
+    def test_nonfinite_grid(self, tmp_path, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["power", "--grid", grid, "--cache-dir", str(tmp_path / "cache")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "finite lo and hi" in err
 
     def test_bad_method(self, tmp_path, capsys):
         code = main([

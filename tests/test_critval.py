@@ -313,6 +313,12 @@ class TestBuildCurve:
         with pytest.raises(DataError, match="alpha must be in"):
             build_vtfo_curve(0.5, alpha=0.6)
 
+    def test_nan_rho_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="rho out of range.*got nan"):
+            build_vtfo_curve(float("nan"), 0.05)
+        with pytest.raises(DataError, match="rho out of range"):
+            CurveCache(directory=str(tmp_path)).get(float("nan"), 0.05)
+
 
 class TestConditionalWald:
     def test_rho_zero_reference(self):

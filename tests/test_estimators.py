@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwiv import (
+    DataError,
     Dataset,
     JudgeDesignSpec,
     NumericalError,
     build_projection,
     cross_moment_B,
+    default_grid,
     jive_point_estimate,
     jive_t_squared,
     jive_variance,
@@ -19,10 +23,12 @@ from mwiv import (
     t_squared_from_triple,
     variance_estimates_at,
 )
+from mwiv.estimators import _profile
 
 from conftest import (
     dense_hat_matrix,
     judge_indicator_matrix,
+    oracle_normalized_stats,
     oracle_v_hat,
     oracle_variances,
 )
@@ -311,3 +317,141 @@ class TestTSquaredIdentity:
     def test_triple_form_denominator_guard(self):
         with pytest.raises(NumericalError, match="variance estimate nonpositive"):
             t_squared_from_triple(1.0, 1.0, 1.0)
+
+
+# Property tests: few, derandomized examples with no deadline, so they add
+# little to the suite's time and fail the same way on every run.
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def judge_designs(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    k = draw(st.integers(3, 15))
+    rng = np.random.default_rng(seed)
+    spec = JudgeDesignSpec(
+        n_judges=k,
+        per_judge=tuple(int(v) for v in rng.integers(2, 13, size=k)),
+        pi=tuple(draw(st.floats(0.1, 1.0)) * rng.standard_normal(k)),
+        beta=1.0,
+        error_corr=draw(st.floats(-0.8, 0.8)),
+        seed=seed,
+    )
+    return simulate_judge_data(spec)
+
+
+@st.composite
+def dense_designs(draw):
+    """Gaussian instruments, x = z pi + v and y = x + e + corr v."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n, k = draw(st.integers(30, 80)), draw(st.integers(2, 8))
+    z = rng.standard_normal((n, k))
+    e, v = rng.standard_normal((2, n))
+    x = z @ (draw(st.floats(0.1, 1.0)) * rng.standard_normal(k)) + v
+    return Dataset(y=x + e + draw(st.floats(-0.8, 0.8)) * v, x=x, instruments=z)
+
+
+designs = st.one_of(judge_designs(), dense_designs())
+
+
+def assert_stats_close(got, want, where):
+    """xi, nu, rho and ar within 1e-10 relative (absolute floor 1e-12).
+
+    t_squared's closed form divides by nu^2 - 2 rho nu xi + xi^2, which
+    cancels as |beta0| grows (by a factor near 4e8 at |beta0| = 1e4), so
+    any two roundings of (xi, nu, rho) move it by about eps times that
+    factor; its relative bound widens to 1e-14 times the factor where that
+    is larger than 1e-10.
+    """
+    def close(name, rel):
+        a, b = (np.asarray(getattr(s, name), dtype=float) for s in (got, want))
+        assert np.all(np.abs(a - b) <= np.maximum(rel * np.maximum(np.abs(a), np.abs(b)), 1e-12)), (where, name, a, b)
+
+    for name in ("xi", "nu", "rho", "ar"):
+        close(name, 1e-10)
+    xi, nu, r = (np.asarray(getattr(want, n), dtype=float) for n in ("xi", "nu", "rho_raw"))
+    cancel = (nu**2 + 2.0 * np.abs(r * nu * xi) + xi**2) / ((nu - r * xi) ** 2 + (1.0 - r * r) * xi**2)
+    close("t_squared", np.maximum(1e-10, 1e-14 * cancel))
+
+
+class TestBetaProfile:
+    @PROPERTY
+    @given(designs)
+    def test_matches_direct_path(self, data):
+        # grid ends, |b0| = 1e4, psi's minimum and beta_hat, one point at a
+        # time and as one array
+        ctx = build_projection(data)
+        profile = _profile(ctx, data)
+        lo, hi, _ = default_grid(ctx, data)
+        psi = profile.polys[3]
+        psi_min = -psi[1] / (2.0 * psi[2]) if psi[2] > 0.0 else 0.0
+        points = np.array([lo, hi, -1e4, 1e4, psi_min, jive_point_estimate(ctx, data)])
+        stats, degenerate = profile.stats(points)
+        for i, b0 in enumerate(points):
+            try:
+                want = oracle_normalized_stats(ctx, data, float(b0))
+            except NumericalError:
+                want = None
+            assert bool(degenerate[i]) == (want is None), b0
+            if want is None:
+                with pytest.raises(NumericalError, match="variance estimate nonpositive"):
+                    normalized_stats(ctx, data, float(b0))
+                continue
+            one = normalized_stats(ctx, data, float(b0))
+            assert_stats_close(one, want, b0)
+            for name in ("xi", "rho", "rho_raw", "ar", "t_squared"):
+                assert getattr(stats, name)[i] == getattr(one, name), (b0, name)
+            assert stats.nu == one.nu and stats.q_xx == one.q_xx == want.q_xx
+            assert stats.b_xxxx == one.b_xxxx == pytest.approx(want.b_xxxx, rel=1e-12)
+
+    @PROPERTY
+    @given(judge_designs(), st.floats(-3.0, 3.0))
+    def test_judge_path_equals_dense_path(self, data, b0):
+        dense = Dataset(y=data.y, x=data.x, instruments=judge_indicator_matrix(data.instruments))
+        fast, slow = build_projection(data), build_projection(dense)
+        assert fast.p is None and slow.p is not None
+        points = np.array([b0, jive_point_estimate(fast, data), 0.5 * b0 - 1.0])
+        bad = _profile(fast, data).stats(points)[1]
+        assert np.array_equal(bad, _profile(slow, dense).stats(points)[1])
+        keep = points[~bad]
+        assert_stats_close(normalized_stats(fast, data, keep), normalized_stats(slow, dense, keep), keep)
+        beta_hat = jive_point_estimate(fast, data)
+        assert jive_variance(fast, data, beta_hat) == pytest.approx(jive_variance(slow, dense, beta_hat), rel=1e-10)
+
+    @PROPERTY
+    @given(designs, st.floats(-5.0, 5.0).filter(lambda a: abs(a) > 1e-3))
+    def test_exact_fit_is_degenerate(self, data, a):
+        # at y = a x the polynomials cancel to rounding, not to zero
+        exact = Dataset(y=a * data.x, x=data.x, instruments=data.instruments)
+        ctx = build_projection(exact)
+        with pytest.raises(NumericalError, match="variance estimate nonpositive"):
+            normalized_stats(ctx, exact, a)
+        with pytest.raises(NumericalError, match="variance estimate nonpositive"):
+            variance_estimates_at(ctx, exact, a)
+        assert jive_variance(ctx, exact, a) == 0.0
+
+    def test_float_gives_floats_array_gives_arrays(self):
+        data = sim(12, 8, 0.6, seed=21)
+        ctx = build_projection(data)
+        one = normalized_stats(ctx, data, 0.4)
+        assert all(np.ndim(getattr(one, n)) == 0 for n in ("xi", "nu", "rho", "ar", "t_squared"))
+        many = normalized_stats(ctx, data, np.array([[0.4, 1.0]]))
+        assert many.xi.shape == many.t_squared.shape == (1, 2) and np.ndim(many.nu) == 0
+        assert many.xi[0, 0] == one.xi and many.t_squared[0, 0] == one.t_squared
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_beta0(self, bad):
+        data = sim(10, 6, 0.5, seed=22)
+        ctx = build_projection(data)
+        for call in (normalized_stats, variance_estimates_at, jive_t_squared):
+            with pytest.raises(DataError, match="beta0 must be finite"):
+                call(ctx, data, bad)
+
+    def test_overflowing_beta0(self):
+        data = sim(10, 6, 0.5, seed=22)
+        ctx = build_projection(data)
+        with np.errstate(all="raise"):
+            with pytest.raises(DataError, match="overflows the beta0 polynomials"):
+                normalized_stats(ctx, data, 1e200)
+            with pytest.raises(DataError, match="overflows the beta0 polynomials"):
+                normalized_stats(ctx, data, np.array([0.0, -1e100]))

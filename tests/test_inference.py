@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from conftest import oracle_decide
+from conftest import oracle_decide, oracle_normalized_stats
 from mwiv import (
     CurveLibrary,
     DataError,
@@ -241,6 +241,33 @@ class TestConfidenceSets:
         ctx = build_projection(data)
         with pytest.raises(NumericalError, match="all grid points degenerate"):
             invert_confidence_set("ms2", ctx, data, grid=(-1.0, 1.0, 5))
+
+    def test_statistics_match_the_direct_path(self, strong_data, curve_library):
+        data, ctx = strong_data
+        want = {}
+        for b0 in np.linspace(-40.0, 40.0, 81):
+            try:
+                want[b0] = oracle_normalized_stats(ctx, data, float(b0))
+            except NumericalError:
+                want[b0] = None
+        for method, stat in (("lm", lambda s: s.xi**2), ("ms1", lambda s: s.ar)):
+            cs = invert_confidence_set(method, ctx, data, grid=(-40.0, 40.0, 81), curves=curve_library)
+            assert cs.degenerate.tolist() == [want[b] is None for b in cs.betas], method
+            keep = ~cs.degenerate
+            expect = np.array([stat(want[b]) for b in cs.betas[keep]])
+            assert np.allclose(cs.statistics[keep], expect, rtol=1e-10, atol=1e-12), method
+
+    def test_exact_fit_point_is_degenerate(self):
+        # y = 0.7 x exactly: every kernel at beta0 = 0.7 sees e0 = 0, and the
+        # profile's psi there is rounding that must still count as zero
+        labels = np.repeat([0, 1, 2, 3], 5)
+        x = np.random.default_rng(10).standard_normal(20)
+        data = Dataset(y=0.7 * x, x=x, instruments=labels)
+        ctx = build_projection(data)
+        cs = invert_confidence_set("ms2", ctx, data, grid=(0.0, 1.4, 3))
+        assert cs.betas[1] == 0.7 and cs.degenerate[1]
+        with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
+            oracle_normalized_stats(ctx, data, 0.7)
 
     def test_csv_text_shape(self, strong_data, curve_library):
         data, ctx = strong_data

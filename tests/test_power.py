@@ -209,6 +209,12 @@ class TestRejectionRates:
         with pytest.raises(DataError, match="unknown method"):
             rejection_rates(dgp, [0.0], methods=("wald",), curves=curve_library)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_delta_rejected(self, curve_library, bad):
+        dgp = AsymptoticDGP(s=3.0, r=0.5)
+        with pytest.raises(DataError, match="delta_grid must be finite"):
+            rejection_rates(dgp, [0.0, bad], methods=("ms1",), n_draws=100, curves=curve_library)
+
     def test_vtf_requires_table(self, curve_library):
         dgp = AsymptoticDGP(s=3.0, r=0.5)
         with pytest.raises(TableError, match="two-sided table unavailable"):
