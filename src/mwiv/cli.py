@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .critval import CurveCache, curve_csv_text, load_two_sided_table
-from .data import read_dataset_csv, write_dataset_csv
+from .critval import CurveCache, curve_csv_text, load_two_sided_table, write_curve_csv
+from .data import _dataset_csv_text, read_dataset_csv, write_dataset_csv
 from .errors import DataError, NumericalError, TableError
 from .estimators import jive_point_estimate, jive_variance, normalized_stats
 from .inference import (
@@ -135,12 +135,10 @@ def cmd_curve(args) -> int:
     rhos = _parse_float_list(args.rho, "--rho")
     cache = CurveCache(directory=_resolve_cache_dir(args.cache_dir))
     curves = [cache.get(r, args.alpha) for r in rhos]
-    text = curve_csv_text(curves)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        write_curve_csv(args.out, curves)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(curve_csv_text(curves))
     return 0
 
 
@@ -190,9 +188,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         write_dataset_csv(args.out, data)
     else:
-        sys.stdout.write("y,x,judge\n")
-        for yi, xi, ji in zip(data.y, data.x, data.instruments):
-            sys.stdout.write(f"{float(yi)!r},{float(xi)!r},{int(ji)}\n")
+        sys.stdout.write(_dataset_csv_text(data))
     return 0
 
 

@@ -29,6 +29,7 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -191,51 +192,20 @@ def find_tangency(rho: float, alpha: float) -> tuple[float, float]:
     return t_tilde, t_tilde + nu_star
 
 
-@dataclass
-class ContinuationState:
-    """Mutable bookkeeping for the three-crossing continuation. Its knots
-    start at (nu_tilde, c(nu_tilde)), where the closed form ends."""
-
-    rho_abs: float
-    alpha: float
-    nu_star: float
-    t_tilde: float
-    nu_tilde: float
-    last_t: float | None = None
-
-    def __post_init__(self):
-        self.cont_nu = [self.nu_tilde]
-        self.cont_c = [_closed(self.nu_tilde, self.rho_abs, self.nu_star)]
-        # at t_tilde the low and middle crossings meet in the double root
-        self.prev_nu_m = 0.5 * (self.t_tilde + self.nu_star)
-
-    def curve_value(self, nu: float) -> float:
-        """Built curve so far: exact closed form, then the knots."""
-        if nu <= self.nu_tilde:
-            return _closed(nu, self.rho_abs, self.nu_star)
-        i = bisect_right(self.cont_nu, nu)
-        if i == len(self.cont_nu):
-            return self.cont_c[-1]
-        x0, y0, x1, y1 = self.cont_nu[i - 1], self.cont_c[i - 1], self.cont_nu[i], self.cont_c[i]
-        return y0 + (nu - x0) / (x1 - x0) * (y1 - y0)
-
-    @property
-    def frontier(self) -> float:
-        return self.cont_nu[-1]
-
-
-def _expand_bracket(h, lo: float, hi: float, cap: float, grow: float) -> tuple[float, float]:
-    """Grow hi until h changes sign on [lo, hi]; respects an upper cap."""
-    h_lo = h(lo)
-    for _ in range(200):
-        h_hi = h(min(hi, cap))
-        if h_lo == 0.0 or h_lo * h_hi < 0.0:
-            return lo, min(hi, cap)
-        if hi >= cap:
-            break
-        hi = min(cap, hi + grow)
-        grow *= 2.0
-    raise NumericalError("continuation step failed: root bracketing failure")
+def _gap(nu: float, t: float, rho_abs: float, nu_star: float, nu_tilde: float, cont_nu: list, cont_c: list) -> float:
+    """t2 - c at nu: the statistic at T = t against the curve built so far,
+    the exact closed form up to nu_tilde, then the continuation knots
+    ``cont_nu``/``cont_c`` (from nu_tilde on), held past the last one."""
+    if nu <= nu_tilde:
+        c = _closed(nu, rho_abs, nu_star)
+    else:
+        i = bisect_right(cont_nu, nu)
+        if i == len(cont_nu):
+            c = cont_c[-1]
+        else:
+            x0, y0, x1, y1 = cont_nu[i - 1], cont_c[i - 1], cont_nu[i], cont_c[i]
+            c = y0 + (nu - x0) / (x1 - x0) * (y1 - y0)
+    return t2_w_curve(nu, t, rho_abs) - c
 
 
 def _closed_form_crossings(nu_star: float, t: float) -> tuple[float, float]:
@@ -247,55 +217,58 @@ def _closed_form_crossings(nu_star: float, t: float) -> tuple[float, float]:
     return 2.0 * nu_star * t / nu_hi, nu_hi
 
 
-def _statistic_gap(nu: float, t: float, state: ContinuationState) -> float:
-    """t2 - c at nu: the statistic at T = t against the curve built so far."""
-    return t2_w_curve(nu, t, state.rho_abs) - state.curve_value(nu)
+def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float):
+    """Three-crossing continuation from (t_tilde, nu_tilde) until a high
+    crossing passes NU_MAX: (its knots past nu_tilde, their c, the last T).
 
+    Each step at T = t_tilde + k T_STEP takes the low crossing from the
+    closed-form quadratic, the middle one by ``brentq`` on the curve built
+    so far and the high one from the acceptance-probability equation; the
+    high crossing is the new knot.
+    """
+    cont_nu = [nu_tilde]
+    cont_c = [_closed(nu_tilde, rho, nu_star)]
+    # at t_tilde the low and middle crossings meet in the double root
+    nu_m = 0.5 * (t_tilde + nu_star)
+    t = t_tilde
+    for _ in range(MAX_ITER):
+        t += T_STEP
+        nu_l, quad_hi = _closed_form_crossings(nu_star, t)
 
-def extend_three_crossing(state: ContinuationState, t_next: float) -> tuple[float, float]:
-    """One continuation step at T = t_next: the low crossing from the
-    closed-form quadratic, the middle crossing by ``brentq`` on the built
-    curve, the high crossing from the acceptance-probability equation; the
-    new knot is appended. Returns (nu_h, c_h)."""
-    rho = state.rho_abs
-    t = float(t_next)
-    if t < state.t_tilde - 1e-12:
-        raise NumericalError("continuation step failed: T below the tangency onset")
+        # Middle crossing: moves up with T, capped strictly below T. Its bracket
+        # starts at the last one and grows in doubling steps until the gap
+        # changes sign. brentq keeps its function in a reference cycle, so the
+        # knots go in args: a closure would hold every finished build's knots
+        # until a full collection.
+        args = (t, rho, nu_star, nu_tilde, cont_nu, cont_c)
+        cap = t * (1.0 - 1e-12)
+        hi_m, grow = min(max(quad_hi, nu_m + T_STEP), cap), T_STEP
+        h_lo = _gap(nu_m, *args)
+        for _ in range(200):
+            if h_lo == 0.0 or h_lo * _gap(hi_m, *args) < 0.0:
+                break
+            hi_m, grow = min(cap, hi_m + grow), 2.0 * grow
+        else:
+            raise NumericalError("continuation step failed: root bracketing failure")
+        nu_m = float(brentq(_gap, nu_m, hi_m, args=args, xtol=ROOT_TOL))
 
-    def h(nu):
-        return _statistic_gap(nu, t, state)
+        if not nu_star <= nu_l <= nu_m <= t:
+            raise NumericalError("crossing order violated")
 
-    nu_l, quad_hi = _closed_form_crossings(state.nu_star, t)
-
-    # Middle crossing: moves up with T, capped strictly below T. brentq keeps
-    # its function in a reference cycle, so the state goes in args: a closure
-    # would hold every finished build's knots until a full collection.
-    cap = t * (1.0 - 1e-12)
-    lo_m = state.prev_nu_m
-    hi_m = min(max(quad_hi, lo_m + T_STEP), cap)
-    if h(lo_m) <= 0.0 or h(hi_m) >= 0.0:
-        lo_m, hi_m = _expand_bracket(h, lo_m, hi_m, cap=cap, grow=T_STEP)
-    nu_m = float(brentq(_statistic_gap, lo_m, hi_m, args=(t, state), xtol=ROOT_TOL))
-
-    if not state.nu_star <= nu_l <= nu_m <= t:
-        raise NumericalError("crossing order violated")
-
-    z_l = (nu_l - t) / rho
-    z_m = (nu_m - t) / rho
-    hump_prob = float(ndtr(z_m) - ndtr(z_l))
-    target = 1.0 - state.alpha + hump_prob
-    if not 0.5 < target < 1.0:
-        raise NumericalError("continuation step failed: acceptance probability out of range")
-    nu_h = t + rho * float(ndtri(target))
-    if nu_h <= state.frontier:
-        raise NumericalError("continuation step failed: frontier did not advance")
-    c_h = t2_w_curve(nu_h, t, rho)
-
-    state.cont_nu.append(nu_h)
-    state.cont_c.append(c_h)
-    state.prev_nu_m = nu_m
-    state.last_t = t
-    return nu_h, c_h
+        z_l = (nu_l - t) / rho
+        z_m = (nu_m - t) / rho
+        hump_prob = float(ndtr(z_m) - ndtr(z_l))
+        target = 1.0 - alpha + hump_prob
+        if not 0.5 < target < 1.0:
+            raise NumericalError("continuation step failed: acceptance probability out of range")
+        nu_h = t + rho * float(ndtri(target))
+        if nu_h <= cont_nu[-1]:
+            raise NumericalError("continuation step failed: frontier did not advance")
+        cont_nu.append(nu_h)
+        cont_c.append(t2_w_curve(nu_h, t, rho))
+        if nu_h >= NU_MAX:
+            return cont_nu[1:], cont_c[1:], t
+    raise NumericalError("continuation step failed: NU_MAX not reached")
 
 
 def _base_grid(lo: float, hi: float) -> np.ndarray:
@@ -393,26 +366,12 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         return curve(*_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
     nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
-    state = ContinuationState(
-        rho_abs=rho_abs,
-        alpha=alpha,
-        nu_star=nu_star,
-        t_tilde=t_tilde,
-        nu_tilde=nu_tilde,
-    )
-    t = t_tilde
     try:
-        for _ in range(MAX_ITER):
-            t += T_STEP
-            nu_h, _ = extend_three_crossing(state, t)
-            if nu_h >= NU_MAX:
-                break
-        else:
-            raise NumericalError("continuation step failed: NU_MAX not reached")
+        cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
-    knots = curve(nus + state.cont_nu[1:], cs + state.cont_c[1:], nu_star, t_tilde=t_tilde, t_last=state.last_t)
+    knots = curve(nus + cont_nu, cs + cont_c, nu_star, t_tilde=t_tilde, t_last=t_last)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots
@@ -631,86 +590,76 @@ def write_curve_csv(path, curves) -> None:
         fh.write(curve_csv_text(curves))
 
 
-def _parse_curve_file(path):
-    """(sidecar, rows, whether the last line ends with a line break)."""
-    meta: dict[str, float] = {}
-    rows: list[tuple[float, float, float]] = []
-    raw = ""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            saw_header = False
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        # bracketed keys contain '='; the value follows the last one
-                        key, _, value = body.rpartition("=")
-                        try:
-                            meta[key.strip()] = float(value)
-                        except ValueError as exc:
-                            raise TableError(f"table parse error: bad sidecar {line!r}") from exc
-                    continue
-                if not saw_header:
-                    if [p.strip() for p in line.split(",")] != ["rho", "nu", "crit"]:
-                        raise TableError(f"table parse error: bad header {line!r}")
-                    saw_header = True
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise TableError(f"table parse error: bad row {line!r}")
-                try:
-                    rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-                except ValueError as exc:
-                    raise TableError(f"table parse error: bad row {line!r}") from exc
-    except OSError as exc:
-        raise TableError(f"table parse error: {exc}") from exc
-    if not saw_header or not rows:
-        raise TableError("table parse error: empty table")
-    return meta, rows, raw.endswith("\n")
-
-
 def load_curve_csv(path) -> list[CriticalValueCurve]:
     """Read curves back; sidecar metadata is optional.
 
-    A file that records ``knots`` must hold exactly that many rows per
-    curve, one curve per ``knots`` entry, and end with a line break;
-    otherwise it was cut short and a TableError is raised.
+    ``# key=value`` sidecar lines may precede the `rho,nu,crit` header; the
+    rows below it are read as one numeric array and split into curves
+    where rho changes. A file that records ``knots`` must hold exactly
+    that many rows per curve, one curve per ``knots`` entry, and end with
+    a line break; otherwise it was cut short and a TableError is raised.
     """
-    meta, rows, complete = _parse_curve_file(path)
-    blocks: list[tuple[float, list[float], list[float]]] = []
-    current = None
-    for rho, nu, c in rows:
-        if rho != current:
-            current, nus, cs = rho, [], []
-            blocks.append((rho, nus, cs))
-        nus.append(nu)
-        cs.append(c)
-    rhos = [b[0] for b in blocks]
-    if sorted(rhos) != rhos or len(set(rhos)) != len(rhos):
+    meta: dict[str, float] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for skip, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if not line.startswith("#"):
+                    if [p.strip() for p in line.split(",")] != ["rho", "nu", "crit"]:
+                        raise TableError(f"table parse error: bad header {line!r}")
+                    break
+                body = line[1:].strip()
+                if "=" in body:
+                    # bracketed keys contain '='; the value follows the last one
+                    key, _, value = body.rpartition("=")
+                    try:
+                        meta[key.strip()] = float(value)
+                    except ValueError as exc:
+                        raise TableError(f"table parse error: bad sidecar {line!r}") from exc
+            else:
+                raise TableError("table parse error: empty table")
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            complete = fh.read(1) == b"\n"
+        with warnings.catch_warnings():
+            # a header without rows is reported as an empty table below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except OSError as exc:
+        raise TableError(f"table parse error: {exc}") from exc
+    except ValueError as exc:
+        raise TableError(f"table parse error: bad row ({exc})") from exc
+    if not rows.size:
+        raise TableError("table parse error: empty table")
+    if rows.shape[1] != 3:
+        raise TableError(f"table parse error: bad row (expected 3 columns, got {rows.shape[1]})")
+    starts = np.flatnonzero(np.concatenate([[True], rows[1:, 0] != rows[:-1, 0]]))
+    rhos = rows[starts, 0]
+    if not np.all(np.diff(rhos) > 0.0):
         raise TableError("table grid error: rho blocks not sorted")
     n_counts = sum(1 for key in meta if key.partition("[")[0] == "knots")
-    if n_counts and (n_counts != len(blocks) or not complete):
+    if n_counts and (n_counts != starts.size or not complete):
         raise TableError("table truncated: curves or rows missing")
     out = []
-    for rho, nus, cs in blocks:
+    for rho, lo, hi in zip(rhos.tolist(), starts, [*starts[1:], rows.shape[0]]):
         def get(base, default=None):
             return meta.get(f"{base}[rho={rho!r}]", meta.get(base, default))
 
-        nu_arr = np.array(nus)
+        # contiguous copies: np.interp would copy a strided column on every call
+        nu_arr = rows[lo:hi, 1].copy()
         if np.any(np.diff(nu_arr) <= 0.0):
             raise TableError("table grid error: nu not strictly increasing")
-        if n_counts and get("knots") != len(nus):
-            raise TableError(f"table truncated: rho {rho!r} has {len(nus)} rows, knots={get('knots')!r}")
+        if n_counts and get("knots") != nu_arr.size:
+            raise TableError(f"table truncated: rho {rho!r} has {nu_arr.size} rows, knots={get('knots')!r}")
         out.append(
             CriticalValueCurve(
                 rho_abs=rho,
                 alpha=float(get("alpha", float("nan"))),
                 knots_nu=nu_arr,
-                knots_c=np.array(cs),
-                domain_low=float(get("domain_low", nus[0])),
+                knots_c=rows[lo:hi, 2].copy(),
+                domain_low=float(get("domain_low", nu_arr[0])),
                 t_tilde=get("t_tilde"),
                 t_last=get("t_last"),
             )

@@ -125,13 +125,18 @@ def read_dataset_csv(path) -> Dataset:
 def write_dataset_csv(path, data: Dataset) -> None:
     """Write a dataset CSV in judge or dense form, shortest round-trip floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if data.is_judge:
-            fh.write("y,x,judge\n")
-            for yi, xi, ji in zip(data.y, data.x, data.instruments):
-                fh.write(f"{float(yi)!r},{float(xi)!r},{int(ji)}\n")
-        else:
-            k = data.k
-            fh.write("y,x," + ",".join(f"z{i}" for i in range(1, k + 1)) + "\n")
-            for i in range(data.n):
-                zrow = ",".join(repr(float(v)) for v in data.instruments[i])
-                fh.write(f"{float(data.y[i])!r},{float(data.x[i])!r},{zrow}\n")
+        fh.write(_dataset_csv_text(data))
+
+
+def _dataset_csv_text(data: Dataset) -> str:
+    """The text ``write_dataset_csv`` writes."""
+    if data.is_judge:
+        lines = ["y,x,judge\n"]
+        for yi, xi, ji in zip(data.y, data.x, data.instruments):
+            lines.append(f"{float(yi)!r},{float(xi)!r},{int(ji)}\n")
+    else:
+        lines = ["y,x," + ",".join(f"z{i}" for i in range(1, data.k + 1)) + "\n"]
+        for i in range(data.n):
+            zrow = ",".join(repr(float(v)) for v in data.instruments[i])
+            lines.append(f"{float(data.y[i])!r},{float(data.x[i])!r},{zrow}\n")
+    return "".join(lines)

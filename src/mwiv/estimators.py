@@ -173,9 +173,13 @@ def jive_point_estimate(ctx: ProjectionContext, data: Dataset) -> float:
 def jive_variance(ctx: ProjectionContext, data: Dataset, beta_hat: float) -> float:
     """Jackknife variance of the point estimate: psi at beta_hat over Q_xx^2,
     and 0.0 at an exact fit (every residual zero at beta_hat)."""
+    return _jive_variance(_profile(ctx, data), data, beta_hat)
+
+
+def _jive_variance(profile: _Profile, data: Dataset, beta_hat: float) -> float:
+    """``jive_variance`` read off a profile of (ctx, data) already built."""
     if not np.isfinite(beta_hat):
         raise NumericalError("variance estimate nonpositive: beta_hat not finite")
-    profile = _profile(ctx, data)
     psi = profile.values(beta_hat)[3][0]
     if psi > 0.0:
         return float(psi / profile.q_xx**2)

@@ -31,9 +31,9 @@ from .data import Dataset
 from .errors import DataError, NumericalError, TableError
 from .estimators import (
     NormalizedStats,
+    _jive_variance,
     _profile,
     jive_point_estimate,
-    jive_variance,
     normalized_stats,
 )
 from .projection import ProjectionContext
@@ -202,9 +202,14 @@ def run_test(
 def default_grid(ctx: ProjectionContext, data: Dataset, n: int = 2001) -> tuple[float, float, int]:
     """beta_hat +- 20 jackknife standard errors; a fixed wide band when the
     variance estimate is unavailable."""
+    return _default_grid(ctx, data, _profile(ctx, data), n)
+
+
+def _default_grid(ctx: ProjectionContext, data: Dataset, profile, n: int = 2001) -> tuple[float, float, int]:
+    """``default_grid`` from a profile of (ctx, data) already built."""
     beta_hat = jive_point_estimate(ctx, data)
     try:
-        v_hat = jive_variance(ctx, data, beta_hat)
+        v_hat = _jive_variance(profile, data, beta_hat)
     except NumericalError:
         v_hat = 0.0
     half = 20.0 * float(np.sqrt(v_hat)) if v_hat > 0.0 else 1000.0
@@ -222,7 +227,8 @@ def invert_confidence_set(
     """Accepted beta0 values on a grid, merged into closed intervals.
 
     One beta0 profile of (ctx, data) gives the statistics on the whole
-    grid, so the projection kernels run once per set, not once per point.
+    grid, and the ends of the default grid when none is given, so the
+    projection kernels run once per set, not once per point.
     Grid points where the statistics are degenerate (a nonpositive or
     numerically zero variance object) are excluded from the set and
     marked; if every point is degenerate the inversion has nothing to
@@ -233,14 +239,14 @@ def invert_confidence_set(
     _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
+    profile = _profile(ctx, data)
     if grid is None:
-        grid = default_grid(ctx, data)
+        grid = _default_grid(ctx, data, profile)
     lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo and n >= 3):
         raise DataError("grid must be finite with hi > lo and n >= 3")
 
     betas = np.linspace(lo, hi, n)
-    profile = _profile(ctx, data)
     stats, degenerate = profile.stats(betas)
     if degenerate.all():
         raise NumericalError("inversion failed: all grid points degenerate")

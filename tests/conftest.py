@@ -12,6 +12,7 @@ that replaced them can be checked against them.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -37,6 +38,8 @@ from mwiv import (
     two_sided_chi2,
 )
 from mwiv.critval import t2_w_curve
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def judge_indicator_matrix(labels):
@@ -195,7 +198,13 @@ def conditional_reject_prob(curve, t):
 
 
 def run_cli(args, cwd=None, env=None):
-    """Run the command line front end in a subprocess; returns the result."""
+    """Run the command line front end in a subprocess; returns the result.
+
+    The child imports mwiv from this checkout's ``src``, as the tests do,
+    whether or not PYTHONPATH names it.
+    """
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "mwiv.cli", *[str(a) for a in args]]
     return subprocess.run(
         cmd, cwd=cwd, env=env, capture_output=True, text=False, timeout=300

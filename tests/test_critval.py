@@ -7,9 +7,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mwiv import (
+    CriticalValueCurve,
     CurveCache,
     DataError,
     NumericalError,
@@ -29,7 +32,7 @@ from mwiv import (
     write_curve_csv,
 )
 from mwiv import critval
-from mwiv.critval import ContinuationState, extend_three_crossing, t2_w_curve
+from mwiv.critval import t2_w_curve
 
 from conftest import conditional_reject_prob, oracle_cw_quantile
 
@@ -133,23 +136,22 @@ class TestContinuation:
         t = curve.t_tilde + 0.01
         assert abs(conditional_reject_prob(curve, t) - 0.05) <= 1e-6
 
-    def test_high_knot_later_becomes_middle_crossing(self):
+    def test_high_knot_later_becomes_middle_crossing(self, monkeypatch):
+        # each step's middle crossing is its brentq root; the high crossings
+        # are the knots past nu_tilde
         rho = 0.5
-        nu_star, _ = fixed_point(rho, 0.05)
-        t_tilde, nu_tilde = find_tangency(rho, 0.05)
-        state = ContinuationState(
-            rho_abs=rho, alpha=0.05, nu_star=nu_star,
-            t_tilde=t_tilde, nu_tilde=nu_tilde,
-        )
-        highs, mids = [], []
-        t = t_tilde
-        for _ in range(100000):
-            t += 0.01
-            nu_h, _ = extend_three_crossing(state, t)
-            highs.append(nu_h)
-            mids.append(state.prev_nu_m)
-            if nu_h >= 8.0:
-                break
+        mids = []
+        solve = critval.brentq
+
+        def record(*args, **kwargs):
+            mids.append(solve(*args, **kwargs))
+            return mids[-1]
+
+        monkeypatch.setattr(critval, "brentq", record)
+        _, nu_tilde = find_tangency(rho, 0.05)
+        curve = build_vtfo_curve(rho, 0.05)
+        highs = curve.knots_nu[curve.knots_nu > nu_tilde]
+        assert len(mids) == highs.size
         target = highs[4]
         assert mids[4] < target
         crossed = [s for s in range(5, len(mids)) if mids[s] >= target]
@@ -172,28 +174,14 @@ class TestContinuation:
         monkeypatch.setattr(critval, "_closed_form_crossings", record)
         nu_star, _ = fixed_point(rho, alpha)
         t_tilde, nu_tilde = find_tangency(rho, alpha)
-        state = ContinuationState(rho, alpha, nu_star, t_tilde, nu_tilde)
-        t, steps = t_tilde, 0
-        while state.frontier < critval.NU_MAX:
-            t += critval.T_STEP
-            extend_three_crossing(state, t)
-            steps += 1
+        curve = build_vtfo_curve(rho, alpha)
+        steps = int(np.sum(curve.knots_nu > nu_tilde))
         assert len(roots) == steps > 100
+        assert [t for t, _ in roots] == pytest.approx(t_tilde + critval.T_STEP * np.arange(1, steps + 1))
         for t, nu_l in roots:
             assert nu_star < nu_l <= nu_tilde
             c = closed_form_c(nu_l, rho, alpha)
             assert abs(t2_w_curve(nu_l, t, rho) - c) <= 1e-12 * c
-
-    def test_step_below_onset_rejected(self):
-        rho = 0.5
-        nu_star, _ = fixed_point(rho, 0.05)
-        t_tilde, nu_tilde = find_tangency(rho, 0.05)
-        state = ContinuationState(
-            rho_abs=rho, alpha=0.05, nu_star=nu_star,
-            t_tilde=t_tilde, nu_tilde=nu_tilde,
-        )
-        with pytest.raises(NumericalError, match="T below the tangency onset"):
-            extend_three_crossing(state, t_tilde - 0.5)
 
 
 class TestBuildCurve:
@@ -216,12 +204,16 @@ class TestBuildCurve:
 
     def test_build_leaves_no_state_behind(self):
         # brentq keeps its function in a reference cycle; a build must not
-        # hang its continuation state (every knot) on it, or finished builds
-        # pile up until a full garbage collection
+        # hang its continuation knots on it, or finished builds pile up
+        # until a full garbage collection
         gc.disable()
         try:
-            build_vtfo_curve(0.5, 0.05)
-            alive = sum(isinstance(o, ContinuationState) for o in gc.get_objects())
+            curve = build_vtfo_curve(0.5, 0.05)
+            last = float(curve.knots_nu[-1])
+            alive = sum(
+                isinstance(o, list) and len(o) > 0 and isinstance(o[-1], float) and o[-1] == last
+                for o in gc.get_objects()
+            )
         finally:
             gc.enable()
         assert alive == 0
@@ -538,6 +530,51 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TableError, match="table parse error"):
             load_curve_csv(tmp_path / "missing.csv")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def curve_sets(draw):
+    """1-3 curves with distinct |rho|, strictly increasing knots and
+    arbitrary sidecar fields."""
+    rhos = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3, unique=True))
+    curves = []
+    for rho in rhos:
+        nus = sorted(draw(st.lists(finite, min_size=1, max_size=5, unique=True)))
+        curves.append(CriticalValueCurve(
+            rho_abs=rho,
+            alpha=draw(finite),
+            knots_nu=np.array(nus),
+            knots_c=np.array(draw(st.lists(finite, min_size=len(nus), max_size=len(nus)))),
+            domain_low=draw(finite),
+            t_tilde=draw(st.none() | finite),
+            t_last=draw(st.none() | finite),
+        ))
+    return curves
+
+
+class TestCurveFileProperties:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(curve_sets())
+    def test_round_trip_and_every_prefix_fails(self, tmp_path_factory, curves):
+        path = tmp_path_factory.mktemp("curves") / "curves.csv"
+        write_curve_csv(path, curves)
+        loaded = load_curve_csv(path)
+        want = sorted(curves, key=lambda c: c.rho_abs)
+        assert len(loaded) == len(want)
+        for got, cv in zip(loaded, want):
+            assert got.rho_abs == cv.rho_abs
+            assert np.array_equal(got.knots_nu, cv.knots_nu)
+            assert np.array_equal(got.knots_c, cv.knots_c)
+            assert (got.alpha, got.domain_low, got.t_tilde, got.t_last) == (
+                cv.alpha, cv.domain_low, cv.t_tilde, cv.t_last)
+        text = path.read_bytes()
+        for cut in range(len(text)):
+            path.write_bytes(text[:cut])
+            with pytest.raises(TableError):
+                load_curve_csv(path)
 
 
 class TestSnapAndCache:

@@ -32,7 +32,7 @@ from mwiv import (
     two_sided_chi2,
     write_curve_csv,
 )
-from mwiv import inference
+from mwiv import estimators, inference
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -233,6 +233,29 @@ class TestConfidenceSets:
             invert_confidence_set("ms1", ctx, data, grid=(0.0, 1.0, 2))
         with pytest.raises(DataError, match="grid must be finite"):
             invert_confidence_set("ms1", ctx, data, grid=(2.0, 1.0, 11))
+
+    def test_default_grid_from_the_set_profile(self, strong_data, monkeypatch):
+        # without a grid a set reads the default grid's ends off its own
+        # beta0 profile: one profile per set, the ends default_grid gives
+        x = np.random.default_rng(10).standard_normal(20)
+        exact = Dataset(y=0.7 * x, x=x, instruments=np.repeat([0, 1, 2, 3], 5))
+        profile = inference._profile
+        for data, ctx in (strong_data, (exact, build_projection(exact))):
+            lo, hi, n = inference.default_grid(ctx, data)
+            built = []
+
+            def count(*args):
+                built.append(args)
+                return profile(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_profile", count)
+                m.setattr(estimators, "_profile", count)
+                cs = invert_confidence_set("ms2", ctx, data)
+            assert len(built) == 1
+            assert (cs.grid_lo, cs.grid_hi, cs.grid_n) == (lo, hi, n) == (lo, hi, 2001)
+        # an exact fit has variance 0.0 and takes the fixed band
+        assert hi - lo == pytest.approx(2000.0)
 
     def test_all_degenerate(self):
         labels = np.repeat([0, 1, 2], 5)
