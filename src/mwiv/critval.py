@@ -26,6 +26,7 @@ step, so a small disk cache with atomic writes is provided.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import tempfile
@@ -61,7 +62,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "4"
+_FORMAT_VERSION = "5"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -717,11 +718,13 @@ def snap_rho_to_grid(rho):
 class CurveCache:
     """Build-once curve store keyed by (rho, alpha).
 
-    ``directory=None`` keeps curves in memory only. File names carry a key
-    over the file format and the build constants. Disk writes go through a
-    temporary file and an atomic rename, so concurrent builders can race
-    without corrupting the cache; a file that fails to load (cut short,
-    say) is rebuilt and replaced.
+    ``directory=None`` keeps curves in memory only. On disk each curve is
+    one binary file (``_save_file``): a JSON header line, then the (2, n)
+    little-endian float64 array of ``knots_nu`` and ``knots_c``. File names
+    carry a key over the file format and the build constants. Writes go
+    through a temporary file and an atomic rename, so concurrent builders
+    can race without corrupting the cache; a file that is cut short,
+    damaged or made for another request is rebuilt and replaced.
     """
 
     def __init__(self, directory=None):
@@ -729,7 +732,7 @@ class CurveCache:
         self._memory: dict[tuple[str, str], CriticalValueCurve] = {}
 
     def _filename(self, rho_abs: float, alpha: float) -> str:
-        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}.csv"
+        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}.bin"
 
     def get(self, rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         rho_abs = abs(float(rho))
@@ -740,22 +743,70 @@ class CurveCache:
         path = None
         if self.directory is not None:
             path = os.path.join(self.directory, self._filename(rho_abs, alpha))
-            if os.path.exists(path):
-                try:
-                    self._memory[key] = load_curve_csv(path)[0]
-                    return self._memory[key]
-                except TableError:
-                    pass  # cut short or damaged: rebuilt below and replaced
+            hit = self._load_file(path, rho_abs, float(alpha))
+            if hit is not None:
+                self._memory[key] = hit
+                return hit
         curve = build_vtfo_curve(rho_abs, alpha)
         if path is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            os.close(fd)
             try:
-                write_curve_csv(tmp, curve)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                os.makedirs(self.directory, exist_ok=True)
+                self._save_file(path, curve)
+            except OSError as exc:
+                raise DataError(f"cannot write the curve cache directory {self.directory!r}: {exc}") from exc
         self._memory[key] = curve
         return curve
+
+    @staticmethod
+    def _save_file(path, curve: CriticalValueCurve) -> None:
+        """Write the header line, then the body. The header's sha256 covers
+        the other header fields and the body, so a flipped byte anywhere is
+        caught on load."""
+        body = np.stack([curve.knots_nu, curve.knots_c]).astype("<f8", copy=False)
+        meta = {
+            "format": _FORMAT_VERSION,
+            "rho": curve.rho_abs,
+            "alpha": curve.alpha,
+            "knots": body.shape[1],
+            "domain_low": curve.domain_low,
+            "t_tilde": curve.t_tilde,
+            "t_last": curve.t_last,
+        }
+        digest = hashlib.sha256(json.dumps(meta).encode())
+        digest.update(body)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps({**meta, "sha256": digest.hexdigest()}).encode() + b"\n")
+                fh.write(body)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    @staticmethod
+    def _load_file(path, rho_abs: float, alpha: float) -> CriticalValueCurve | None:
+        """The curve stored at ``path``, or None when the file is missing,
+        cut short, damaged or made for another (rho, alpha) or format."""
+        try:
+            with open(path, "rb") as fh:
+                line = fh.readline(4096)
+                meta = json.loads(line)
+                want = meta.pop("sha256")
+                n = meta["knots"]
+                if (meta["format"], meta["rho"], meta["alpha"]) != (_FORMAT_VERSION, rho_abs, alpha):
+                    return None
+                if os.fstat(fh.fileno()).st_size != len(line) + 16 * n:
+                    return None
+                body = np.empty((2, n), dtype="<f8")
+                if fh.readinto(body) != body.nbytes:
+                    return None
+            digest = hashlib.sha256(json.dumps(meta).encode())
+            digest.update(body)
+            if digest.hexdigest() != want:
+                return None
+            return CriticalValueCurve(
+                rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"]
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None

@@ -280,11 +280,21 @@ class TestCurve:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["curve", "--rho", "0.35", "--out", str(a), "--cache-dir", str(cache)]) == 0
         (cached,) = cache.glob("vtfo_rho0.35_alpha0.05_*")
-        text = cached.read_text()
-        cached.write_text(text[: len(text) // 3])  # cut in the middle of a row
+        raw = cached.read_bytes()
+        cached.write_bytes(raw[: len(raw) // 3])  # cut in the middle of the body
         assert main(["curve", "--rho", "0.35", "--out", str(b), "--cache-dir", str(cache)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        assert cached.read_text() == text
+        assert cached.read_bytes() == raw
+
+    def test_unusable_cache_dir(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["curve", "--rho", "0.3", "--cache-dir", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write the curve cache directory")
+        assert str(blocker / "sub") in captured.err
 
     def test_multi_rho_stdout(self, tmp_path, capsys):
         code = main([

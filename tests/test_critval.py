@@ -4,6 +4,7 @@ continuation, conditional quantiles, serialization, caching."""
 import gc
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -620,17 +621,126 @@ class TestSnapAndCache:
         cache = CurveCache()
         assert cache.get(0.2, 0.05) is cache.get(0.2, 0.05)
 
-    @pytest.mark.parametrize("cut", ["row boundary", "middle of a row"])
+    @pytest.mark.parametrize("cut", [
+        "row boundary", "middle of a row", "inside the header", "at the header line break", "inside the body",
+    ])
     def test_truncated_file_is_rebuilt(self, curve_library, tmp_path, cut):
         want = curve_library.cache.get(0.3, 0.05)
         CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
         (path,) = tmp_path.iterdir()
-        lines = path.read_text().splitlines(keepends=True)
-        head = "".join(lines[:480])
-        path.write_text(head if cut == "row boundary" else head + lines[480][:9])
+        raw = path.read_bytes()
+        # a JSON header line, then the (2, n) float64 array of knots_nu and knots_c
+        body = raw.index(b"\n") + 1
+        end = {
+            "row boundary": body + 8 * want.knots_nu.size,
+            "middle of a row": body + 8 * 480 + 3,
+            "inside the header": body // 2,
+            "at the header line break": body - 1,
+            "inside the body": len(raw) - 1,
+        }[cut]
+        path.write_bytes(raw[:end])
         got = CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
         assert got.evaluate(10.0) == want.evaluate(10.0)
         assert got.evaluate(10.0) == pytest.approx(3.721, abs=5e-4)
         assert np.array_equal(got.knots_nu, want.knots_nu)
         # the damaged file was replaced by the rebuilt curve
-        assert path.read_text() == "".join(lines)
+        assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize("damage", ["flipped header byte", "flipped body byte", "another rho's file"])
+    def test_damaged_file_is_rebuilt(self, curve_library, tmp_path, damage):
+        want = curve_library.cache.get(0.3, 0.05)
+        CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
+        (path,) = tmp_path.iterdir()
+        raw = path.read_bytes()
+        if damage == "another rho's file":
+            other = tmp_path / "other"
+            CurveCache(directory=str(other)).get(0.5, 0.05)
+            (bad,) = [p.read_bytes() for p in other.iterdir()]
+        else:
+            # the header flip turns the last digit of domain_low into another digit
+            at = raw.index(b', "t_tilde"') - 1 if damage == "flipped header byte" else raw.index(b"\n") + 805
+            bad = bytearray(raw)
+            bad[at] ^= 0x01
+        path.write_bytes(bytes(bad))
+        got = CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
+        assert np.array_equal(got.knots_nu, want.knots_nu)
+        assert np.array_equal(got.knots_c, want.knots_c)
+        assert path.read_bytes() == raw
+
+    def test_every_header_byte_is_checked(self, tmp_path):
+        curve = build_vtfo_curve(0.01, 0.05)
+        path = tmp_path / "curve.bin"
+        CurveCache._save_file(path, curve)
+        raw = path.read_bytes()
+        body_start = raw.index(b"\n") + 1
+        for i in range(body_start):
+            for cut, flipped in ((raw[:i], None), (raw, i)):
+                bad = bytearray(cut)
+                if flipped is not None:
+                    bad[flipped] ^= 0x01
+                path.write_bytes(bytes(bad))
+                assert CurveCache._load_file(path, 0.01, 0.05) is None, (i, flipped)
+        path.write_bytes(raw)
+        assert CurveCache._load_file(path, 0.02, 0.05) is None
+        assert CurveCache._load_file(path, 0.01, 0.1) is None
+        assert CurveCache._load_file(path, 0.01, 0.05) is not None
+
+    def test_reloads_every_session_file_without_a_build(self, curve_library, monkeypatch):
+        for rho in (0.01, 0.3, 0.5):
+            curve_library.cache.get(rho, 0.05)
+        directory = curve_library.cache.directory
+        names = [name for name in os.listdir(directory) if name.startswith("vtfo_rho")]
+        assert len(names) >= 3
+
+        def no_build(rho, alpha=0.05):
+            raise AssertionError(f"rebuilt rho {rho!r}, alpha {alpha!r}")
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
+        fresh = CurveCache(directory=directory)
+        for name in names:
+            rho, alpha = (float(part) for part in re.fullmatch(r"vtfo_rho(.+)_alpha(.+)_\w+\.bin", name).groups())
+            got, want = fresh.get(rho, alpha), curve_library.cache.get(rho, alpha)
+            assert got is not want
+            _assert_same_curve(got, want)
+
+    def test_unusable_directory_is_a_data_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(DataError, match="curve cache directory"):
+            CurveCache(directory=str(blocker / "sub")).get(0.3, 0.05)
+
+
+def _assert_same_curve(got, want):
+    """All seven fields equal, types included."""
+    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+    for name in ("knots_nu", "knots_c"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@st.composite
+def cache_curves(draw):
+    """One curve as a build makes it: strictly increasing knots, the
+    continuation range as None or a float, domain_low 0.0 as on the
+    small-rho limit curve or any float."""
+    nus = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    return CriticalValueCurve(
+        rho_abs=draw(st.floats(0.0, RHO_CAP)),
+        alpha=draw(finite),
+        knots_nu=np.array(nus),
+        knots_c=np.array(draw(st.lists(finite, min_size=len(nus), max_size=len(nus)))),
+        domain_low=draw(st.just(0.0) | finite),
+        t_tilde=draw(st.none() | finite),
+        t_last=draw(st.none() | finite),
+    )
+
+
+class TestCacheFileProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cache_curves())
+    def test_round_trip(self, tmp_path_factory, curve):
+        path = tmp_path_factory.mktemp("cache") / "curve.bin"
+        CurveCache._save_file(path, curve)
+        _assert_same_curve(CurveCache._load_file(path, curve.rho_abs, curve.alpha), curve)
