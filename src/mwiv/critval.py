@@ -10,7 +10,8 @@ Three families live here:
   continuation that keeps the conditional rejection probability at alpha
   for every conditioning value 0 <= T <= t_last, the last continuation
   step. Each step takes its low crossing from a quadratic root and solves
-  only the middle one numerically. Past the last knot the curve holds its
+  only the middle one numerically, by a safeguarded Newton iteration in
+  plain floats. Past the last knot the curve holds its
   final value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
   constant q2 = 3.8415; there the measured conditional rejection rate at
   alpha 0.05 stays between 0.0496 and 0.0504, so at strong identification
@@ -35,7 +36,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import DataError, NumericalError, TableError
@@ -78,10 +78,11 @@ NU_MAX = 40.0
 ROOT_TOL = 1e-10
 MAX_ITER = 100000
 
-# Cache files carry this key in their names, so a change to the format or
-# to any build constant never reuses an old file.
+_BUILD_TAG = "secant-newton"  # the middle-crossing solver; another one moves knots by ~1e-10
+# Cache files carry this key in their names, so a change to the format, to
+# any build constant or to the solver never reuses an old file.
 _CACHE_KEY = hashlib.sha256(
-    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
+    "|".join([_FORMAT_VERSION, _BUILD_TAG, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
 ).hexdigest()[:12]
 
 
@@ -193,22 +194,6 @@ def find_tangency(rho: float, alpha: float) -> tuple[float, float]:
     return t_tilde, t_tilde + nu_star
 
 
-def _gap(nu: float, t: float, rho_abs: float, nu_star: float, nu_tilde: float, cont_nu: list, cont_c: list) -> float:
-    """t2 - c at nu: the statistic at T = t against the curve built so far,
-    the exact closed form up to nu_tilde, then the continuation knots
-    ``cont_nu``/``cont_c`` (from nu_tilde on), held past the last one."""
-    if nu <= nu_tilde:
-        c = _closed(nu, rho_abs, nu_star)
-    else:
-        i = bisect_right(cont_nu, nu)
-        if i == len(cont_nu):
-            c = cont_c[-1]
-        else:
-            x0, y0, x1, y1 = cont_nu[i - 1], cont_c[i - 1], cont_nu[i], cont_c[i]
-            c = y0 + (nu - x0) / (x1 - x0) * (y1 - y0)
-    return t2_w_curve(nu, t, rho_abs) - c
-
-
 def _closed_form_crossings(nu_star: float, t: float) -> tuple[float, float]:
     """Roots nu_l <= nu_hi of nu^2 - (T + nu*) nu + 2 nu* T = 0, where the
     statistic at T meets the closed form between nu* and T. For T >= t_tilde,
@@ -218,40 +203,87 @@ def _closed_form_crossings(nu_star: float, t: float) -> tuple[float, float]:
     return 2.0 * nu_star * t / nu_hi, nu_hi
 
 
+def _excess(nu: float, t: float, rho: float, nu_star: float, nu_tilde: float, cont_nu: list, cont_c: list,
+            panel: int) -> tuple[float, float]:
+    """(t2 - c, its derivative in nu) at nu, for the statistic at T = t
+    against the curve built so far: the closed form up to nu_tilde, then
+    the knots ``cont_nu``/``cont_c``, held past the last one. The knot
+    panel is found by bisection from ``panel``, a lower bound on its index."""
+    r2 = rho * rho
+    u = nu - t
+    nu_u, uu = nu * u, u * u
+    w = r2 * t * t + (1.0 - r2) * uu
+    t2, t2_slope = nu_u * nu_u / w, 2.0 * nu_u * ((nu + u) * w - (1.0 - r2) * nu * uu) / (w * w)
+    if nu <= nu_tilde:
+        s = nu / nu_star - 1.0
+        e = r2 * s * s + (1.0 - r2)
+        return t2 - nu * nu / e, t2_slope - 2.0 * nu * (e - nu * r2 * s / nu_star) / (e * e)
+    i = bisect_right(cont_nu, nu, panel)
+    if i == len(cont_nu):
+        return t2 - cont_c[-1], t2_slope
+    slope = (cont_c[i] - cont_c[i - 1]) / (cont_nu[i] - cont_nu[i - 1])
+    return t2 - (cont_c[i - 1] + (nu - cont_nu[i - 1]) * slope), t2_slope - slope
+
+
+def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: float, nu_tilde: float,
+                     cont_nu: list, cont_c: list, panel: int) -> float:
+    """The middle crossing at T = t: a root of ``_excess`` at or above the
+    last one, ``lo``, in the bracket [lo, max(quad_hi, lo + T_STEP)], capped
+    below T and grown in doubling steps to a sign change. Newton steps start
+    from the secant point of the bracket ends, ``brentq``'s first step: it
+    is the exact root quad_hi on the closed segment, and where the bracket
+    holds several roots (alpha from about 0.14) it leads to the one
+    ``brentq`` found. Each iterate shrinks the bracket, a step that would
+    leave it bisects instead, and the iteration stops at a step of at most
+    ROOT_TOL or a bracket of at most 2 ROOT_TOL."""
+    cap = t * (1.0 - 1e-12)
+    hi, grow = min(max(quad_hi, lo + T_STEP), cap), T_STEP
+    g_lo = _excess(lo, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)[0]
+    if g_lo == 0.0:
+        return lo
+    for _ in range(200):
+        g_hi = _excess(hi, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)[0]
+        if g_lo * g_hi < 0.0:
+            break
+        hi, grow = min(cap, hi + grow), 2.0 * grow
+    else:
+        raise NumericalError("continuation step failed: root bracketing failure")
+    x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    for _ in range(100):
+        g, slope = _excess(x, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)
+        lo, hi = (x, hi) if (g < 0.0) == (g_lo < 0.0) else (lo, x)
+        dx = g / slope if slope != 0.0 else math.inf
+        if abs(dx) <= ROOT_TOL:
+            return min(max(x - dx, lo), hi)
+        x -= dx
+        if not lo < x < hi:  # also catches nan
+            x = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * ROOT_TOL:
+                return x
+    raise NumericalError("continuation step failed: middle crossing did not converge")
+
+
 def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float):
     """Three-crossing continuation from (t_tilde, nu_tilde) until a high
     crossing passes NU_MAX: (its knots past nu_tilde, their c, the last T).
 
     Each step at T = t_tilde + k T_STEP takes the low crossing from the
-    closed-form quadratic, the middle one by ``brentq`` on the curve built
-    so far and the high one from the acceptance-probability equation; the
-    high crossing is the new knot.
+    closed-form quadratic, the middle one from ``_middle_crossing`` on the
+    curve built so far and the high one from the acceptance-probability
+    equation; the high crossing is the new knot. The middle crossing only
+    moves up, so the index of its knot panel is a pointer that only
+    moves forward.
     """
     cont_nu = [nu_tilde]
     cont_c = [_closed(nu_tilde, rho, nu_star)]
     # at t_tilde the low and middle crossings meet in the double root
-    nu_m = 0.5 * (t_tilde + nu_star)
+    nu_m, panel = 0.5 * (t_tilde + nu_star), 1
     t = t_tilde
     for _ in range(MAX_ITER):
         t += T_STEP
         nu_l, quad_hi = _closed_form_crossings(nu_star, t)
-
-        # Middle crossing: moves up with T, capped strictly below T. Its bracket
-        # starts at the last one and grows in doubling steps until the gap
-        # changes sign. brentq keeps its function in a reference cycle, so the
-        # knots go in args: a closure would hold every finished build's knots
-        # until a full collection.
-        args = (t, rho, nu_star, nu_tilde, cont_nu, cont_c)
-        cap = t * (1.0 - 1e-12)
-        hi_m, grow = min(max(quad_hi, nu_m + T_STEP), cap), T_STEP
-        h_lo = _gap(nu_m, *args)
-        for _ in range(200):
-            if h_lo == 0.0 or h_lo * _gap(hi_m, *args) < 0.0:
-                break
-            hi_m, grow = min(cap, hi_m + grow), 2.0 * grow
-        else:
-            raise NumericalError("continuation step failed: root bracketing failure")
-        nu_m = float(brentq(_gap, nu_m, hi_m, args=args, xtol=ROOT_TOL))
+        nu_m = _middle_crossing(nu_m, quad_hi, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)
+        panel = bisect_right(cont_nu, nu_m, panel)
 
         if not nu_star <= nu_l <= nu_m <= t:
             raise NumericalError("crossing order violated")
@@ -276,29 +308,28 @@ def _base_grid(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / NU_STEP)) + 1))
 
 
-def _refine_knots(c, base: np.ndarray, pairs: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
-    """Knots for c over the panels of ``base``, halved until the
-    piecewise-linear interpolant tracks c to ~5e-7, merged with the knots
-    already in ``pairs``."""
-    stack = [(float(base[i]), float(base[i + 1])) for i in range(len(base) - 2, -1, -1)]
-    while stack:
-        a, b = stack.pop()
+def _refine_knots(c, base: np.ndarray, extra: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Knots for c (a map of arrays) over the panels of ``base``, halved
+    until the piecewise-linear interpolant tracks c to ~5e-7, merged with
+    the knots at ``extra``. One numpy pass per halving level; a panel that
+    is not split gives its midpoint and its right end."""
+    a, b, extra = base[:-1], base[1:], np.asarray(extra, dtype=float)
+    ca, cb = c(a), c(b)
+    nus, cs = [extra], [c(extra)]
+    while a.size:
         mid = 0.5 * (a + b)
-        ca, cb, cm = c(a), c(b), c(mid)
-        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * ROOT_TOL:
-            stack.append((mid, b))
-            stack.append((a, mid))
-        else:
-            pairs.append((mid, cm))
-            pairs.append((b, cb))
-    pairs.sort()
-    nus: list[float] = []
-    cs: list[float] = []
-    for nu, cc in pairs:
-        if not nus or nu > nus[-1]:
-            nus.append(nu)
-            cs.append(cc)
-    return nus, cs
+        cm = c(mid)
+        split = (np.abs(cm - 0.5 * (ca + cb)) > 5e-7) & (b - a > 64 * ROOT_TOL)
+        leaf = ~split
+        nus += [mid[leaf], b[leaf]]
+        cs += [cm[leaf], cb[leaf]]
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        ca, cb = np.concatenate([ca[split], cm[split]]), np.concatenate([cm[split], cb[split]])
+    nu, cc = np.concatenate(nus), np.concatenate(cs)
+    order = np.argsort(nu, kind="stable")
+    nu, cc = nu[order], cc[order]
+    keep = np.concatenate([[True], nu[1:] > nu[:-1]])
+    return nu[keep], cc[keep]
 
 
 def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
@@ -310,18 +341,14 @@ def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
     nu_star keeps the panel error quadratically small in the distance to
     the contact and removes that sliver.
     """
-
-    def c(nu):
-        return _closed(nu, rho_abs, nu_star)
-
     base = _base_grid(nu_star, nu_end)
-    pairs = [(float(base[0]), c(base[0]))]
+    ladder = [float(base[0])]
     eps = 1e-8 * max(nu_star, 1.0)
     first_step = float(base[1] - base[0])
     while eps < first_step and nu_star + eps < nu_end:
-        pairs.append((nu_star + eps, c(nu_star + eps)))
+        ladder.append(nu_star + eps)
         eps *= 1.4
-    return _refine_knots(c, base, pairs)
+    return _refine_knots(lambda nu: _closed(nu, rho_abs, nu_star), base, ladder)
 
 
 def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
@@ -351,14 +378,10 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}, got {float(rho)!r}")
 
     def curve(nus, cs, domain_low, **extra):
-        knots_nu, knots_c = np.array(nus), np.array(cs)
-        return CriticalValueCurve(rho_abs, alpha, knots_nu, knots_c, domain_low, **extra)
+        return CriticalValueCurve(rho_abs, alpha, nus, cs, domain_low, **extra)
 
     if rho_abs < RHO_BUILD_FLOOR:
-        def limit(nu):
-            return small_rho_limit_c(nu, alpha)
-
-        return curve(*_refine_knots(limit, _base_grid(0.0, NU_MAX), [(0.0, 0.0)]), 0.0)
+        return curve(*_refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0]), 0.0)
 
     nu_star, _ = fixed_point(rho_abs, alpha)
     t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
@@ -372,7 +395,7 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
-    knots = curve(nus + cont_nu, cs + cont_c, nu_star, t_tilde=t_tilde, t_last=t_last)
+    knots = curve(np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c]), nu_star, t_tilde=t_tilde, t_last=t_last)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots

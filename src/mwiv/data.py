@@ -9,6 +9,7 @@ instrument per judge, indicator form). CSV layout: header row with columns
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,34 +82,32 @@ class Dataset:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV (header ``y,x`` plus ``z1..zK`` or ``judge``)."""
+    """Read a dataset CSV (header ``y,x`` plus ``z1..zK`` or ``judge``).
+
+    The header is checked first; the rows are then parsed by one
+    ``np.loadtxt`` call, which skips blank lines."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError("dataset parse error: empty file")
+            names = [h.strip() for h in header]
+            for required in ("y", "x"):
+                if required not in names:
+                    raise DataError(f"dataset missing column '{required}'")
+            judge_form = "judge" in names
+            z_cols = [] if judge_form else [name for name in names if name.startswith("z")]
+            if not judge_form and (not z_cols or sorted(z_cols) != [f"z{i}" for i in range(1, len(z_cols) + 1)]):
+                raise DataError("dataset missing column 'z1..zK' or 'judge'")
+            with warnings.catch_warnings():
+                # a header without rows is reported as ragged below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read dataset: {exc}") from exc
-    if header is None:
-        raise DataError("dataset parse error: empty file")
-    names = [h.strip() for h in header]
-    for required in ("y", "x"):
-        if required not in names:
-            raise DataError(f"dataset missing column '{required}'")
-    judge_form = "judge" in names
-    if judge_form:
-        z_cols = []
-    else:
-        z_cols = [name for name in names if name.startswith("z")]
-        expected = [f"z{i}" for i in range(1, len(z_cols) + 1)]
-        if not z_cols or sorted(z_cols) != sorted(expected):
-            raise DataError("dataset missing column 'z1..zK' or 'judge'")
-    width = len(names)
-    try:
-        table = np.array([[float(cell) for cell in row] for row in rows], dtype=float)
     except ValueError as exc:
         raise DataError(f"dataset parse error: {exc}") from exc
-    if table.ndim != 2 or table.shape[1] != width:
+    if table.shape[1] != len(names):
         raise DataError("dataset parse error: ragged rows")
     col = {name: table[:, i] for i, name in enumerate(names)}
     y, x = col["y"], col["x"]

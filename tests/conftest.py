@@ -6,13 +6,15 @@ moments from explicit double loops, and the conditional size auditor
 integrates the normal law directly against a built curve. None of it
 shares kernels with the package, so agreement is evidence rather than
 tautology. The loop oracles at the end (``oracle_cw_quantile``,
-``oracle_decide``, ``oracle_normalized_stats``) are different: they are
-the package's earlier scalar, per-point paths, kept so the array paths
-that replaced them can be checked against them.
+``oracle_decide``, ``oracle_normalized_stats``, ``oracle_vtfo_curve``)
+are different: they are the package's earlier scalar, per-point paths,
+kept so the array and Newton paths that replaced them can be checked
+against them.
 """
 
 import math
 import os
+from bisect import bisect_right
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from scipy.stats import norm
 
 from mwiv import (
     METHODS,
+    RHO_BUILD_FLOOR,
     RHO_CAP,
     CurveCache,
     CurveLibrary,
@@ -37,7 +40,8 @@ from mwiv import (
     t_squared_from_triple,
     two_sided_chi2,
 )
-from mwiv.critval import t2_w_curve
+from mwiv import critval
+from mwiv.critval import find_tangency, fixed_point, small_rho_limit_c, t2_w_curve
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -356,3 +360,123 @@ def oracle_normalized_stats(ctx, data, beta0):
         q_xx=q_xx,
         b_xxxx=b_xxxx,
     )
+
+
+
+def _oracle_refine_knots(c, base, pairs):
+    """The scalar knot refinement: a depth-first stack of panels, each
+    halved until c at its midpoint is within 5e-7 of the chord (or the
+    panel is 64 ROOT_TOL wide), merged with ``pairs`` and deduplicated in
+    a loop."""
+    stack = [(float(base[i]), float(base[i + 1])) for i in range(len(base) - 2, -1, -1)]
+    while stack:
+        a, b = stack.pop()
+        mid = 0.5 * (a + b)
+        ca, cb, cm = c(a), c(b), c(mid)
+        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * critval.ROOT_TOL:
+            stack.append((mid, b))
+            stack.append((a, mid))
+        else:
+            pairs.append((mid, cm))
+            pairs.append((b, cb))
+    pairs.sort()
+    nus, cs = [], []
+    for nu, cc in pairs:
+        if not nus or nu > nus[-1]:
+            nus.append(nu)
+            cs.append(cc)
+    return nus, cs
+
+
+def _oracle_closed_form_knots(rho_abs, nu_star, nu_end):
+    """Closed-form knots on [nu*, nu_end] with the geometric ladder out of
+    nu*, one scalar formula call per point."""
+
+    def c(nu):
+        return critval._closed(nu, rho_abs, nu_star)
+
+    base = critval._base_grid(nu_star, nu_end)
+    pairs = [(float(base[0]), c(base[0]))]
+    eps = 1e-8 * max(nu_star, 1.0)
+    first_step = float(base[1] - base[0])
+    while eps < first_step and nu_star + eps < nu_end:
+        pairs.append((nu_star + eps, c(nu_star + eps)))
+        eps *= 1.4
+    return _oracle_refine_knots(c, base, pairs)
+
+
+def _oracle_gap(nu, t, rho_abs, nu_star, nu_tilde, cont_nu, cont_c):
+    """t2 - c at nu against the curve built so far: the closed form up to
+    nu_tilde, then the continuation knots, held past the last one."""
+    if nu <= nu_tilde:
+        c = critval._closed(nu, rho_abs, nu_star)
+    else:
+        i = bisect_right(cont_nu, nu)
+        if i == len(cont_nu):
+            c = cont_c[-1]
+        else:
+            x0, y0, x1, y1 = cont_nu[i - 1], cont_c[i - 1], cont_nu[i], cont_c[i]
+            c = y0 + (nu - x0) / (x1 - x0) * (y1 - y0)
+    return t2_w_curve(nu, t, rho_abs) - c
+
+
+def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde):
+    """The continuation with its middle crossing from ``brentq`` on the
+    bracket the package grows: (knots past nu_tilde, their c, the last T)."""
+    cont_nu = [nu_tilde]
+    cont_c = [critval._closed(nu_tilde, rho, nu_star)]
+    nu_m = 0.5 * (t_tilde + nu_star)
+    t = t_tilde
+    for _ in range(critval.MAX_ITER):
+        t += critval.T_STEP
+        nu_l, quad_hi = critval._closed_form_crossings(nu_star, t)
+        args = (t, rho, nu_star, nu_tilde, cont_nu, cont_c)
+        cap = t * (1.0 - 1e-12)
+        hi_m, grow = min(max(quad_hi, nu_m + critval.T_STEP), cap), critval.T_STEP
+        h_lo = _oracle_gap(nu_m, *args)
+        for _ in range(200):
+            if h_lo == 0.0 or h_lo * _oracle_gap(hi_m, *args) < 0.0:
+                break
+            hi_m, grow = min(cap, hi_m + grow), 2.0 * grow
+        else:
+            raise NumericalError("continuation step failed: root bracketing failure")
+        nu_m = float(brentq(_oracle_gap, nu_m, hi_m, args=args, xtol=critval.ROOT_TOL))
+        if not nu_star <= nu_l <= nu_m <= t:
+            raise NumericalError("crossing order violated")
+        hump_prob = float(ndtr((nu_m - t) / rho) - ndtr((nu_l - t) / rho))
+        target = 1.0 - alpha + hump_prob
+        if not 0.5 < target < 1.0:
+            raise NumericalError("continuation step failed: acceptance probability out of range")
+        nu_h = t + rho * float(ndtri(target))
+        if nu_h <= cont_nu[-1]:
+            raise NumericalError("continuation step failed: frontier did not advance")
+        cont_nu.append(nu_h)
+        cont_c.append(t2_w_curve(nu_h, t, rho))
+        if nu_h >= critval.NU_MAX:
+            return cont_nu[1:], cont_c[1:], t
+    raise NumericalError("continuation step failed: NU_MAX not reached")
+
+
+def oracle_vtfo_curve(rho, alpha=0.05):
+    """The curve build with scalar loops: knot refinement panel by panel
+    and the continuation's middle crossing from ``brentq``. Returns
+    (knots_nu, knots_c, domain_low, t_tilde, t_last, n_closed), where the
+    first ``n_closed`` knots are closed-form or limit knots; a failed
+    continuation raises the package's NumericalError message."""
+    rho_abs = abs(float(rho))
+    if rho_abs < RHO_BUILD_FLOOR:
+        nus, cs = _oracle_refine_knots(
+            lambda nu: small_rho_limit_c(nu, alpha), critval._base_grid(0.0, critval.NU_MAX), [(0.0, 0.0)]
+        )
+        return np.array(nus), np.array(cs), 0.0, None, None, len(nus)
+    nu_star, _ = fixed_point(rho_abs, alpha)
+    t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
+    if t_tilde >= critval.NU_MAX:
+        nus, cs = _oracle_closed_form_knots(rho_abs, nu_star, critval.NU_MAX)
+        return np.array(nus), np.array(cs), nu_star, None, None, len(nus)
+    nus, cs = _oracle_closed_form_knots(rho_abs, nu_star, nu_tilde)
+    try:
+        cont_nu, cont_c, t_last = _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde)
+    except NumericalError as exc:
+        raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
+    return np.array(nus + cont_nu), np.array(cs + cont_c), nu_star, t_tilde, t_last, len(nus)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mwiv import JudgeDesignSpec, simulate_judge_data, write_dataset_csv
+from mwiv import JudgeDesignSpec, read_dataset_csv, simulate_judge_data, write_dataset_csv
 from mwiv.cli import main
 
 NU_STAR_HALF = 0.8224268134757361
@@ -86,6 +86,33 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert code == 2
         assert "dataset missing column 'x'" in err
+
+    @pytest.mark.parametrize("body", [
+        "1.0,abc,0\n2.0,3.0,1\n",  # a cell that is not a number
+        "1.0,,0\n2.0,3.0,1\n",  # an empty cell
+        "1.0,2.0,0\n2.0,3.0\n",  # rows of different widths
+        "1.0,2.0,0,5\n2.0,3.0,1,5\n",  # rows wider than the header
+        "",  # a header without rows
+        "1.0,2.0,0.5\n2.0,3.0,1\n3.0,4.0,1\n",  # a judge label that is not an integer
+    ])
+    def test_bad_rows(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x,judge\n" + body)
+        code = main(["estimate", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: dataset parse error: ")
+
+    def test_blank_lines_and_quotes(self, tmp_path):
+        rows = [f"{i}.5,{(i * 7) % 5}.25,{i % 3}\n" for i in range(12)]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("y,x,judge\n" + "".join(rows))
+        rows[3] = '"' + rows[3].replace(",", '","').rstrip("\n") + '"\n\n'
+        marked.write_text(" y , x , judge\n\n" + "".join(rows) + "\n")
+        a, b = read_dataset_csv(plain), read_dataset_csv(marked)
+        for name in ("y", "x", "instruments"):
+            got, want = getattr(b, name), getattr(a, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_nonfinite_instruments(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

@@ -35,7 +35,7 @@ from mwiv import (
 from mwiv import critval
 from mwiv.critval import t2_w_curve
 
-from conftest import conditional_reject_prob, oracle_cw_quantile
+from conftest import conditional_reject_prob, oracle_cw_quantile, oracle_vtfo_curve
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -138,17 +138,17 @@ class TestContinuation:
         assert abs(conditional_reject_prob(curve, t) - 0.05) <= 1e-6
 
     def test_high_knot_later_becomes_middle_crossing(self, monkeypatch):
-        # each step's middle crossing is its brentq root; the high crossings
-        # are the knots past nu_tilde
+        # each step's middle crossing is what _middle_crossing returns; the
+        # high crossings are the knots past nu_tilde
         rho = 0.5
         mids = []
-        solve = critval.brentq
+        solve = critval._middle_crossing
 
-        def record(*args, **kwargs):
-            mids.append(solve(*args, **kwargs))
+        def record(*args):
+            mids.append(solve(*args))
             return mids[-1]
 
-        monkeypatch.setattr(critval, "brentq", record)
+        monkeypatch.setattr(critval, "_middle_crossing", record)
         _, nu_tilde = find_tangency(rho, 0.05)
         curve = build_vtfo_curve(rho, 0.05)
         highs = curve.knots_nu[curve.knots_nu > nu_tilde]
@@ -185,7 +185,71 @@ class TestContinuation:
             assert abs(t2_w_curve(nu_l, t, rho) - c) <= 1e-12 * c
 
 
+# The curves checked against the loop oracle: the small-rho limit, the
+# build floor, grid values up to the cap and one off-grid value.
+LOOP_ORACLE_RHO = [0.01, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9959, 0.9999]
+
+
+class TestLoopOracle:
+    """A build against ``oracle_vtfo_curve``: the knot refinement panel by
+    panel and the middle crossing from ``brentq``."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("rho", LOOP_ORACLE_RHO)
+    def test_knots_match(self, rho, alpha):
+        nu, c, domain_low, t_tilde, t_last, n_closed = oracle_vtfo_curve(rho, alpha)
+        curve = build_vtfo_curve(rho, alpha)
+        assert curve.knots_nu.size == nu.size
+        assert (curve.domain_low, curve.t_tilde, curve.t_last) == (domain_low, t_tilde, t_last)
+        # closed-form and limit knots: the same nu; c from array arithmetic
+        # instead of scalar, within a few ulp
+        assert np.array_equal(curve.knots_nu[:n_closed], nu[:n_closed])
+        ulp = np.spacing(np.abs(c[:n_closed]))
+        assert np.all(np.abs(curve.knots_c[:n_closed] - c[:n_closed]) <= 4 * ulp)
+        # continuation knots: both solvers stop within about ROOT_TOL of the
+        # middle crossing; the high-crossing quantile amplifies the gap most
+        # at small rho
+        assert np.max(np.abs(curve.knots_nu[n_closed:] - nu[n_closed:]), initial=0.0) <= 1e-8
+        assert np.max(np.abs(curve.knots_c[n_closed:] - c[n_closed:]), initial=0.0) <= 1e-6
+
+
+# Outcomes of the brentq continuation at high levels, where some steps meet
+# five crossings: per alpha, the knot counts of the rho values in
+# HIGH_ALPHA_RHO that build (always the first ones); the others fail.
+HIGH_ALPHA_RHO = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9)
+HIGH_ALPHA_KNOTS = {
+    0.14: (4235, 4517, 4721, 5509, 6071, 6334, 6270, 6915, 7430, 8945, 10239, 12448),
+    0.15: (4236, 4501, 4697, 5442, 5994, 6242, 6183, 6785, 7298, 8736, 9992, 12098),
+    0.16: (4220, 4472, 4668, 5386, 5908, 6141, 6101, 6665, 7169, 8539, 9747, 11781),
+    0.17: (4221, 4457, 4643, 5330, 5840, 6071, 6008, 6580, 7048, 8384, 9485, 11474),
+    0.18: (4205, 4443, 4622, 5283),
+    0.19: (4206, 4428, 4600),
+    0.2: (4191, 4412),
+    0.22: (4191,),
+    0.25: (),
+    0.3: (),
+    0.35: (),
+    0.4: (),
+    0.45: (),
+}
+
+
 class TestBuildCurve:
+    @pytest.mark.parametrize("alpha", list(HIGH_ALPHA_KNOTS))
+    def test_high_alpha_outcomes(self, alpha):
+        # builds succeed with the same knot count or fail with the same
+        # message as with the brentq middle crossing
+        knots = HIGH_ALPHA_KNOTS[alpha]
+        for i, rho in enumerate(HIGH_ALPHA_RHO):
+            if i < len(knots):
+                assert build_vtfo_curve(rho, alpha).knots_nu.size == knots[i], rho
+                continue
+            reason = "root bracketing failure" if (rho, alpha) == (0.02, 0.45) else "frontier did not advance"
+            want = f"vtfo curve build failed at rho={rho!r}, alpha={alpha!r}: continuation step failed: {reason}"
+            with pytest.raises(NumericalError) as info:
+                build_vtfo_curve(rho, alpha)
+            assert str(info.value) == want
+
     def test_closed_form_only_past_build_range(self, monkeypatch):
         # t_tilde >= NU_MAX: no continuation; at the cap that takes alpha
         # below about 3.4e-12, so the build range is moved here instead
@@ -204,9 +268,9 @@ class TestBuildCurve:
         assert curve.t_last == t_tilde + critval.T_STEP
 
     def test_build_leaves_no_state_behind(self):
-        # brentq keeps its function in a reference cycle; a build must not
-        # hang its continuation knots on it, or finished builds pile up
-        # until a full garbage collection
+        # a build must not leave its continuation knots in a reference
+        # cycle (a root solver holding a closure over them, say), or
+        # finished builds pile up until a full garbage collection
         gc.disable()
         try:
             curve = build_vtfo_curve(0.5, 0.05)
@@ -607,7 +671,9 @@ class TestSnapAndCache:
         first = cache.get(0.35, 0.05)
         assert cache.get(0.35, 0.05) is first
         files = os.listdir(tmp_path)
-        assert len(files) == 1 and files[0].startswith("vtfo_rho0.35_alpha0.05_")
+        # the key covers the file format, the build constants and the root
+        # solver; files of the brentq continuation carried b0709dada779
+        assert files == ["vtfo_rho0.35_alpha0.05_77a0cd2d8b2d.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))

@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Time vtfo curve builds per (rho, alpha), split into their two parts.
+
+    python3 tools/build_times.py --rho 0.1,0.5,0.99,0.9999 --alpha 0.05 --repeat 5
+
+For each pair it builds the curve ``--repeat`` times and prints the
+fastest build with its split: the continuation (``critval._continuation``)
+and the rest, which is nearly all closed-form knots (small-rho limit knots
+below the build floor). One more, untimed build counts the continuation's
+steps and its gap evaluations, the calls to the function whose root is
+the middle crossing (``critval._excess``, or ``critval._gap`` in checkouts
+that solve it with ``brentq``). ``--src`` picks the source tree to import
+``mwiv`` from, so the same script times another checkout. Uses numpy and
+mwiv only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _wrapped(module, name, hook):
+    """Replace ``module.name`` by ``hook(original)``; returns the original."""
+    original = getattr(module, name)
+    setattr(module, name, hook(original))
+    return original
+
+
+def time_build(critval, rho: float, alpha: float) -> tuple[float, float, int]:
+    """(build seconds, continuation seconds, knots) of one build."""
+    spent = [0.0]
+
+    def hook(continuation):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return continuation(*args)
+            finally:
+                spent[0] += time.perf_counter() - start
+
+        return timed
+
+    original = _wrapped(critval, "_continuation", hook)
+    try:
+        start = time.perf_counter()
+        curve = critval.build_vtfo_curve(rho, alpha)
+        total = time.perf_counter() - start
+    finally:
+        critval._continuation = original
+    return total, spent[0], curve.knots_nu.size
+
+
+def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
+    """(continuation steps, gap evaluations) of one build."""
+    calls = [0]
+    steps = [0]
+
+    def counter(gap):
+        def counted(*args):
+            calls[0] += 1
+            return gap(*args)
+
+        return counted
+
+    def stepper(continuation):
+        def counted(*args):
+            out = continuation(*args)
+            steps[0] += len(out[0])
+            return out
+
+        return counted
+
+    gap_name = "_excess" if hasattr(critval, "_excess") else "_gap"
+    gap = _wrapped(critval, gap_name, counter)
+    continuation = _wrapped(critval, "_continuation", stepper)
+    try:
+        critval.build_vtfo_curve(rho, alpha)
+    finally:
+        setattr(critval, gap_name, gap)
+        critval._continuation = continuation
+    return steps[0], calls[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rho", default="0.1,0.5,0.9,0.99,0.9999", help="comma-separated |rho| values")
+    parser.add_argument("--alpha", default="0.05", help="comma-separated levels")
+    parser.add_argument("--repeat", type=int, default=5, help="builds per pair; the fastest is shown")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree holding mwiv")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from mwiv import critval
+
+    print(f"{'rho':>7} {'alpha':>6} {'knots':>8} {'build_s':>9} {'closed_s':>9} {'cont_s':>9} "
+          f"{'steps':>6} {'evals/step':>10}")
+    for alpha in (float(a) for a in args.alpha.split(",")):
+        for rho in (float(r) for r in args.rho.split(",")):
+            runs = [time_build(critval, rho, alpha) for _ in range(args.repeat)]
+            total, cont, knots = min(runs)
+            steps, evals = count_steps(critval, rho, alpha)
+            per_step = f"{evals / steps:10.2f}" if steps else f"{'-':>10}"
+            print(f"{rho:7.4g} {alpha:6.3g} {knots:8d} {total:9.4f} {total - cont:9.4f} {cont:9.4f} "
+                  f"{steps:6d} {per_step}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
