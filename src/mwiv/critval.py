@@ -11,11 +11,11 @@ Three families live here:
   for every conditioning value 0 <= T <= t_last, the last continuation
   step. Each step takes its low crossing from a quadratic root and solves
   only the middle one numerically, by a safeguarded Newton iteration in
-  plain floats. Past the last knot the curve holds its
-  final value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
-  constant q2 = 3.8415; there the measured conditional rejection rate at
-  alpha 0.05 stays between 0.0496 and 0.0504, so at strong identification
-  the test is the Wald test up to that cutoff gap. For T < 0 the curve is
+  plain floats. Past the last knot the curve holds its final value, which
+  at NU_MAX = 40 ends within 0.014 of the chi-squared constant q2 =
+  3.8415; there the measured conditional rejection rate at alpha 0.05
+  stays between 0.0496 and 0.0504, so at strong identification the test
+  is the Wald test up to that cutoff gap. For T < 0 the curve is
   conservative;
 * the conditional-Wald quantile c_cw(rho, T);
 * a loader for externally supplied two-sided tables in the curve CSV format.
@@ -62,7 +62,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "5"
+_FORMAT_VERSION = "6"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -78,11 +78,11 @@ NU_MAX = 40.0
 ROOT_TOL = 1e-10
 MAX_ITER = 100000
 
-_BUILD_TAG = "secant-newton"  # the middle-crossing solver; another one moves knots by ~1e-10
 # Cache files carry this key in their names, so a change to the format, to
-# any build constant or to the solver never reuses an old file.
+# any build constant or to the solver (which bumps _FORMAT_VERSION) never
+# reuses an old file.
 _CACHE_KEY = hashlib.sha256(
-    "|".join([_FORMAT_VERSION, _BUILD_TAG, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
+    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
 ).hexdigest()[:12]
 
 
@@ -227,15 +227,14 @@ def _excess(nu: float, t: float, rho: float, nu_star: float, nu_tilde: float, co
 
 def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: float, nu_tilde: float,
                      cont_nu: list, cont_c: list, panel: int) -> float:
-    """The middle crossing at T = t: a root of ``_excess`` at or above the
-    last one, ``lo``, in the bracket [lo, max(quad_hi, lo + T_STEP)], capped
-    below T and grown in doubling steps to a sign change. Newton steps start
-    from the secant point of the bracket ends, ``brentq``'s first step: it
-    is the exact root quad_hi on the closed segment, and where the bracket
-    holds several roots (alpha from about 0.14) it leads to the one
-    ``brentq`` found. Each iterate shrinks the bracket, a step that would
-    leave it bisects instead, and the iteration stops at a step of at most
-    ROOT_TOL or a bracket of at most 2 ROOT_TOL."""
+    """The middle crossing at T = t: a root of ``_excess`` in the bracket
+    [lo, max(quad_hi, lo + T_STEP)], lo the last crossing, capped below T
+    and grown in doubling steps to a sign change. Newton steps start from
+    the secant point of the bracket ends (the exact root quad_hi on the
+    closed segment; where the bracket holds several roots, from alpha about
+    0.14, it leads to the root brentq finds). A step that would leave the
+    shrinking bracket bisects instead; the iteration stops at a step of at
+    most ROOT_TOL or a bracket of at most 2 ROOT_TOL."""
     cap = t * (1.0 - 1e-12)
     hi, grow = min(max(quad_hi, lo + T_STEP), cap), T_STEP
     g_lo = _excess(lo, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)[0]
@@ -271,8 +270,7 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
     closed-form quadratic, the middle one from ``_middle_crossing`` on the
     curve built so far and the high one from the acceptance-probability
     equation; the high crossing is the new knot. The middle crossing only
-    moves up, so the index of its knot panel is a pointer that only
-    moves forward.
+    moves up, and so does the index of its knot panel.
     """
     cont_nu = [nu_tilde]
     cont_c = [_closed(nu_tilde, rho, nu_star)]
@@ -320,16 +318,12 @@ def _refine_knots(c, base: np.ndarray, extra: list[float]) -> tuple[np.ndarray, 
         mid = 0.5 * (a + b)
         cm = c(mid)
         split = (np.abs(cm - 0.5 * (ca + cb)) > 5e-7) & (b - a > 64 * ROOT_TOL)
-        leaf = ~split
-        nus += [mid[leaf], b[leaf]]
-        cs += [cm[leaf], cb[leaf]]
+        nus += [mid[~split], b[~split]]
+        cs += [cm[~split], cb[~split]]
         a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
         ca, cb = np.concatenate([ca[split], cm[split]]), np.concatenate([cm[split], cb[split]])
-    nu, cc = np.concatenate(nus), np.concatenate(cs)
-    order = np.argsort(nu, kind="stable")
-    nu, cc = nu[order], cc[order]
-    keep = np.concatenate([[True], nu[1:] > nu[:-1]])
-    return nu[keep], cc[keep]
+    nu, first = np.unique(np.concatenate(nus), return_index=True)
+    return nu, np.concatenate(cs)[first]
 
 
 def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
@@ -377,17 +371,15 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     if not rho_abs <= RHO_CAP:  # also rejects nan
         raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}, got {float(rho)!r}")
 
-    def curve(nus, cs, domain_low, **extra):
-        return CriticalValueCurve(rho_abs, alpha, nus, cs, domain_low, **extra)
-
     if rho_abs < RHO_BUILD_FLOOR:
-        return curve(*_refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0]), 0.0)
+        nus, cs = _refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0])
+        return CriticalValueCurve(rho_abs, alpha, nus, cs, 0.0)
 
     nu_star, _ = fixed_point(rho_abs, alpha)
     t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
     if t_tilde >= NU_MAX:
         # the three-crossing region starts past the build range
-        return curve(*_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
+        return CriticalValueCurve(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
     nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
     try:
@@ -395,7 +387,8 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
-    knots = curve(np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c]), nu_star, t_tilde=t_tilde, t_last=t_last)
+    nus, cs = np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c])
+    knots = CriticalValueCurve(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots

@@ -82,10 +82,8 @@ class Dataset:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV (header ``y,x`` plus ``z1..zK`` or ``judge``).
-
-    The header is checked first; the rows are then parsed by one
-    ``np.loadtxt`` call, which skips blank lines."""
+    """Read a dataset CSV (header ``y,x`` plus ``z1..zK`` or ``judge``);
+    after the header checks one ``np.loadtxt`` call parses the rows."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
@@ -97,12 +95,12 @@ def read_dataset_csv(path) -> Dataset:
                     raise DataError(f"dataset missing column '{required}'")
             judge_form = "judge" in names
             z_cols = [] if judge_form else [name for name in names if name.startswith("z")]
-            if not judge_form and (not z_cols or sorted(z_cols) != [f"z{i}" for i in range(1, len(z_cols) + 1)]):
+            if not judge_form and (not z_cols or sorted(z_cols) != sorted(f"z{i}" for i in range(1, len(z_cols) + 1))):
                 raise DataError("dataset missing column 'z1..zK' or 'judge'")
             with warnings.catch_warnings():
                 # a header without rows is reported as ragged below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read dataset: {exc}") from exc
     except ValueError as exc:

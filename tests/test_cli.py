@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mwiv import JudgeDesignSpec, read_dataset_csv, simulate_judge_data, write_dataset_csv
+from mwiv import Dataset, JudgeDesignSpec, read_dataset_csv, simulate_judge_data, write_dataset_csv
 from mwiv.cli import main
 
 NU_STAR_HALF = 0.8224268134757361
@@ -79,6 +79,30 @@ class TestEstimate:
             a, b = float(reports[0][key]), float(reports[1][key])
             assert a == pytest.approx(b, rel=1e-10), key
 
+    def test_dense_with_twelve_instruments(self, tmp_path, capsys):
+        # z1..z12 sort as z1, z10, z11, z12, z2, ... by name
+        spec = JudgeDesignSpec(
+            n_judges=12, per_judge=(6,) * 12, pi=tuple(np.linspace(-1.0, 1.0, 12)),
+            beta=1.0, error_corr=0.3, seed=3,
+        )
+        judge = simulate_judge_data(spec)
+        labels = np.asarray(judge.instruments)
+        dense = Dataset(judge.y, judge.x, (labels[:, None] == np.unique(labels)).astype(float))
+        judge_path, dense_path = tmp_path / "judge.csv", tmp_path / "dense.csv"
+        write_dataset_csv(judge_path, judge)
+        write_dataset_csv(dense_path, dense)
+        back = read_dataset_csv(dense_path)
+        assert back.k == 12
+        for name in ("y", "x", "instruments"):
+            assert np.array_equal(getattr(back, name), getattr(dense, name)), name
+
+        reports = []
+        for path in (judge_path, dense_path):
+            assert main(["estimate", "--data", str(path), "--beta0", "0.5"]) == 0
+            reports.append(parse_report(capsys.readouterr().out))
+        for key in ("beta_hat", "v_hat", "nu", "rho", "t_squared"):
+            assert float(reports[0][key]) == pytest.approx(float(reports[1][key]), rel=1e-10), key
+
     def test_missing_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("y,judge\n1.0,0\n2.0,0\n")
@@ -94,6 +118,8 @@ class TestEstimate:
         "1.0,2.0,0,5\n2.0,3.0,1,5\n",  # rows wider than the header
         "",  # a header without rows
         "1.0,2.0,0.5\n2.0,3.0,1\n3.0,4.0,1\n",  # a judge label that is not an integer
+        "#1.0,2.0,0\n2.0,3.0,1\n3.0,4.0,1\n",  # a row that starts with '#'
+        "1.0,2.0,0#x\n2.0,3.0,1\n3.0,4.0,1\n",  # a '#' inside a row
     ])
     def test_bad_rows(self, tmp_path, capsys, body):
         path = tmp_path / "bad.csv"

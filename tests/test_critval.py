@@ -671,9 +671,9 @@ class TestSnapAndCache:
         first = cache.get(0.35, 0.05)
         assert cache.get(0.35, 0.05) is first
         files = os.listdir(tmp_path)
-        # the key covers the file format, the build constants and the root
-        # solver; files of the brentq continuation carried b0709dada779
-        assert files == ["vtfo_rho0.35_alpha0.05_77a0cd2d8b2d.bin"]
+        # the key covers the file format and the build constants; files of
+        # the brentq continuation (format "5") carried b0709dada779
+        assert files == ["vtfo_rho0.35_alpha0.05_2d22551741ce.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))
