@@ -262,15 +262,18 @@ def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: f
     raise NumericalError("continuation step failed: middle crossing did not converge")
 
 
-def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float):
+def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float,
+                  nu_max: float = NU_MAX):
     """Three-crossing continuation from (t_tilde, nu_tilde) until a high
-    crossing passes NU_MAX: (its knots past nu_tilde, their c, the last T).
+    crossing passes ``nu_max``: (its knots past nu_tilde, their c, the last T).
 
     Each step at T = t_tilde + k T_STEP takes the low crossing from the
     closed-form quadratic, the middle one from ``_middle_crossing`` on the
     curve built so far and the high one from the acceptance-probability
     equation; the high crossing is the new knot. The middle crossing only
-    moves up, and so does the index of its knot panel.
+    moves up, and so does the index of its knot panel. No step depends on
+    ``nu_max``, so a stop below NU_MAX gives the first knots of the full
+    run, bit for bit.
     """
     cont_nu = [nu_tilde]
     cont_c = [_closed(nu_tilde, rho, nu_star)]
@@ -297,7 +300,7 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
             raise NumericalError("continuation step failed: frontier did not advance")
         cont_nu.append(nu_h)
         cont_c.append(t2_w_curve(nu_h, t, rho))
-        if nu_h >= NU_MAX:
+        if nu_h >= nu_max:
             return cont_nu[1:], cont_c[1:], t
     raise NumericalError("continuation step failed: NU_MAX not reached")
 
@@ -345,7 +348,7 @@ def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
     return _refine_knots(lambda nu: _closed(nu, rho_abs, nu_star), base, ladder)
 
 
-def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
+def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
     Closed-form knots run from nu* to nu_tilde (``find_tangency``), then
@@ -353,6 +356,16 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
     crossing passes NU_MAX. When t_tilde >= NU_MAX the three-crossing
     region starts past the build range and the closed form alone is the
     curve (at the cap, alpha below about 3.4e-12).
+
+    ``nu_max`` is the largest nu the caller will read. Below NU_MAX the
+    continuation stops once its high crossing passes it, and at or below
+    nu_tilde it does not run at all. Such a curve is a prefix: its knots
+    are the full curve's first knots bit for bit, so up to ``nu_max`` it
+    evaluates exactly as the full curve does, and past its last knot it is
+    not the curve. The closed-form knots always span [nu*, nu_tilde],
+    because their base panels depend on the end point, and the small-rho
+    limit and closed-form-only curves are always built in full. A
+    non-finite ``nu_max`` builds the full curve.
 
     The construction only sees rho through rho^2 and |rho|, so the sign of
     rho is irrelevant. Below RHO_BUILD_FLOOR the continuation is
@@ -382,8 +395,11 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05) -> CriticalValueCurve:
         return CriticalValueCurve(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
     nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
+    if nu_max <= nu_tilde:
+        return CriticalValueCurve(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
+    stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     try:
-        cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde)
+        cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
@@ -750,7 +766,11 @@ class CurveCache:
     def _filename(self, rho_abs: float, alpha: float) -> str:
         return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}.bin"
 
-    def get(self, rho: float, alpha: float = 0.05) -> CriticalValueCurve:
+    def get(self, rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) -> CriticalValueCurve:
+        """The full curve for (|rho|, alpha) from memory, then from disk,
+        else built and stored in both. ``nu_max`` below NU_MAX is the
+        largest nu the caller reads: on a miss the curve is then built only
+        that far (``build_vtfo_curve``) and returned without being stored."""
         rho_abs = abs(float(rho))
         key = (repr(rho_abs), repr(float(alpha)))
         hit = self._memory.get(key)
@@ -763,6 +783,8 @@ class CurveCache:
             if hit is not None:
                 self._memory[key] = hit
                 return hit
+        if nu_max < NU_MAX:
+            return build_vtfo_curve(rho_abs, alpha, nu_max)
         curve = build_vtfo_curve(rho_abs, alpha)
         if path is not None:
             try:

@@ -137,7 +137,11 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
       the curve built at exactly |rho|, capped at RHO_CAP (the capped curve
       sits above, so it stays valid); snapping would move vtfo power by up
       to 0.037 on the benchmark designs (0.5804 to 0.5432 at s 2, r -0.3,
-      delta 2, rho 0.931). cw interpolates between 512 quantiles on T's range.
+      delta 2, rho 0.931). Unless the cache already holds that curve in
+      full, it is built only up to the largest nu read (a NaN builds it
+      in full) and not cached: the power lab's draws rarely pass nu 7, and
+      the prefix gives the same critical values bit for bit. cw
+      interpolates between 512 quantiles on T's range.
 
     vtf interpolates the external table at rho either way.
     """
@@ -146,7 +150,10 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     known = np.ndim(rho) == 0
     nu = np.broadcast_to(stats.nu, np.shape(stats.t_squared))
     if method == "vtfo":
-        bins = np.broadcast_to(min(abs(rho), RHO_CAP) if known else snap_rho_to_grid(rho), nu.shape)
+        if known:
+            curve = curves.cache.get(min(abs(rho), RHO_CAP), alpha, nu_max=np.max(nu, initial=-np.inf))
+            return stats.t_squared, curve.evaluate_array(nu)
+        bins = np.broadcast_to(snap_rho_to_grid(rho), nu.shape)
         critical = np.full(nu.shape, np.nan)
         for r in np.unique(bins):
             rows = bins == r

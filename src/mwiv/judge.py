@@ -9,6 +9,7 @@ judges when wanted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +24,17 @@ __all__ = [
     "simulate_judge_data",
     "judge_population_moments",
 ]
+
+
+def _check_seed(seed) -> None:
+    """Raise a DataError unless ``seed`` is a nonnegative integer, the
+    seeds ``np.random.SeedSequence`` takes as one value."""
+    try:
+        ok = operator.index(seed) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,7 @@ class JudgeDesignSpec:
             if len(scales) != self.n_judges or any(s < 0.0 for s in scales):
                 raise DataError("invalid design: judge_error_scale needs one nonnegative value per judge")
             object.__setattr__(self, "judge_error_scale", scales)
+        _check_seed(self.seed)
 
     @property
     def n(self) -> int:

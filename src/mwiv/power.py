@@ -19,6 +19,7 @@ from .critval import _check_alpha
 from .errors import DataError
 from .estimators import NormalizedStats, _normalize
 from .inference import CurveLibrary, _check_method, decide
+from .judge import _check_seed
 
 __all__ = [
     "AsymptoticDGP",
@@ -127,6 +128,7 @@ def draw_q_tr(dgp: AsymptoticDGP, n_draws: int, seed: int) -> np.ndarray:
     identical seeds give identical draws."""
     if n_draws < 1:
         raise DataError("n_draws must be >= 1")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     return _draw_with_rng(dgp, n_draws, rng)
 
@@ -196,6 +198,7 @@ def rejection_rates(
     _check_alpha(alpha)
     if n_draws < 1:
         raise DataError("n_draws must be >= 1")
+    _check_seed(seed)
     methods = tuple(methods)
     curves = curves if curves is not None else CurveLibrary()
     for m in methods:

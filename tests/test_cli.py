@@ -447,7 +447,32 @@ class TestPower:
         assert "unknown method" in capsys.readouterr().err
 
 
+    def test_default_run_caches_no_curve(self, tmp_path, capsys):
+        # the exact-rho curves of the lab are prefixes, never cached
+        cache = tmp_path / "cache"
+        assert main(["power", "--cache-dir", str(cache), "--out", str(tmp_path / "power.csv")]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not cache.exists() or not list(cache.glob("vtfo*"))
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed(self, tmp_path, capsys, seed):
+        code = main(["power", "--grid", "0:0:1", "--draws", "10", "--seed", seed, "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: seed must be a nonnegative integer, got {seed}\n"
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed(self, tmp_path, capsys, seed):
+        out_path = tmp_path / "data.csv"
+        code = main(["simulate", "--judges", "2", "--cluster-size", "3", "--seed", seed, "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == f"error: seed must be a nonnegative integer, got {seed}\n"
+
     def test_deterministic_and_roundtrip(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = [

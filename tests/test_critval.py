@@ -377,6 +377,84 @@ class TestBuildCurve:
             CurveCache(directory=str(tmp_path)).get(float("nan"), 0.05)
 
 
+PREFIX_RHO = [0.1, 0.3, 0.5, 0.9, 0.99, RHO_CAP]
+
+
+def _prefix_stops(rho):
+    """Stop points below nu*, inside [nu*, nu_tilde], exactly nu_tilde and
+    above it."""
+    nu_star, _ = fixed_point(rho, 0.05)
+    _, nu_tilde = find_tangency(rho, 0.05)
+    return [0.5 * nu_star, 0.5 * (nu_star + nu_tilde), nu_tilde, 6.0, 15.0, 39.9]
+
+
+class TestPrefixBuild:
+    @pytest.mark.parametrize("rho", PREFIX_RHO)
+    def test_prefix_is_the_full_curve_up_to_its_stop(self, curve_library, rho):
+        full = curve_library.cache.get(rho, 0.05)
+        _, nu_tilde = find_tangency(rho, 0.05)
+        rng = np.random.default_rng(8)
+        for stop in _prefix_stops(rho):
+            part = build_vtfo_curve(rho, 0.05, nu_max=stop)
+            n = part.knots_nu.size
+            assert n <= full.knots_nu.size
+            assert np.array_equal(part.knots_nu, full.knots_nu[:n]), stop
+            assert np.array_equal(part.knots_c, full.knots_c[:n]), stop
+            assert (part.rho_abs, part.alpha, part.domain_low, part.t_tilde) == (
+                full.rho_abs, full.alpha, full.domain_low, full.t_tilde)
+            if stop <= nu_tilde:
+                assert part.knots_nu[-1] == nu_tilde and part.t_last is None, stop
+            else:
+                assert part.knots_nu[-1] >= stop and part.t_last <= full.t_last, stop
+                assert n == full.knots_nu.size or part.knots_nu[-2] < stop, stop
+            nu = np.concatenate([
+                part.knots_nu[part.knots_nu <= stop], rng.uniform(0.0, stop, 2000), [0.0, part.domain_low, stop],
+            ])
+            assert np.array_equal(part.evaluate_array(nu), full.evaluate_array(nu)), stop
+
+    def test_full_builds_for_large_or_nonfinite_stops(self, curve_library):
+        full = curve_library.cache.get(0.5, 0.05)
+        for stop in (critval.NU_MAX, 50.0, math.inf, math.nan):
+            _assert_same_curve(build_vtfo_curve(0.5, 0.05, nu_max=stop), full)
+
+    def test_limit_curve_is_built_in_full(self):
+        _assert_same_curve(build_vtfo_curve(0.01, 0.05, nu_max=3.0), build_vtfo_curve(0.01, 0.05))
+
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_prefix_is_never_cached(self, tmp_path, directory):
+        cache = CurveCache(directory=str(tmp_path / "cache") if directory else None)
+        for rho, stop in ((0.3, 6.0), (0.9, 6.0), (0.01, 6.0), (0.3, 39.9)):
+            first = cache.get(rho, 0.05, nu_max=stop)
+            again = cache.get(rho, 0.05, nu_max=stop)
+            assert again is not first
+            _assert_same_curve(again, first)
+        assert cache._memory == {}
+        assert not (tmp_path / "cache").exists()
+
+    def test_cached_full_curve_is_served(self, tmp_path, monkeypatch):
+        cache = CurveCache(directory=str(tmp_path))
+        full = cache.get(0.3, 0.05)
+        assert cache.get(0.3, 0.05, nu_max=6.0) is full
+        assert cache.get(0.3, 0.05, nu_max=1.0) is full
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a curve the cache holds")
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
+        fresh = CurveCache(directory=str(tmp_path))
+        loaded = fresh.get(0.3, 0.05, nu_max=6.0)
+        _assert_same_curve(loaded, full)
+        assert fresh.get(0.3, 0.05, nu_max=2.0) is loaded
+        assert fresh.get(0.3, 0.05) is loaded
+
+    @pytest.mark.parametrize("stop", [critval.NU_MAX, math.inf, math.nan])
+    def test_full_stop_is_cached(self, tmp_path, stop):
+        cache = CurveCache(directory=str(tmp_path))
+        curve = cache.get(0.3, 0.05, nu_max=stop)
+        assert cache.get(0.3, 0.05) is curve
+        assert len(os.listdir(tmp_path)) == 1
+
+
 class TestConditionalWald:
     def test_rho_zero_reference(self):
         # c = q2 T^2 / (T^2 + q2) at rho = 0
@@ -490,6 +568,26 @@ class TestConditionalWaldOracle:
         want = np.array([oracle_cw_quantile(rho, x) for x in t])
         assert np.array_equal(cw_critical_value(rho, t), want)
         assert cw_critical_value(rho, 0.0) == 0.0
+
+
+class TestConditionalWaldProperties:
+    # P(t2 <= c | T) grows with c. Between two c a few ulp apart the true
+    # increase is below the rounding of the root-and-cdf sum: c and its
+    # next float have been seen to give probabilities 1.5e-15 apart in the
+    # wrong order, and no pair with c_hi / c_lo - 1 above 1e-12 has.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(1e-12, RHO_CAP),
+        st.floats(-200.0, 200.0),
+        st.lists(st.floats(1e-8, 1e6), min_size=2, max_size=12),
+    )
+    def test_accept_nondecreasing_in_c(self, rho, t, cs):
+        c = np.sort(np.array(cs))
+        ones = np.ones(c.size)
+        p = critval._cw_accept(rho * ones, rho**2 * ones, t * ones, c)
+        assert np.all((p >= 0.0) & (p <= 1.0 + 1e-15))
+        assert np.all(np.diff(p) >= -1e-14), (c, p)
+        assert np.all(np.diff(p)[c[1:] > c[:-1] * (1.0 + 1e-12)] >= 0.0), (c, p)
 
 
 class TestSerialization:

@@ -115,6 +115,17 @@ class TestSimulate:
                 JudgeDesignSpec(**kw)
 
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+            uniform_spec(2, 3, 0.1, seed=seed)
+
+    def test_integer_seed_types_agree(self):
+        a = simulate_judge_data(uniform_spec(3, 4, 0.5, seed=np.int64(9)))
+        b = simulate_judge_data(uniform_spec(3, 4, 0.5, seed=9))
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
+
+
 class TestPopulationMoments:
     def test_special_cases(self):
         # uncorrelated errors kill every object that carries sigma_ev

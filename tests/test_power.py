@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from mwiv import (
+    RHO_BUILD_FLOOR,
+    RHO_CAP,
     AsymptoticDGP,
     CurveLibrary,
     DataError,
@@ -19,6 +21,7 @@ from mwiv import (
     write_power_csv,
     write_power_svg,
 )
+from mwiv import critval
 
 
 class TestDrawProtocol:
@@ -234,6 +237,57 @@ class TestRejectionRates:
                               curves=lib, seed=2)
         rate = float(res.rates["vtf"][0])
         assert 0.0 < rate < 0.15
+
+
+class TestExactRhoPrefixes:
+    # Without a cached curve the lab builds each exact-rho curve only up to
+    # the largest nu it draws and caches nothing; the rates must equal those
+    # read off full curves, byte for byte.
+    @pytest.mark.parametrize("s, r, deltas, n_draws, seed", [
+        (3.0, 0.5, [-2.0, 0.0, 2.0], 10000, 10),  # the two power-curve benchmark designs
+        (2.0, -0.3, [-2.0, 0.0, 2.0], 10000, 11),
+        (3.0, 0.5, [-800.0, 800.0, -8.0, 8.0], 100000, 7),  # criterion 5: capped rho
+        (3.0, 0.5, [-0.3125, -0.25, -0.1875], 5000, 11),  # rho crosses 0: the small-rho limit
+    ])
+    def test_rates_match_full_curves(self, monkeypatch, s, r, deltas, n_draws, seed):
+        dgp = AsymptoticDGP(s=s, r=r)
+        kw = dict(methods=("vtfo",), n_draws=n_draws, seed=seed)
+        fresh = CurveLibrary()
+        got = rejection_rates(dgp, deltas, curves=fresh, **kw)
+        assert fresh.cache._memory == {}
+
+        full = CurveLibrary()
+        rhos = []
+        for d in deltas:
+            alt = alternative_variances(dgp, d)
+            rhos.append(min(abs(alt.tau_b0 / np.sqrt(alt.psi_b0 * dgp.upsilon)), RHO_CAP))
+            full.cache.get(rhos[-1], 0.05)
+        if deltas[1] == -0.25:
+            assert rhos[1] < RHO_BUILD_FLOOR
+        if deltas[0] == -800.0:
+            assert rhos[:2] == [RHO_CAP, RHO_CAP]
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a curve the library holds")
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
+        want = rejection_rates(dgp, deltas, curves=full, **kw)
+        assert got.rates["vtfo"].tobytes() == want.rates["vtfo"].tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+def test_bad_seed_is_a_data_error(seed):
+    dgp = AsymptoticDGP(s=3.0, r=0.5)
+    with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+        rejection_rates(dgp, [0.0], methods=("ms1",), n_draws=10, seed=seed)
+    with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+        draw_q_tr(dgp, 10, seed)
+
+
+def test_integer_seeds_draw_alike():
+    dgp = AsymptoticDGP(s=3.0, r=0.5)
+    assert np.array_equal(draw_q_tr(dgp, 50, np.int64(7)), draw_q_tr(dgp, 50, 7))
+    assert np.array_equal(draw_q_tr(dgp, 50, 2**70), draw_q_tr(dgp, 50, 2**70))
 
 
 # Rates at s 3, r 0.5, 2,000 draws, seed 5, recorded with the per-method

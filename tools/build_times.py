@@ -9,7 +9,10 @@ and the rest, which is nearly all closed-form knots (small-rho limit knots
 below the build floor). One more, untimed build counts the continuation's
 steps and its gap evaluations, the calls to the function whose root is
 the middle crossing (``critval._excess``, or ``critval._gap`` in checkouts
-that solve it with ``brentq``). ``--src`` picks the source tree to import
+that solve it with ``brentq``). The last two columns are the fastest
+prefix build to ``--prefix-nu`` (``build_vtfo_curve(..., nu_max=...)``, as
+the power lab builds its exact-rho curves) and its knot count; a checkout
+without prefix builds prints "-". ``--src`` picks the source tree to import
 ``mwiv`` from, so the same script times another checkout. Uses numpy and
 mwiv only.
 """
@@ -17,6 +20,7 @@ mwiv only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -55,6 +59,16 @@ def time_build(critval, rho: float, alpha: float) -> tuple[float, float, int]:
     return total, spent[0], curve.knots_nu.size
 
 
+def time_prefix(critval, rho: float, alpha: float, nu_max: float, repeat: int) -> tuple[float, int]:
+    """(fastest seconds, knots) of ``repeat`` builds that stop at ``nu_max``."""
+    best, knots = float("inf"), 0
+    for _ in range(repeat):
+        start = time.perf_counter()
+        curve = critval.build_vtfo_curve(rho, alpha, nu_max=nu_max)
+        best, knots = min(best, time.perf_counter() - start), curve.knots_nu.size
+    return best, knots
+
+
 def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
     """(continuation steps, gap evaluations) of one build."""
     calls = [0]
@@ -91,21 +105,27 @@ def main(argv=None) -> int:
     parser.add_argument("--rho", default="0.1,0.5,0.9,0.99,0.9999", help="comma-separated |rho| values")
     parser.add_argument("--alpha", default="0.05", help="comma-separated levels")
     parser.add_argument("--repeat", type=int, default=5, help="builds per pair; the fastest is shown")
+    parser.add_argument("--prefix-nu", type=float, default=7.0, help="stop point of the prefix builds")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree holding mwiv")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from mwiv import critval
 
+    prefixes = "nu_max" in inspect.signature(critval.build_vtfo_curve).parameters
     print(f"{'rho':>7} {'alpha':>6} {'knots':>8} {'build_s':>9} {'closed_s':>9} {'cont_s':>9} "
-          f"{'steps':>6} {'evals/step':>10}")
+          f"{'steps':>6} {'evals/step':>10} {'prefix_s':>9} {'p_knots':>8}")
     for alpha in (float(a) for a in args.alpha.split(",")):
         for rho in (float(r) for r in args.rho.split(",")):
             runs = [time_build(critval, rho, alpha) for _ in range(args.repeat)]
             total, cont, knots = min(runs)
             steps, evals = count_steps(critval, rho, alpha)
             per_step = f"{evals / steps:10.2f}" if steps else f"{'-':>10}"
+            prefix = f"{'-':>9} {'-':>8}"
+            if prefixes:
+                prefix_s, prefix_knots = time_prefix(critval, rho, alpha, args.prefix_nu, args.repeat)
+                prefix = f"{prefix_s:9.4f} {prefix_knots:8d}"
             print(f"{rho:7.4g} {alpha:6.3g} {knots:8d} {total:9.4f} {total - cont:9.4f} {cont:9.4f} "
-                  f"{steps:6d} {per_step}")
+                  f"{steps:6d} {per_step} {prefix}")
     return 0
 
 
