@@ -1,9 +1,9 @@
 """Inference for instrumental-variable models with many weak instruments.
 
 Public surface: dataset I/O, leave-out projection kernels, the jackknife
-estimator and its variance objects, one-sided critical-value curves with
-conditional-Wald quantiles, test/confidence-set inversion, the asymptotic
-power laboratory, and a judge-design simulator.
+estimator and the normalized statistics, one-sided critical-value
+curves with conditional-Wald quantiles, test/confidence-set inversion,
+the asymptotic power laboratory, and a judge-design simulator.
 """
 
 from .critval import (
@@ -13,7 +13,6 @@ from .critval import (
     CurveCache,
     TwoSidedTable,
     build_vtfo_curve,
-    closed_form_c,
     curve_csv_text,
     cw_critical_value,
     find_tangency,
@@ -29,13 +28,10 @@ from .data import Dataset, read_dataset_csv, write_dataset_csv
 from .errors import DataError, MwivError, NumericalError, TableError
 from .estimators import (
     NormalizedStats,
-    VarianceEstimates,
     jive_point_estimate,
     jive_t_squared,
     jive_variance,
     normalized_stats,
-    t_squared_from_triple,
-    variance_estimates_at,
 )
 from .inference import (
     METHODS,
@@ -52,8 +48,6 @@ from .inference import (
 )
 from .judge import (
     JudgeDesignSpec,
-    JudgeMoments,
-    judge_population_moments,
     simulate_judge_data,
 )
 from .power import (
@@ -62,7 +56,6 @@ from .power import (
     PowerCurveResult,
     alternative_variances,
     analytic_power_bounds,
-    draw_q_tr,
     power_csv_text,
     rejection_rates,
     write_power_csv,
@@ -71,7 +64,6 @@ from .power import (
 from .projection import (
     ProjectionContext,
     build_projection,
-    cross_moment_B,
     quadratic_form_Q,
 )
 
@@ -89,21 +81,16 @@ __all__ = [
     "ProjectionContext",
     "build_projection",
     "quadratic_form_Q",
-    "cross_moment_B",
-    "VarianceEstimates",
     "NormalizedStats",
     "jive_point_estimate",
     "jive_variance",
-    "variance_estimates_at",
     "normalized_stats",
-    "t_squared_from_triple",
     "jive_t_squared",
     "RHO_CAP",
     "RHO_BUILD_FLOOR",
     "CriticalValueCurve",
     "CurveCache",
     "TwoSidedTable",
-    "closed_form_c",
     "small_rho_limit_c",
     "fixed_point",
     "find_tangency",
@@ -129,7 +116,6 @@ __all__ = [
     "AsymptoticDGP",
     "AltVariances",
     "PowerCurveResult",
-    "draw_q_tr",
     "alternative_variances",
     "rejection_rates",
     "analytic_power_bounds",
@@ -137,7 +123,5 @@ __all__ = [
     "write_power_csv",
     "write_power_svg",
     "JudgeDesignSpec",
-    "JudgeMoments",
     "simulate_judge_data",
-    "judge_population_moments",
 ]

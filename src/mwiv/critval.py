@@ -44,7 +44,6 @@ __all__ = [
     "RHO_CAP",
     "RHO_BUILD_FLOOR",
     "CriticalValueCurve",
-    "closed_form_c",
     "small_rho_limit_c",
     "fixed_point",
     "find_tangency",
@@ -148,21 +147,17 @@ def _closed(nu, rho_abs: float, nu_star: float):
 
 
 def _nu_star(rho: float, alpha: float) -> tuple[float, float]:
-    """(|rho|, nu* = |rho| sqrt(q)) after the checks every closed-form entry point shares."""
-    _check_alpha(alpha)
+    """(|rho|, nu* = |rho| sqrt(q)) for an alpha already checked; raises
+    unless 0 < |rho| < 1."""
     rho_abs = abs(rho)
     if rho_abs == 0.0 or rho_abs >= 1.0:
         raise NumericalError("closed form undefined at rho boundary")
     return rho_abs, rho_abs * float(ndtri(1.0 - alpha))
 
 
-def closed_form_c(nu_bar: float, rho: float, alpha: float) -> float:
-    """Initial curve segment: c = nu^2 / (rho^2 (nu/(|rho| sqrt(q)) - 1)^2 + 1 - rho^2)."""
-    return _closed(nu_bar, *_nu_star(rho, alpha))
-
-
 def fixed_point(rho: float, alpha: float) -> tuple[float, float]:
     """Starting knot (nu*, c*) = (|rho| sqrt(q), rho^2 q / (1 - rho^2))."""
+    _check_alpha(alpha)
     rho_abs, nu_star = _nu_star(rho, alpha)
     return nu_star, _closed(nu_star, rho_abs, nu_star)
 
@@ -189,7 +184,12 @@ def find_tangency(rho: float, alpha: float) -> tuple[float, float]:
     nu*^2 first vanishes at t_tilde = (3 + 2 sqrt 2) nu*. Above T the one
     crossing is nu = T + nu*, so nu_tilde = t_tilde + nu*.
     """
-    _, nu_star = _nu_star(rho, alpha)
+    _check_alpha(alpha)
+    return _tangency(_nu_star(rho, alpha)[1])
+
+
+def _tangency(nu_star: float) -> tuple[float, float]:
+    """``find_tangency``'s (t_tilde, nu_tilde) from nu*."""
     t_tilde = (3.0 + 2.0 * math.sqrt(2.0)) * nu_star
     return t_tilde, t_tilde + nu_star
 
@@ -388,8 +388,8 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
         nus, cs = _refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0])
         return CriticalValueCurve(rho_abs, alpha, nus, cs, 0.0)
 
-    nu_star, _ = fixed_point(rho_abs, alpha)
-    t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
+    _, nu_star = _nu_star(rho_abs, alpha)
+    t_tilde, nu_tilde = _tangency(nu_star)
     if t_tilde >= NU_MAX:
         # the three-crossing region starts past the build range
         return CriticalValueCurve(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)

@@ -5,14 +5,15 @@ polynomial in b0: Q_xe and tau have degree 1, Q_ee and psi degree 2, phi
 degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
 (ctx, data) takes their coefficients from fifteen kernel calls and
 evaluates them on a float or an array of b0 without forming an N x grid
-array; every public function here reads it. A psi or phi within 1e-12 of
-the summed magnitude of its terms counts as zero, so an exact fit (e0 = 0,
-where the terms cancel to about 1e-15, not 0) stays degenerate.
+array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here and in
+the power lab; t^2, a closed form in (xi, nu, rho), equals the Wald ratio
+(bhat - b0)^2 / Vhat by algebra, which :func:`jive_t_squared` checks.
 
-The central numerical fact, checked on every call to :func:`jive_t_squared`,
-is that the Wald ratio (bhat - b0)^2 / Vhat equals a closed form in the
-normalized triple (xi, nu, rho); this is exact algebra, not an
-approximation, so disagreement flags an implementation bug.
+A point is degenerate where upsilon, psi or phi is not positive; a psi or
+phi within 1e-12 of the summed magnitude of its terms counts as zero, so
+an exact fit (e0 = 0: the terms cancel to about 1e-15) stays degenerate.
+Where t^2's denominator is not positive, t^2 is inf; only the procedures
+that read t^2 treat that as degenerate too.
 """
 
 from __future__ import annotations
@@ -28,35 +29,15 @@ from .errors import DataError, NumericalError
 from .projection import ProjectionContext, quadratic_form_Q
 
 __all__ = [
-    "VarianceEstimates",
     "NormalizedStats",
     "jive_point_estimate",
     "jive_variance",
-    "variance_estimates_at",
     "normalized_stats",
-    "t_squared_from_triple",
     "jive_t_squared",
 ]
 
 # A sum within this fraction of its terms' summed magnitude is zero.
 _ZERO = 1e-12
-
-
-@dataclass(frozen=True)
-class VarianceEstimates:
-    """Variance-object estimates at a hypothesized coefficient.
-
-    upsilon_hat is hypothesis-free; tau_hat, psi_hat, phi_hat are evaluated
-    at ``at_beta0``. b_xxxx is the fourth cross moment of x with itself,
-    carried for the confidence-set unboundedness diagnostics.
-    """
-
-    upsilon_hat: float
-    tau_hat: float
-    psi_hat: float
-    phi_hat: float
-    at_beta0: float
-    b_xxxx: float
 
 
 @dataclass(frozen=True)
@@ -123,12 +104,12 @@ class _Profile:
 
     def stats(self, beta0) -> tuple[NormalizedStats, np.ndarray]:
         """NormalizedStats at beta0 (floats for a float) and the mask of
-        degenerate points (upsilon, psi or phi nonpositive, or t_squared not
-        finite), where the fields hold nan or inf."""
+        degenerate points (upsilon, psi or phi nonpositive), where the
+        fields hold nan or inf. t_squared may be inf at other points too."""
         q_xe, q_ee, tau, psi, phi = self.values(beta0)
         with np.errstate(divide="ignore", invalid="ignore"):
             xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi)
-        degenerate = (psi <= 0.0) | (phi <= 0.0) | ~np.isfinite(t_squared) | (self.upsilon <= 0.0)
+        degenerate = (psi <= 0.0) | (phi <= 0.0) | (self.upsilon <= 0.0)
         per_point = dict(xi=xi, rho=np.clip(rho_raw, -RHO_CAP, RHO_CAP), rho_raw=rho_raw,
                          rho_clamped=np.abs(rho_raw) > RHO_CAP, ar=ar, t_squared=t_squared,
                          beta0=np.asarray(beta0, dtype=float), degenerate=degenerate)
@@ -188,36 +169,17 @@ def _jive_variance(profile: _Profile, data: Dataset, beta_hat: float) -> float:
     return 0.0
 
 
-def variance_estimates_at(ctx: ProjectionContext, data: Dataset, beta0: float) -> VarianceEstimates:
-    """Evaluate the four variance objects at beta0."""
-    profile = _profile(ctx, data)
-    _, _, tau, psi, phi = (float(v[0]) for v in profile.values(beta0))
-    if profile.upsilon <= 0.0:
-        raise NumericalError("variance estimate nonpositive")
-    if psi <= 0.0 or phi <= 0.0:
-        raise NumericalError("variance estimate nonpositive at beta0")
-    return VarianceEstimates(profile.upsilon, tau, psi, phi, beta0, profile.b_xxxx)
-
-
-def t_squared_from_triple(xi: float, nu: float, rho: float) -> float:
-    """Closed form xi^2 / (1 - 2 rho xi/nu + xi^2/nu^2), in overflow-safe shape."""
-    denom = (nu - rho * xi) ** 2 + (1.0 - rho**2) * xi**2
-    if denom <= 0.0:
-        raise NumericalError("variance estimate nonpositive")
-    return (xi * nu) ** 2 / denom
-
-
 def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0) -> NormalizedStats:
     """Normalized statistics (xi, nu, rho, ar) and the exact t_squared at beta0.
 
     A float beta0 gives float fields, an array gives arrays of its shape
     from the same profile. Raises NumericalError if any point is
-    degenerate, DataError for a non-finite beta0 or one whose polynomials
-    overflow.
+    degenerate or has a non-finite t_squared, DataError for a non-finite
+    beta0 or one whose polynomials overflow.
     """
     profile = _profile(ctx, data)
     stats, degenerate = profile.stats(beta0)
-    if np.any(degenerate):
+    if np.any(degenerate | ~np.isfinite(stats.t_squared)):
         raise NumericalError("variance estimate nonpositive" + (" at beta0" if profile.upsilon > 0.0 else ""))
     return stats
 

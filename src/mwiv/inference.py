@@ -143,9 +143,9 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
       the prefix gives the same critical values bit for bit. cw
       interpolates between 512 quantiles on T's range.
 
-    vtf interpolates the external table at rho either way.
+    vtf interpolates the external table at rho either way. ``method`` must
+    have passed ``_check_method``.
     """
-    _check_method(method, curves)
     rho = stats.rho
     known = np.ndim(rho) == 0
     nu = np.broadcast_to(stats.nu, np.shape(stats.t_squared))
@@ -237,9 +237,10 @@ def invert_confidence_set(
     grid, and the ends of the default grid when none is given, so the
     projection kernels run once per set, not once per point.
     Grid points where the statistics are degenerate (a nonpositive or
-    numerically zero variance object) are excluded from the set and
-    marked; if every point is degenerate the inversion has nothing to
-    report and errors out. The other points go through ``decide``
+    numerically zero variance object, or for vtfo, vtf and cw a t_squared
+    that is not finite) are excluded from the set and marked; if every
+    point is degenerate the inversion has nothing to report and errors
+    out. The other points go through ``decide``
     together, so an error there (a failed curve build, say) is the set's
     error, not a degenerate point.
     """
@@ -255,6 +256,8 @@ def invert_confidence_set(
 
     betas = np.linspace(lo, hi, n)
     stats, degenerate = profile.stats(betas)
+    if method in ("vtfo", "vtf", "cw"):  # the procedures that read t_squared
+        degenerate |= ~np.isfinite(stats.t_squared)
     if degenerate.all():
         raise NumericalError("inversion failed: all grid points degenerate")
     statistics = np.full(n, np.nan)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +19,7 @@ from .errors import DataError
 
 __all__ = [
     "JudgeDesignSpec",
-    "JudgeMoments",
     "simulate_judge_data",
-    "judge_population_moments",
 ]
 
 
@@ -95,66 +92,3 @@ def simulate_judge_data(spec: JudgeDesignSpec) -> Dataset:
     x = np.asarray(spec.pi)[labels] + v
     y = spec.beta * x + e
     return Dataset(y=y, x=x, instruments=labels)
-
-
-class JudgeMoments(NamedTuple):
-    """Population variance objects at the true coefficient, plus the
-    concentration summary (mu_sq, s)."""
-
-    phi: float
-    psi: float
-    upsilon: float
-    tau: float
-    sigma12: float
-    sigma13: float
-    mu_sq: float
-    s: float
-
-
-def judge_population_moments(spec: JudgeDesignSpec) -> JudgeMoments:
-    """Exact finite-design variance objects for the homoskedastic case.
-
-    With w_k = (N_k - 1)/N_k, m_k = pi_k^2 (N_k - 1), and sigma_ev the
-    error covariance, the leave-out quadratic forms have variances
-
-      Phi     = (1/K) sum_k w_k 2 sigma_e^4
-      Psi     = (1/K) sum_k w_k (m_k sigma_e^2 + sigma_e^2 sigma_v^2 + sigma_ev^2)
-      Upsilon = (1/K) sum_k w_k (4 m_k sigma_v^2 + 2 sigma_v^4)
-      tau     = (1/K) sum_k w_k 2 sigma_ev (m_k + sigma_v^2)
-      Sigma12 = (1/K) sum_k w_k 2 sigma_e^2 sigma_ev
-      Sigma13 = (1/K) sum_k w_k 2 sigma_ev^2
-
-    and the concentration is mu_sq = sum_k (N_k - 1) pi_k^2, s = mu_sq /
-    sqrt(K Upsilon). The per-judge heteroskedastic option replaces
-    sigma_e by sigma_e * judge_error_scale_k inside the sums.
-    """
-    k = spec.n_judges
-    n_k = np.asarray(spec.per_judge, dtype=float)
-    pi = np.asarray(spec.pi)
-    scale_e, scale_v = spec.error_scales
-    se = np.full(k, scale_e)
-    if spec.judge_error_scale is not None:
-        se = se * np.asarray(spec.judge_error_scale)
-    sv = scale_v
-    sev = spec.error_corr * se * sv
-
-    w = (n_k - 1.0) / n_k
-    m = pi**2 * (n_k - 1.0)
-    phi = float(np.sum(w * 2.0 * se**4) / k)
-    psi = float(np.sum(w * (m * se**2 + se**2 * sv**2 + sev**2)) / k)
-    upsilon = float(np.sum(w * (4.0 * m * sv**2 + 2.0 * sv**4)) / k)
-    tau = float(np.sum(w * 2.0 * sev * (m + sv**2)) / k)
-    sigma12 = float(np.sum(w * 2.0 * se**2 * sev) / k)
-    sigma13 = float(np.sum(w * 2.0 * sev**2) / k)
-    mu_sq = float(np.sum((n_k - 1.0) * pi**2))
-    s = float(mu_sq / np.sqrt(k * upsilon)) if upsilon > 0.0 else float("inf") if mu_sq > 0.0 else 0.0
-    return JudgeMoments(
-        phi=phi,
-        psi=psi,
-        upsilon=upsilon,
-        tau=tau,
-        sigma12=sigma12,
-        sigma13=sigma13,
-        mu_sq=mu_sq,
-        s=s,
-    )

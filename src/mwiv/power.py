@@ -25,7 +25,6 @@ __all__ = [
     "AsymptoticDGP",
     "AltVariances",
     "PowerCurveResult",
-    "draw_q_tr",
     "alternative_variances",
     "rejection_rates",
     "analytic_power_bounds",
@@ -123,16 +122,6 @@ def _draw_with_rng(dgp: AsymptoticDGP, n_draws: int, rng: np.random.Generator) -
     return z @ _factor(dgp.covariance()).T + dgp.mean()
 
 
-def draw_q_tr(dgp: AsymptoticDGP, n_draws: int, seed: int) -> np.ndarray:
-    """(n_draws, 3) array of (q_ee, q_xe, q_xx) draws; counter-based RNG so
-    identical seeds give identical draws."""
-    if n_draws < 1:
-        raise DataError("n_draws must be >= 1")
-    _check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _draw_with_rng(dgp, n_draws, rng)
-
-
 def analytic_power_bounds(s: float, alpha: float = 0.05) -> tuple[float, float]:
     """Large-|delta| power limits: one minus the probability that the
     confidence set is unbounded, for nu ~ N(s, 1).
@@ -150,9 +139,6 @@ def analytic_power_bounds(s: float, alpha: float = 0.05) -> tuple[float, float]:
     return one_sided, two_sided
 
 
-_BOUND_SIDE = {"vtfo": "one", "ms1": "one", "vtf": "two", "ms2": "two", "lm": "two", "cw": None}
-
-
 @dataclass(frozen=True)
 class PowerCurveResult:
     delta_grid: np.ndarray
@@ -165,14 +151,6 @@ class PowerCurveResult:
     r: float
     bound_one_sided: float
     bound_two_sided: float
-
-    def bound_for(self, method: str) -> float | None:
-        side = _BOUND_SIDE.get(method)
-        if side == "one":
-            return self.bound_one_sided
-        if side == "two":
-            return self.bound_two_sided
-        return None
 
 
 def rejection_rates(

@@ -1,12 +1,15 @@
 """Projection machinery: P, the annihilator diagonal, and adjusted weights.
 
-Everything downstream consumes three primitives built here:
+Everything downstream consumes the kernels built here:
 
 * leave-out quadratic forms  Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j
 * the pair kernel            sum_{i != j} Ptil2_ij f_i g_j   with
   Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2)
-* cross moments              B_abcd = (2/K) sum_{i != j} Ptil2_ij
-                             [a_i (Mb)_i] [c_j (Md)_j]
+* the leave-out fit          sum_{j != i} P_ij v_j, and the annihilator Mv
+
+The estimators' beta0 profile takes every variance object from them; a
+cross moment B_abcd = (2/K) sum_{i != j} Ptil2_ij [a_i (Mb)_i] [c_j (Md)_j]
+is one pair kernel of two annihilated products.
 
 Two representations: a dense path that materializes P (reference), and a
 judge-block path that exploits P_ij = 1{same judge}/N_k and never stores an
@@ -26,7 +29,6 @@ __all__ = [
     "ProjectionContext",
     "build_projection",
     "quadratic_form_Q",
-    "cross_moment_B",
 ]
 
 
@@ -155,17 +157,3 @@ def _build_dense(z: np.ndarray) -> ProjectionContext:
 def quadratic_form_Q(ctx: ProjectionContext, a: np.ndarray, b: np.ndarray) -> float:
     """Leave-out quadratic form (1/sqrt(K)) sum_{i != j} P_ij a_i b_j."""
     return ctx.quad_pp(a, b) / np.sqrt(ctx.k)
-
-
-def cross_moment_B(
-    ctx: ProjectionContext,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-) -> float:
-    """(2/K) sum_{i != j} Ptil2_ij [a_i (Mb)_i] [c_j (Md)_j]."""
-    a, b, c, d = ctx._check_length(a, b, c, d)
-    u = a * ctx.annihilate(b)
-    w = c * ctx.annihilate(d)
-    return 2.0 * ctx.pair_weighted(u, w) / ctx.k

@@ -2,14 +2,16 @@
 
 Everything here recomputes package quantities from first principles:
 dense hat matrices come from a linear solve, the quadratic and cross
-moments from explicit double loops, and the conditional size auditor
-integrates the normal law directly against a built curve. None of it
+moments from explicit double loops, a judge design's population variance
+objects from their formulas, and the conditional size auditor integrates
+the normal law directly against a built curve. None of it
 shares kernels with the package, so agreement is evidence rather than
 tautology. The loop oracles at the end (``oracle_cw_quantile``,
 ``oracle_decide``, ``oracle_normalized_stats``, ``oracle_vtfo_curve``)
 are different: they are the package's earlier scalar, per-point paths,
 kept so the array and Newton paths that replaced them can be checked
-against them.
+against them. ``kernel_b`` beside them composes the package's own kernels
+into a cross moment, as the beta0 profile does.
 """
 
 import math
@@ -17,6 +19,7 @@ import os
 from bisect import bisect_right
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ from mwiv import (
     cw_critical_value,
     quadratic_form_Q,
     snap_rho_to_grid,
-    t_squared_from_triple,
     two_sided_chi2,
 )
 from mwiv import critval
@@ -139,6 +141,60 @@ def oracle_v_hat(p, k, x, e_hat, q_xx):
     psi = (np.sum(xhat**2 * e_hat * me / mdiag) + oracle_pair(p, k, e_mx, e_mx)) / k
     return float(psi) / q_xx**2
 
+
+
+class JudgeMoments(NamedTuple):
+    """Population variance objects at the true coefficient, plus the
+    concentration summary (mu_sq, s)."""
+
+    phi: float
+    psi: float
+    upsilon: float
+    tau: float
+    sigma12: float
+    sigma13: float
+    mu_sq: float
+    s: float
+
+
+def oracle_judge_moments(spec):
+    """Exact finite-design variance objects of a ``JudgeDesignSpec``.
+
+    With w_k = (N_k - 1)/N_k, m_k = pi_k^2 (N_k - 1), and sigma_ev the
+    error covariance, the leave-out quadratic forms have variances
+
+      Phi     = (1/K) sum_k w_k 2 sigma_e^4
+      Psi     = (1/K) sum_k w_k (m_k sigma_e^2 + sigma_e^2 sigma_v^2 + sigma_ev^2)
+      Upsilon = (1/K) sum_k w_k (4 m_k sigma_v^2 + 2 sigma_v^4)
+      tau     = (1/K) sum_k w_k 2 sigma_ev (m_k + sigma_v^2)
+      Sigma12 = (1/K) sum_k w_k 2 sigma_e^2 sigma_ev
+      Sigma13 = (1/K) sum_k w_k 2 sigma_ev^2
+
+    and the concentration is mu_sq = sum_k (N_k - 1) pi_k^2, s = mu_sq /
+    sqrt(K Upsilon). The per-judge heteroskedastic option replaces
+    sigma_e by sigma_e * judge_error_scale_k inside the sums.
+    """
+    k = spec.n_judges
+    n_k = np.asarray(spec.per_judge, dtype=float)
+    pi = np.asarray(spec.pi)
+    scale_e, scale_v = spec.error_scales
+    se = np.full(k, scale_e)
+    if spec.judge_error_scale is not None:
+        se = se * np.asarray(spec.judge_error_scale)
+    sv = scale_v
+    sev = spec.error_corr * se * sv
+
+    w = (n_k - 1.0) / n_k
+    m = pi**2 * (n_k - 1.0)
+    phi = float(np.sum(w * 2.0 * se**4) / k)
+    psi = float(np.sum(w * (m * se**2 + se**2 * sv**2 + sev**2)) / k)
+    upsilon = float(np.sum(w * (4.0 * m * sv**2 + 2.0 * sv**4)) / k)
+    tau = float(np.sum(w * 2.0 * sev * (m + sv**2)) / k)
+    sigma12 = float(np.sum(w * 2.0 * se**2 * sev) / k)
+    sigma13 = float(np.sum(w * 2.0 * sev**2) / k)
+    mu_sq = float(np.sum((n_k - 1.0) * pi**2))
+    s = float(mu_sq / np.sqrt(k * upsilon)) if upsilon > 0.0 else float("inf") if mu_sq > 0.0 else 0.0
+    return JudgeMoments(phi, psi, upsilon, tau, sigma12, sigma13, mu_sq, s)
 
 def conditional_reject_prob(curve, t):
     """Exact rejection probability for nu | T = t distributed N(t, rho^2).
@@ -304,11 +360,18 @@ def oracle_decide(method, stats, alpha, curves):
     raise DataError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
 
 
+def kernel_b(ctx, a, b, c, d):
+    """B_abcd = (2/K) sum_{i != j} Ptil2_ij [a (Mb)]_i [c (Md)]_j from the
+    context's own annihilator and pair kernel, the calls the beta0 profile
+    makes for each of its cross moments; ``oracle_b`` is the loop version."""
+    return 2.0 * ctx.pair_weighted(a * ctx.annihilate(b), c * ctx.annihilate(d)) / ctx.k
+
 def oracle_normalized_stats(ctx, data, beta0):
     """The direct per-point path: the variance objects from the projection
     kernels at e0 = y - beta0 x, then the normalization. The package's
     beta0 profile must give the same statistics and the same degenerate
-    points (NumericalError here)."""
+    points (NumericalError here, for a nonpositive variance object); t^2
+    is inf where its denominator is not positive, as in the package."""
     x = data.x
     e0 = data.y - beta0 * x
     xhat = ctx.leave_out_fit(x)
@@ -346,8 +409,10 @@ def oracle_normalized_stats(ctx, data, beta0):
     clamped = abs(rho_raw) > RHO_CAP
     rho = float(np.clip(rho_raw, -RHO_CAP, RHO_CAP))
     ar = q_ee / np.sqrt(phi)
-    # The identity is raw algebra; it must see the unclamped correlation.
-    t_squared = t_squared_from_triple(xi, nu, rho_raw)
+    # t^2 = xi^2 / (1 - 2 rho xi/nu + xi^2/nu^2), multiplied through by
+    # nu^2; the identity is raw algebra, so it sees the unclamped rho.
+    denom = nu**2 - 2.0 * rho_raw * nu * xi + xi**2
+    t_squared = (xi * nu) ** 2 / denom if denom > 0.0 else math.inf
     return NormalizedStats(
         xi=xi,
         nu=nu,

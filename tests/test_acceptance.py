@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import conditional_reject_prob, judge_indicator_matrix, run_cli
+from conftest import conditional_reject_prob, judge_indicator_matrix, kernel_b, run_cli
 from mwiv import (
     AsymptoticDGP,
     Dataset,
@@ -22,7 +22,6 @@ from mwiv import (
     NumericalError,
     analytic_power_bounds,
     build_projection,
-    cross_moment_B,
     cw_critical_value,
     detect_unbounded,
     fixed_point,
@@ -34,9 +33,8 @@ from mwiv import (
     rejection_rates,
     run_test,
     simulate_judge_data,
-    t_squared_from_triple,
-    variance_estimates_at,
 )
+from mwiv.estimators import _profile
 
 
 def emit(number, name, ok, detail, t0):
@@ -65,7 +63,8 @@ def random_judge_spec(rng, max_judges, max_cluster, lam=None):
 
 def test_criterion_1_t_identity():
     # 100 random judge datasets (N <= 500, K <= 25), 5 beta0 each: the
-    # squared t-statistic equals its xi/nu/rho closed form to 1e-8 relative.
+    # squared t-statistic equals its xi/nu/rho closed form (the t_squared
+    # that normalized_stats reports) to 1e-8 relative.
     # Cells where the beta0 variance kernel is nonpositive have no defined
     # (xi, nu, rho); those are counted and must stay below 1% of cells.
     t0 = time.perf_counter()
@@ -86,7 +85,7 @@ def test_criterion_1_t_identity():
                 degenerate += 1
                 continue
             direct = (beta_hat - b0) ** 2 / v_hat
-            closed = t_squared_from_triple(st.xi, st.nu, st.rho_raw)
+            closed = st.t_squared
             rel = abs(direct - closed) / max(abs(direct), abs(closed), 1e-12)
             worst = max(worst, rel)
             checked += 1
@@ -404,19 +403,14 @@ def test_criterion_8_path_equivalence():
         for a, b in ((x, x), (x, y), (y, y)):
             track(quadratic_form_Q(ctx_fast, a, b), quadratic_form_Q(ctx_dense, a, b))
         e0 = y - 0.4 * x
-        track(
-            cross_moment_B(ctx_fast, x, x, x, x),
-            cross_moment_B(ctx_dense, x, x, x, x),
-        )
-        track(
-            cross_moment_B(ctx_fast, x, e0, x, e0),
-            cross_moment_B(ctx_dense, x, e0, x, e0),
-        )
+        prof_fast, prof_dense = _profile(ctx_fast, data), _profile(ctx_dense, dense)
+        track(prof_fast.b_xxxx, prof_dense.b_xxxx)
+        track(kernel_b(ctx_fast, x, e0, x, e0), kernel_b(ctx_dense, x, e0, x, e0))
+        track(prof_fast.upsilon, prof_dense.upsilon)
         for b0 in (-1.0, 0.5, 2.0):
-            vf = variance_estimates_at(ctx_fast, data, b0)
-            vd = variance_estimates_at(ctx_dense, data, b0)
-            for name in ("upsilon_hat", "tau_hat", "psi_hat", "phi_hat"):
-                track(getattr(vf, name), getattr(vd, name))
+            # tau, psi and phi at b0
+            for vf, vd in zip(prof_fast.values(b0)[2:], prof_dense.values(b0)[2:]):
+                track(float(vf[0]), float(vd[0]))
         beta_f = jive_point_estimate(ctx_fast, data)
         beta_d = jive_point_estimate(ctx_dense, data)
         track(beta_f, beta_d)

@@ -1,7 +1,10 @@
-"""Public API: every exported name resolves and is exported by the module
-that defines it, so a deleted name cannot linger in an export list; and
+"""Public API: every exported name resolves, is exported by the module
+that defines it and has a caller in the program, so a deleted name cannot
+linger in an export list and no export serves the tests alone; and
 importing the package stays light."""
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -9,6 +12,8 @@ import subprocess
 import sys
 
 import mwiv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def submodules():
@@ -41,12 +46,47 @@ def test_every_export_is_in_its_module_all():
     assert unlisted == []
 
 
+# Exports that the program does not call yet, each with its reason.
+ALLOWED_TEST_ONLY = {"jive_t_squared": "ROADMAP item 3"}
+
+
+def program_identifiers():
+    """Every Name, Attribute and import-alias identifier in the package's
+    modules (``__init__`` aside), the demos, the tools and the benchmark's
+    ``run.py`` and ``workloads.py``."""
+    files = [f for f in glob.glob(os.path.join(ROOT, "src", "mwiv", "*.py")) if not f.endswith("__init__.py")]
+    files += glob.glob(os.path.join(ROOT, "demos", "*.py")) + glob.glob(os.path.join(ROOT, "tools", "*.py"))
+    files += [os.path.join(ROOT, "perfbench", name) for name in ("workloads.py", "run.py")]
+    names = set()
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_export_has_a_program_caller():
+    used = program_identifiers()
+    unused = sorted(name for name in mwiv.__all__ if name != "__version__" and name not in used)
+    assert unused == sorted(ALLOWED_TEST_ONLY)
+
+
 def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half of `import mwiv`, paid by every CLI
-    # process; the package needs only scipy.special and scipy.optimize
+    # scipy.stats costs about half of `import mwiv` and scipy.optimize
+    # about 26 MB, paid by every CLI process; the package needs only
+    # scipy.special
     src = os.path.dirname(os.path.dirname(os.path.abspath(mwiv.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, mwiv, mwiv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = (
+        "import sys, mwiv, mwiv.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -22,7 +22,6 @@ from mwiv import (
     TableError,
     TwoSidedTable,
     build_vtfo_curve,
-    closed_form_c,
     cw_critical_value,
     find_tangency,
     fixed_point,
@@ -39,6 +38,13 @@ from conftest import conditional_reject_prob, oracle_cw_quantile, oracle_vtfo_cu
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
+
+
+def closed_form_c(nu, rho, alpha):
+    """The closed-form segment the build evaluates, ``critval._closed``,
+    from the fixed point nu* at (rho, alpha)."""
+    nu_star, _ = fixed_point(rho, alpha)
+    return critval._closed(nu, abs(rho), nu_star)
 
 
 class TestWSurface:
@@ -68,6 +74,7 @@ class TestClosedForm:
             assert closed_form_c(nu_star, rho, 0.05) == pytest.approx(
                 c_star, rel=1e-12
             )
+            assert c_star == pytest.approx(rho**2 * SQ**2 / (1.0 - rho**2), rel=1e-12)
 
     def test_rho_09_fixed_point(self):
         nu_star, c_star = fixed_point(0.9, 0.05)
@@ -77,10 +84,11 @@ class TestClosedForm:
         assert abs(c_star - 11.533) < 2e-3
 
     def test_rho_boundary(self):
-        with pytest.raises(NumericalError, match="closed form undefined"):
-            closed_form_c(2.0, 0.0, 0.05)
-        with pytest.raises(NumericalError, match="closed form undefined"):
-            closed_form_c(2.0, 1.0, 0.05)
+        for entry in (fixed_point, find_tangency):
+            with pytest.raises(NumericalError, match="closed form undefined"):
+                entry(0.0, 0.05)
+            with pytest.raises(NumericalError, match="closed form undefined"):
+                entry(1.0, 0.05)
 
 
 class TestTangency:
@@ -266,6 +274,24 @@ class TestBuildCurve:
         curve = build_vtfo_curve(rho, 0.05)
         assert curve.t_tilde == t_tilde
         assert curve.t_last == t_tilde + critval.T_STEP
+
+    def test_build_checks_alpha_once(self, monkeypatch):
+        # one alpha check and one nu* per build, through a prefix and in full
+        calls = []
+
+        def spy(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("_check_alpha", "_nu_star"):
+            monkeypatch.setattr(critval, name, spy(name, getattr(critval, name)))
+        for nu_max in (3.0, critval.NU_MAX):
+            calls.clear()
+            build_vtfo_curve(0.5, 0.05, nu_max)
+            assert calls == ["_check_alpha", "_nu_star"]
 
     def test_build_leaves_no_state_behind(self):
         # a build must not leave its continuation knots in a reference

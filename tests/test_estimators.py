@@ -11,23 +11,21 @@ from mwiv import (
     JudgeDesignSpec,
     NumericalError,
     build_projection,
-    cross_moment_B,
     default_grid,
     jive_point_estimate,
     jive_t_squared,
     jive_variance,
-    judge_population_moments,
     normalized_stats,
     quadratic_form_Q,
     simulate_judge_data,
-    t_squared_from_triple,
-    variance_estimates_at,
 )
 from mwiv.estimators import _profile
 
 from conftest import (
     dense_hat_matrix,
     judge_indicator_matrix,
+    kernel_b,
+    oracle_judge_moments,
     oracle_normalized_stats,
     oracle_v_hat,
     oracle_variances,
@@ -45,6 +43,13 @@ def sim(n_judges, nk, pi, beta=1.0, corr=0.4, seed=0, scales=(1.0, 1.0)):
         seed=seed,
     )
     return simulate_judge_data(spec)
+
+
+def variances_at(ctx, data, beta0):
+    """(upsilon, tau, psi, phi) at beta0, read off the beta0 profile."""
+    profile = _profile(ctx, data)
+    _, _, tau, psi, phi = (float(v[0]) for v in profile.values(beta0))
+    return profile.upsilon, tau, psi, phi
 
 
 class TestPointEstimate:
@@ -128,18 +133,20 @@ class TestVariance:
 
 
 class TestVarianceEstimatesAt:
+    """The variance objects at a beta0, as the beta0 profile evaluates them."""
+
     def test_matches_loop_oracle(self):
         data = sim(20, 10, 0.5, seed=6, corr=0.6)
         ctx = build_projection(data)
         p = dense_hat_matrix(judge_indicator_matrix(data.instruments))
         for beta0 in (-1.0, 0.0, 0.8):
-            ve = variance_estimates_at(ctx, data, beta0)
+            got = variances_at(ctx, data, beta0)
             e0 = data.y - beta0 * data.x
             ups, tau, psi, phi = oracle_variances(p, 20, data.x, e0)
-            assert ve.upsilon_hat == pytest.approx(ups, rel=1e-10)
-            assert ve.tau_hat == pytest.approx(tau, rel=1e-10, abs=1e-12)
-            assert ve.psi_hat == pytest.approx(psi, rel=1e-10)
-            assert ve.phi_hat == pytest.approx(phi, rel=1e-10)
+            assert got[0] == pytest.approx(ups, rel=1e-10)
+            assert got[1] == pytest.approx(tau, rel=1e-10, abs=1e-12)
+            assert got[2] == pytest.approx(psi, rel=1e-10)
+            assert got[3] == pytest.approx(phi, rel=1e-10)
 
     def test_phi_plugin_equals_b_expansion(self):
         spec = JudgeDesignSpec(
@@ -154,14 +161,14 @@ class TestVarianceEstimatesAt:
         ctx = build_projection(data)
         vecs = {"y": data.y, "x": data.x}
         for beta0 in (-1.0, 0.0, 2.0):
-            phi = variance_estimates_at(ctx, data, beta0).phi_hat
+            phi = variances_at(ctx, data, beta0)[3]
             expanded = 0.0
             for s1 in "yx":
                 for s2 in "yx":
                     for s3 in "yx":
                         for s4 in "yx":
                             sign = (-beta0) ** sum(s == "x" for s in (s1, s2, s3, s4))
-                            expanded += sign * cross_moment_B(
+                            expanded += sign * kernel_b(
                                 ctx, vecs[s1], vecs[s2], vecs[s3], vecs[s4]
                             )
             assert phi == pytest.approx(expanded, rel=1e-8)
@@ -173,15 +180,15 @@ class TestVarianceEstimatesAt:
         beta0 = 0.6
         data = Dataset(y=(beta0 + 1.0) * x, x=x, instruments=labels)
         ctx = build_projection(data)
-        ve = variance_estimates_at(ctx, data, beta0)
-        assert ve.tau_hat == pytest.approx(ve.upsilon_hat, rel=1e-12)
-        assert ve.psi_hat == pytest.approx(ve.upsilon_hat, rel=1e-12)
+        upsilon, tau, psi, _ = variances_at(ctx, data, beta0)
+        assert tau == pytest.approx(upsilon, rel=1e-12)
+        assert psi == pytest.approx(upsilon, rel=1e-12)
 
     def test_upsilon_independent_of_beta0(self):
         data = sim(12, 9, 0.4, seed=9)
         ctx = build_projection(data)
-        a = variance_estimates_at(ctx, data, -2.0).upsilon_hat
-        b = variance_estimates_at(ctx, data, 3.0).upsilon_hat
+        a = variances_at(ctx, data, -2.0)[0]
+        b = variances_at(ctx, data, 3.0)[0]
         assert a == b
 
     def test_weak_design_consistency(self):
@@ -194,7 +201,7 @@ class TestVarianceEstimatesAt:
             n_judges=n_judges, per_judge=(nk,) * n_judges, pi=pis,
             beta=1.0, error_corr=0.5, seed=0,
         )
-        pop = judge_population_moments(spec0)
+        pop = oracle_judge_moments(spec0)
         rels = {"upsilon": [], "tau": [], "psi": [], "phi": []}
         for seed in range(20):
             spec = JudgeDesignSpec(
@@ -203,11 +210,11 @@ class TestVarianceEstimatesAt:
             )
             data = simulate_judge_data(spec)
             ctx = build_projection(data)
-            ve = variance_estimates_at(ctx, data, 1.0)
-            rels["upsilon"].append(abs(ve.upsilon_hat - pop.upsilon) / pop.upsilon)
-            rels["tau"].append(abs(ve.tau_hat - pop.tau) / abs(pop.tau))
-            rels["psi"].append(abs(ve.psi_hat - pop.psi) / pop.psi)
-            rels["phi"].append(abs(ve.phi_hat - pop.phi) / pop.phi)
+            upsilon, tau, psi, phi = variances_at(ctx, data, 1.0)
+            rels["upsilon"].append(abs(upsilon - pop.upsilon) / pop.upsilon)
+            rels["tau"].append(abs(tau - pop.tau) / abs(pop.tau))
+            rels["psi"].append(abs(psi - pop.psi) / pop.psi)
+            rels["phi"].append(abs(phi - pop.phi) / pop.phi)
         for name, vals in rels.items():
             assert float(np.median(vals)) < 0.10, (name, np.median(vals))
 
@@ -266,7 +273,8 @@ class TestNormalizedStats:
 
 class TestTSquaredIdentity:
     def test_dual_route_agreement(self):
-        # ratio form and closed form computed independently here
+        # ratio form and the package's closed form, t^2 =
+        # xi^2 / (1 - 2 rho xi/nu + xi^2/nu^2) written out here as well
         data = sim(20, 10, 0.6, seed=14, corr=0.5)
         ctx = build_projection(data)
         beta_hat = jive_point_estimate(ctx, data)
@@ -274,8 +282,9 @@ class TestTSquaredIdentity:
             v_hat = jive_variance(ctx, data, beta_hat)
             direct = (beta_hat - beta0) ** 2 / v_hat
             st = normalized_stats(ctx, data, beta0)
-            closed = t_squared_from_triple(st.xi, st.nu, st.rho_raw)
-            assert direct == pytest.approx(closed, rel=1e-8)
+            triple = st.xi**2 / (1.0 - 2.0 * st.rho_raw * st.xi / st.nu + st.xi**2 / st.nu**2)
+            assert direct == pytest.approx(triple, rel=1e-8)
+            assert direct == pytest.approx(st.t_squared, rel=1e-8)
             assert jive_t_squared(ctx, data, beta0) == pytest.approx(
                 direct, rel=1e-8
             )
@@ -313,10 +322,6 @@ class TestTSquaredIdentity:
             assert s2.nu == pytest.approx(s1.nu, rel=1e-10)
             assert s2.rho == pytest.approx(s1.rho, rel=1e-10, abs=1e-12)
             assert s2.ar == pytest.approx(s1.ar, rel=1e-10, abs=1e-12)
-
-    def test_triple_form_denominator_guard(self):
-        with pytest.raises(NumericalError, match="variance estimate nonpositive"):
-            t_squared_from_triple(1.0, 1.0, 1.0)
 
 
 # Property tests: few, derandomized examples with no deadline, so they add
@@ -393,7 +398,9 @@ class TestBetaProfile:
             except NumericalError:
                 want = None
             assert bool(degenerate[i]) == (want is None), b0
-            if want is None:
+            if want is not None:
+                assert np.isfinite(stats.t_squared[i]) == np.isfinite(want.t_squared), b0
+            if want is None or not np.isfinite(want.t_squared):
                 with pytest.raises(NumericalError, match="variance estimate nonpositive"):
                     normalized_stats(ctx, data, float(b0))
                 continue
@@ -426,8 +433,7 @@ class TestBetaProfile:
         ctx = build_projection(exact)
         with pytest.raises(NumericalError, match="variance estimate nonpositive"):
             normalized_stats(ctx, exact, a)
-        with pytest.raises(NumericalError, match="variance estimate nonpositive"):
-            variance_estimates_at(ctx, exact, a)
+        assert _profile(ctx, exact).stats(a)[1]
         assert jive_variance(ctx, exact, a) == 0.0
 
     def test_float_gives_floats_array_gives_arrays(self):
@@ -443,7 +449,11 @@ class TestBetaProfile:
     def test_nonfinite_beta0(self, bad):
         data = sim(10, 6, 0.5, seed=22)
         ctx = build_projection(data)
-        for call in (normalized_stats, variance_estimates_at, jive_t_squared):
+
+        def profile_values(ctx, data, b0):
+            return _profile(ctx, data).values(b0)
+
+        for call in (normalized_stats, profile_values, jive_t_squared):
             with pytest.raises(DataError, match="beta0 must be finite"):
                 call(ctx, data, bad)
 

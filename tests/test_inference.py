@@ -28,7 +28,6 @@ from mwiv import (
     run_test,
     simulate_judge_data,
     snap_rho_to_grid,
-    t_squared_from_triple,
     two_sided_chi2,
     write_curve_csv,
 )
@@ -168,7 +167,7 @@ class TestRejectsBelowOneSidedCutoff:
         curve = curve_library.cache.get(0.9, 0.05)
         nu, xi, rho = 1.62, 1.8, 0.9
         assert nu < SQ
-        stat = t_squared_from_triple(xi, nu, rho)
+        stat = xi**2 / (1.0 - 2.0 * rho * xi / nu + xi**2 / nu**2)
         crit = curve.evaluate(nu)
         assert np.isfinite(crit)
         assert stat > crit
@@ -280,17 +279,28 @@ class TestConfidenceSets:
             expect = np.array([stat(want[b]) for b in cs.betas[keep]])
             assert np.allclose(cs.statistics[keep], expect, rtol=1e-10, atol=1e-12), method
 
-    def test_exact_fit_point_is_degenerate(self):
+    def test_exact_fit_point_is_degenerate(self, curve_library):
         # y = 0.7 x exactly: every kernel at beta0 = 0.7 sees e0 = 0, and the
         # profile's psi there is rounding that must still count as zero
         labels = np.repeat([0, 1, 2, 3], 5)
         x = np.random.default_rng(10).standard_normal(20)
         data = Dataset(y=0.7 * x, x=x, instruments=labels)
         ctx = build_projection(data)
-        cs = invert_confidence_set("ms2", ctx, data, grid=(0.0, 1.4, 3))
-        assert cs.betas[1] == 0.7 and cs.degenerate[1]
         with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
             oracle_normalized_stats(ctx, data, 0.7)
+        # at 1.4, e0 = -0.7 x: the variances are positive, but t^2's
+        # denominator is zero in exact arithmetic and rounds to inf; only
+        # the procedures that read t^2 drop the point
+        st = oracle_normalized_stats(ctx, data, 1.4)
+        assert st.ar == pytest.approx(2.4586, abs=1e-4) and st.xi == pytest.approx(-2.2437, abs=1e-4)
+        want = {"ms1": st.ar, "ms2": st.ar**2, "lm": st.xi**2}
+        for method in ("ms1", "ms2", "lm", "vtfo", "cw"):
+            cs = invert_confidence_set(method, ctx, data, grid=(0.0, 1.4, 3), curves=curve_library)
+            assert cs.betas[1] == 0.7 and cs.degenerate[1], method
+            assert cs.degenerate[2] == (method not in want), method
+            assert cs.rejects.all(), method
+            if method in want:
+                assert cs.statistics[2] == pytest.approx(want[method], rel=1e-10), method
 
     def test_csv_text_shape(self, strong_data, curve_library):
         data, ctx = strong_data

@@ -8,12 +8,13 @@ from mwiv import (
     JudgeDesignSpec,
     build_projection,
     jive_point_estimate,
-    judge_population_moments,
     normalized_stats,
     quadratic_form_Q,
     run_test,
     simulate_judge_data,
 )
+
+from conftest import oracle_judge_moments
 
 
 def uniform_spec(n_judges, nk, pi_val, **kw):
@@ -127,9 +128,12 @@ class TestSimulate:
 
 
 class TestPopulationMoments:
+    """The population variance objects of ``oracle_judge_moments``, which
+    other tests compare estimates with."""
+
     def test_special_cases(self):
         # uncorrelated errors kill every object that carries sigma_ev
-        mm = judge_population_moments(uniform_spec(5, 4, 0.3, error_corr=0.0))
+        mm = oracle_judge_moments(uniform_spec(5, 4, 0.3, error_corr=0.0))
         assert mm.tau == 0.0 and mm.sigma12 == 0.0 and mm.sigma13 == 0.0
         assert mm.phi == pytest.approx(2.0 * 0.75, rel=1e-12)
         assert mm.mu_sq == pytest.approx(5 * 3 * 0.09, rel=1e-12)
@@ -141,8 +145,8 @@ class TestPopulationMoments:
             n_judges=2, per_judge=(4, 4), pi=(0.0, 0.0), beta=1.0,
             judge_error_scale=(1.0, 2.0),
         )
-        m0 = judge_population_moments(base)
-        m1 = judge_population_moments(scaled)
+        m0 = oracle_judge_moments(base)
+        m1 = oracle_judge_moments(scaled)
         # (1/K) sum w 2 se^4 with se in {1, 2}: (2 + 32)/2 vs (2 + 2)/2
         assert m1.phi == pytest.approx(m0.phi * (1.0 + 16.0) / 2.0, rel=1e-12)
         assert m1.upsilon == m0.upsilon
@@ -154,7 +158,7 @@ class TestPopulationMoments:
             n_judges=40, per_judge=(8,) * 40, pi=tuple(0.4 * base),
             beta=1.0, error_corr=0.6, seed=0,
         )
-        pop = judge_population_moments(spec0)
+        pop = oracle_judge_moments(spec0)
         reps = 6000
         draws = np.empty((reps, 3))
         for rep in range(reps):

@@ -13,7 +13,6 @@ from mwiv import (
     TableError,
     alternative_variances,
     analytic_power_bounds,
-    draw_q_tr,
     load_two_sided_table,
     power_csv_text,
     rejection_rates,
@@ -21,7 +20,23 @@ from mwiv import (
     write_power_csv,
     write_power_svg,
 )
-from mwiv import critval
+from mwiv import critval, power
+
+
+def lab_draws(monkeypatch, dgp, n_draws, seed, deltas=(0.0,)):
+    """The (n_draws, 3) arrays of (q_ee, q_xe, q_xx) that ``rejection_rates``
+    draws, one per delta."""
+    seen = []
+    draw = power._draw_with_rng
+
+    def record(*args):
+        seen.append(draw(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(power, "_draw_with_rng", record)
+        rejection_rates(dgp, list(deltas), methods=("ms1",), n_draws=n_draws, seed=seed)
+    return seen
 
 
 class TestDrawProtocol:
@@ -30,26 +45,29 @@ class TestDrawProtocol:
         assert np.array_equal(dgp.covariance(), np.diag([1.0, 0.5, 1.0]))
         assert np.array_equal(dgp.mean(), np.zeros(3))
 
-    def test_mean_of_q_xx(self):
+    def test_mean_of_q_xx(self, monkeypatch):
         dgp = AsymptoticDGP(s=3.0, r=0.5)
-        draws = draw_q_tr(dgp, 100000, seed=11)
+        (draws,) = lab_draws(monkeypatch, dgp, 100000, seed=11)
         assert draws.shape == (100000, 3)
         assert float(draws[:, 2].mean()) == pytest.approx(3.0, abs=0.02)
         assert float(draws[:, 0].mean()) == pytest.approx(0.0, abs=0.02)
 
-    def test_sample_covariance(self):
+    def test_sample_covariance(self, monkeypatch):
         dgp = AsymptoticDGP(s=0.0, r=0.6)
-        draws = draw_q_tr(dgp, 200000, seed=4)
+        (draws,) = lab_draws(monkeypatch, dgp, 200000, seed=4)
         emp = np.cov(draws.T)
         assert np.max(np.abs(emp - dgp.covariance())) < 0.02
 
-    def test_same_seed_identical(self):
+    def test_same_seed_identical(self, monkeypatch):
+        # one substream per delta: the same seed repeats them, another
+        # seed or another delta does not
         dgp = AsymptoticDGP(s=1.0, r=0.3)
-        a = draw_q_tr(dgp, 500, seed=9)
-        b = draw_q_tr(dgp, 500, seed=9)
+        a = lab_draws(monkeypatch, dgp, 500, seed=9, deltas=(0.5, 1.0))
+        b = lab_draws(monkeypatch, dgp, 500, seed=9, deltas=(0.5, 1.0))
+        c = lab_draws(monkeypatch, dgp, 500, seed=10, deltas=(0.5, 1.0))
         assert np.array_equal(a, b)
-        c = draw_q_tr(dgp, 500, seed=10)
-        assert not np.array_equal(a, c)
+        assert not np.array_equal(a[0], c[0]) and not np.array_equal(a[1], c[1])
+        assert not np.array_equal(a[0], a[1])
 
     def test_invalid_r(self):
         with pytest.raises(DataError, match=r"invalid DGP: \|r\| must be < 1"):
@@ -66,7 +84,7 @@ class TestDrawProtocol:
     def test_n_draws_validation(self):
         dgp = AsymptoticDGP(s=0.0, r=0.0)
         with pytest.raises(DataError, match="n_draws must be >= 1"):
-            draw_q_tr(dgp, 0, seed=0)
+            rejection_rates(dgp, [0.0], methods=("ms1",), n_draws=0)
 
 
 class TestAlternativeVariances:
@@ -167,12 +185,6 @@ class TestRejectionRates:
         one, two = analytic_power_bounds(3.0)
         assert res.bound_one_sided == pytest.approx(one, rel=1e-14)
         assert res.bound_two_sided == pytest.approx(two, rel=1e-14)
-        assert res.bound_for("ms1") == res.bound_one_sided
-        assert res.bound_for("vtfo") == res.bound_one_sided
-        assert res.bound_for("ms2") == res.bound_two_sided
-        assert res.bound_for("lm") == res.bound_two_sided
-        assert res.bound_for("vtf") == res.bound_two_sided
-        assert res.bound_for("cw") is None
         for m in res.methods:
             assert np.all(res.rates[m] >= 0.0) and np.all(res.rates[m] <= 1.0)
 
@@ -280,14 +292,12 @@ def test_bad_seed_is_a_data_error(seed):
     dgp = AsymptoticDGP(s=3.0, r=0.5)
     with pytest.raises(DataError, match="seed must be a nonnegative integer"):
         rejection_rates(dgp, [0.0], methods=("ms1",), n_draws=10, seed=seed)
-    with pytest.raises(DataError, match="seed must be a nonnegative integer"):
-        draw_q_tr(dgp, 10, seed)
 
 
-def test_integer_seeds_draw_alike():
+def test_integer_seeds_draw_alike(monkeypatch):
     dgp = AsymptoticDGP(s=3.0, r=0.5)
-    assert np.array_equal(draw_q_tr(dgp, 50, np.int64(7)), draw_q_tr(dgp, 50, 7))
-    assert np.array_equal(draw_q_tr(dgp, 50, 2**70), draw_q_tr(dgp, 50, 2**70))
+    for a, b in ((np.int64(7), 7), (2**70, 2**70)):
+        assert np.array_equal(lab_draws(monkeypatch, dgp, 50, a), lab_draws(monkeypatch, dgp, 50, b))
 
 
 # Rates at s 3, r 0.5, 2,000 draws, seed 5, recorded with the per-method

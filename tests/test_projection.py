@@ -9,11 +9,11 @@ from mwiv import (
     DataError,
     Dataset,
     build_projection,
-    cross_moment_B,
     quadratic_form_Q,
 )
+from mwiv.estimators import _profile
 
-from conftest import dense_hat_matrix, judge_indicator_matrix, oracle_b, oracle_q
+from conftest import dense_hat_matrix, judge_indicator_matrix, kernel_b, oracle_b, oracle_q
 
 
 def judge_dataset(labels, rng=None, y=None, x=None):
@@ -163,12 +163,15 @@ class TestQuadraticForm:
 
 
 class TestCrossMoment:
+    """B_abcd as the beta0 profile forms it, from ``annihilate`` and
+    ``pair_weighted``."""
+
     def test_zero_vector(self):
         rng = np.random.default_rng(9)
         data = judge_dataset(random_judge_labels(rng, 4), rng)
         ctx = build_projection(data)
         z = np.zeros(data.n)
-        assert cross_moment_B(ctx, z, data.x, data.y, data.x) == 0.0
+        assert kernel_b(ctx, z, data.x, data.y, data.x) == 0.0
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(10)
@@ -176,9 +179,11 @@ class TestCrossMoment:
         data = judge_dataset(labels, rng)
         ctx = build_projection(data)
         p = dense_hat_matrix(judge_indicator_matrix(labels))
-        got = cross_moment_B(ctx, data.x, data.y, data.x, data.y)
+        got = kernel_b(ctx, data.x, data.y, data.x, data.y)
         want = oracle_b(p, 4, data.x, data.y, data.x, data.y)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        want = oracle_b(p, 4, data.x, data.x, data.x, data.x)
+        assert _profile(ctx, data).b_xxxx == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["judge", "dense"])
     def test_pair_swap_symmetry_exact(self, kind):
@@ -188,25 +193,28 @@ class TestCrossMoment:
         a, b = data.x, data.y
         c = np.sin(np.arange(data.n, dtype=float))
         d = np.cos(np.arange(data.n, dtype=float))
-        assert cross_moment_B(ctx, a, b, c, d) == cross_moment_B(ctx, c, d, a, b)
+        assert kernel_b(ctx, a, b, c, d) == kernel_b(ctx, c, d, a, b)
 
     def test_multilinear_expansion_in_beta0(self):
-        # B(e0,e0,e0,e0) with e0 = y - b x expands into 16 base moments
+        # B(e0,e0,e0,e0) with e0 = y - b x expands into 16 base moments,
+        # and the profile's phi polynomial is that expansion
         rng = np.random.default_rng(12)
         labels = random_judge_labels(rng, 5)
         data = judge_dataset(labels, rng)
         ctx = build_projection(data)
+        profile = _profile(ctx, data)
         vecs = {"y": data.y, "x": data.x}
         for beta0 in (-1.0, 0.5, 2.0):
             e0 = data.y - beta0 * data.x
-            direct = cross_moment_B(ctx, e0, e0, e0, e0)
+            direct = kernel_b(ctx, e0, e0, e0, e0)
+            assert profile.values(beta0)[4][0] == pytest.approx(direct, rel=1e-8, abs=1e-12)
             expanded = 0.0
             for s1 in "yx":
                 for s2 in "yx":
                     for s3 in "yx":
                         for s4 in "yx":
                             sign = (-beta0) ** sum(s == "x" for s in (s1, s2, s3, s4))
-                            expanded += sign * cross_moment_B(
+                            expanded += sign * kernel_b(
                                 ctx, vecs[s1], vecs[s2], vecs[s3], vecs[s4]
                             )
             assert direct == pytest.approx(expanded, rel=1e-8, abs=1e-12)
@@ -235,8 +243,8 @@ class TestFastPathStructure:
                 qj = quadratic_form_Q(ctx_j, a, b)
                 qd = quadratic_form_Q(ctx_d, a, b)
                 assert qj == pytest.approx(qd, rel=1e-10, abs=1e-12)
-            bj = cross_moment_B(ctx_j, data.x, data.y, data.x, data.y)
-            bd = cross_moment_B(ctx_d, data.x, data.y, data.x, data.y)
+            bj = kernel_b(ctx_j, data.x, data.y, data.x, data.y)
+            bd = kernel_b(ctx_d, data.x, data.y, data.x, data.y)
             assert bj == pytest.approx(bd, rel=1e-10, abs=1e-12)
 
 
