@@ -29,7 +29,6 @@ from .errors import DataError, MwivError, NumericalError, TableError
 from .estimators import (
     NormalizedStats,
     jive_point_estimate,
-    jive_t_squared,
     jive_variance,
     normalized_stats,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "jive_point_estimate",
     "jive_variance",
     "normalized_stats",
-    "jive_t_squared",
     "RHO_CAP",
     "RHO_BUILD_FLOOR",
     "CriticalValueCurve",

@@ -7,7 +7,7 @@ degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
 evaluates them on a float or an array of b0 without forming an N x grid
 array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here and in
 the power lab; t^2, a closed form in (xi, nu, rho), equals the Wald ratio
-(bhat - b0)^2 / Vhat by algebra, which :func:`jive_t_squared` checks.
+(bhat - b0)^2 / Vhat by algebra.
 
 A point is degenerate where upsilon, psi or phi is not positive; a psi or
 phi within 1e-12 of the summed magnitude of its terms counts as zero, so
@@ -33,7 +33,6 @@ __all__ = [
     "jive_point_estimate",
     "jive_variance",
     "normalized_stats",
-    "jive_t_squared",
 ]
 
 # A sum within this fraction of its terms' summed magnitude is zero.
@@ -117,6 +116,11 @@ class _Profile:
         degenerate = out.pop("degenerate")
         return NormalizedStats(nu=nu, q_xx=self.q_xx, b_xxxx=self.b_xxxx, **out), degenerate
 
+    def refuse(self, bad) -> None:
+        """Raise NumericalError if any point of the mask ``bad`` is set."""
+        if np.any(bad):
+            raise NumericalError("variance estimate nonpositive" + (" at beta0" if self.upsilon > 0.0 else ""))
+
 
 def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     x, y, k = data.x, data.y, ctx.k
@@ -179,28 +183,5 @@ def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0) -> Normalized
     """
     profile = _profile(ctx, data)
     stats, degenerate = profile.stats(beta0)
-    if np.any(degenerate | ~np.isfinite(stats.t_squared)):
-        raise NumericalError("variance estimate nonpositive" + (" at beta0" if profile.upsilon > 0.0 else ""))
+    profile.refuse(degenerate | ~np.isfinite(stats.t_squared))
     return stats
-
-
-def jive_t_squared(ctx: ProjectionContext, data: Dataset, beta0: float) -> float:
-    """Wald statistic at beta0, computed both ways and cross-checked.
-
-    Routes: (bhat - b0)^2 / Vhat and the closed form from the normalized
-    triple. They agree to machine accuracy by algebra; tolerance 1e-8
-    relative guards against kernel regressions.
-    """
-    stats = normalized_stats(ctx, data, beta0)
-    beta_hat = jive_point_estimate(ctx, data)
-    v_hat = jive_variance(ctx, data, beta_hat)
-    if v_hat <= 0.0:
-        raise NumericalError("variance estimate nonpositive")
-    direct = (beta_hat - beta0) ** 2 / v_hat
-    closed = stats.t_squared
-    rel = abs(direct - closed) / max(abs(direct), abs(closed), 1e-12)
-    if rel > 1e-8:
-        raise NumericalError(
-            f"t-statistic identity violation: ratio form {direct!r} vs closed form {closed!r}"
-        )
-    return closed

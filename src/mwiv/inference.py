@@ -34,7 +34,6 @@ from .estimators import (
     _jive_variance,
     _profile,
     jive_point_estimate,
-    normalized_stats,
 )
 from .projection import ProjectionContext
 
@@ -179,6 +178,15 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     return statistic, np.full(np.shape(statistic), critical)
 
 
+def _testable_stats(method: str, profile, beta0) -> tuple[NormalizedStats, np.ndarray]:
+    """Stats at beta0 and the points ``method`` cannot test: those the profile
+    marks degenerate, and for vtfo, vtf and cw (which read it) a non-finite t^2."""
+    stats, degenerate = profile.stats(beta0)
+    if method in ("vtfo", "vtf", "cw"):
+        degenerate = degenerate | ~np.isfinite(stats.t_squared)
+    return stats, degenerate
+
+
 def run_test(
     method: str,
     ctx: ProjectionContext,
@@ -187,11 +195,14 @@ def run_test(
     alpha: float = 0.05,
     curves: CurveLibrary | None = None,
 ) -> TestDecision:
-    """Test beta = beta0 at level alpha with the chosen procedure."""
+    """Test beta = beta0 at level alpha with the chosen procedure; raises
+    NumericalError where ``invert_confidence_set`` marks beta0 degenerate."""
     _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
-    stats = normalized_stats(ctx, data, np.array([beta0], dtype=float))
+    profile = _profile(ctx, data)
+    stats, degenerate = _testable_stats(method, profile, np.array([beta0], dtype=float))
+    profile.refuse(degenerate)
     statistic, critical = (float(v[0]) for v in decide(method, stats, alpha, curves))
     return TestDecision(
         method=method,
@@ -255,9 +266,7 @@ def invert_confidence_set(
         raise DataError("grid must be finite with hi > lo and n >= 3")
 
     betas = np.linspace(lo, hi, n)
-    stats, degenerate = profile.stats(betas)
-    if method in ("vtfo", "vtf", "cw"):  # the procedures that read t_squared
-        degenerate |= ~np.isfinite(stats.t_squared)
+    stats, degenerate = _testable_stats(method, profile, betas)
     if degenerate.all():
         raise NumericalError("inversion failed: all grid points degenerate")
     statistics = np.full(n, np.nan)

@@ -1,7 +1,8 @@
 """Public API: every exported name resolves, is exported by the module
 that defines it and has a caller in the program, so a deleted name cannot
-linger in an export list and no export serves the tests alone; and
-importing the package stays light."""
+linger in an export list and no export serves the tests alone;
+importing the package stays light; and each class the benchmark's tracer
+patches defines the methods it patches."""
 
 import ast
 import glob
@@ -47,7 +48,7 @@ def test_every_export_is_in_its_module_all():
 
 
 # Exports that the program does not call yet, each with its reason.
-ALLOWED_TEST_ONLY = {"jive_t_squared": "ROADMAP item 3"}
+ALLOWED_TEST_ONLY: dict[str, str] = {}
 
 
 def program_identifiers():
@@ -90,3 +91,21 @@ def test_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_methods_live_on_their_class():
+    # perfbench's tracer replaces each METHODS entry through
+    # cls.__dict__[method]; a listed class must define the method itself,
+    # not inherit it, or `perfbench/run.py --trace 1` raises KeyError
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets)
+    )
+    assert methods
+    for mod_name, cls_name, meth, _ in methods:
+        cls = getattr(importlib.import_module(f"mwiv.{mod_name}"), cls_name, None)
+        assert cls is None or meth in vars(cls), (mod_name, cls_name, meth)

@@ -13,13 +13,14 @@ from mwiv import (
     build_projection,
     default_grid,
     jive_point_estimate,
-    jive_t_squared,
     jive_variance,
     normalized_stats,
     quadratic_form_Q,
+    run_test,
     simulate_judge_data,
 )
 from mwiv.estimators import _profile
+from mwiv.projection import DenseProjection, JudgeProjection
 
 from conftest import (
     dense_hat_matrix,
@@ -43,6 +44,16 @@ def sim(n_judges, nk, pi, beta=1.0, corr=0.4, seed=0, scales=(1.0, 1.0)):
         seed=seed,
     )
     return simulate_judge_data(spec)
+
+
+def t_squared_both_ways(ctx, data, beta0):
+    """t^2 at beta0 from ``normalized_stats``, checked against the Wald
+    ratio (beta_hat - beta0)^2 / V_hat to 1e-8 relative."""
+    closed = normalized_stats(ctx, data, beta0).t_squared
+    beta_hat = jive_point_estimate(ctx, data)
+    ratio = (beta_hat - beta0) ** 2 / jive_variance(ctx, data, beta_hat)
+    assert abs(ratio - closed) <= 1e-8 * max(abs(ratio), abs(closed), 1e-12)
+    return closed
 
 
 def variances_at(ctx, data, beta0):
@@ -111,8 +122,8 @@ class TestVariance:
         doubled = Dataset(y=2.0 * data.y, x=data.x, instruments=data.instruments)
         ctx2 = build_projection(doubled)
         for beta0 in (-0.5, 0.3, 1.4):
-            t1 = jive_t_squared(ctx, data, beta0)
-            t2 = jive_t_squared(ctx2, doubled, 2.0 * beta0)
+            t1 = t_squared_both_ways(ctx, data, beta0)
+            t2 = t_squared_both_ways(ctx2, doubled, 2.0 * beta0)
             assert t1 == pytest.approx(t2, rel=1e-8)
 
     def test_zero_residuals_zero_variance(self):
@@ -285,15 +296,12 @@ class TestTSquaredIdentity:
             triple = st.xi**2 / (1.0 - 2.0 * st.rho_raw * st.xi / st.nu + st.xi**2 / st.nu**2)
             assert direct == pytest.approx(triple, rel=1e-8)
             assert direct == pytest.approx(st.t_squared, rel=1e-8)
-            assert jive_t_squared(ctx, data, beta0) == pytest.approx(
-                direct, rel=1e-8
-            )
 
     def test_zero_at_point_estimate(self):
         data = sim(15, 8, 0.5, seed=15)
         ctx = build_projection(data)
         beta_hat = jive_point_estimate(ctx, data)
-        assert jive_t_squared(ctx, data, beta_hat) <= 1e-20
+        assert t_squared_both_ways(ctx, data, beta_hat) <= 1e-20
 
     def test_affine_invariance(self):
         data = sim(15, 8, 0.5, seed=16)
@@ -302,8 +310,8 @@ class TestTSquaredIdentity:
         scaled = Dataset(y=c * data.y, x=data.x, instruments=data.instruments)
         ctx2 = build_projection(scaled)
         for beta0 in (-0.8, 0.4):
-            assert jive_t_squared(ctx, data, beta0) == pytest.approx(
-                jive_t_squared(ctx2, scaled, c * beta0), rel=1e-8
+            assert t_squared_both_ways(ctx, data, beta0) == pytest.approx(
+                t_squared_both_ways(ctx2, scaled, c * beta0), rel=1e-8
             )
 
     def test_translation_invariance(self):
@@ -416,7 +424,7 @@ class TestBetaProfile:
     def test_judge_path_equals_dense_path(self, data, b0):
         dense = Dataset(y=data.y, x=data.x, instruments=judge_indicator_matrix(data.instruments))
         fast, slow = build_projection(data), build_projection(dense)
-        assert fast.p is None and slow.p is not None
+        assert isinstance(fast, JudgeProjection) and isinstance(slow, DenseProjection)
         points = np.array([b0, jive_point_estimate(fast, data), 0.5 * b0 - 1.0])
         bad = _profile(fast, data).stats(points)[1]
         assert np.array_equal(bad, _profile(slow, dense).stats(points)[1])
@@ -453,7 +461,10 @@ class TestBetaProfile:
         def profile_values(ctx, data, b0):
             return _profile(ctx, data).values(b0)
 
-        for call in (normalized_stats, profile_values, jive_t_squared):
+        def ms2_test(ctx, data, b0):
+            return run_test("ms2", ctx, data, b0)
+
+        for call in (normalized_stats, profile_values, ms2_test):
             with pytest.raises(DataError, match="beta0 must be finite"):
                 call(ctx, data, bad)
 

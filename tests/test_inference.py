@@ -290,7 +290,8 @@ class TestConfidenceSets:
             oracle_normalized_stats(ctx, data, 0.7)
         # at 1.4, e0 = -0.7 x: the variances are positive, but t^2's
         # denominator is zero in exact arithmetic and rounds to inf; only
-        # the procedures that read t^2 drop the point
+        # the procedures that read t^2 drop the point, and a test refuses
+        # exactly the points its set drops
         st = oracle_normalized_stats(ctx, data, 1.4)
         assert st.ar == pytest.approx(2.4586, abs=1e-4) and st.xi == pytest.approx(-2.2437, abs=1e-4)
         want = {"ms1": st.ar, "ms2": st.ar**2, "lm": st.xi**2}
@@ -301,6 +302,11 @@ class TestConfidenceSets:
             assert cs.rejects.all(), method
             if method in want:
                 assert cs.statistics[2] == pytest.approx(want[method], rel=1e-10), method
+                dec = run_test(method, ctx, data, 1.4, curves=curve_library)
+                assert (dec.statistic, dec.critical, dec.reject) == (cs.statistics[2], cs.criticals[2], True), method
+            for b0 in (0.7,) if method in want else (0.7, 1.4):
+                with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
+                    run_test(method, ctx, data, b0, curves=curve_library)
 
     def test_csv_text_shape(self, strong_data, curve_library):
         data, ctx = strong_data
@@ -364,9 +370,9 @@ class TestDecide:
 
     def test_unknown_method_before_any_work(self, monkeypatch):
         def no_stats(*args):
-            raise AssertionError("normalized_stats ran")
+            raise AssertionError("the beta0 profile was built")
 
-        monkeypatch.setattr(inference, "normalized_stats", no_stats)
+        monkeypatch.setattr(inference, "_profile", no_stats)
         with pytest.raises(DataError, match="unknown method 'tsls'; expected one of vtfo, vtf, cw, ms1, ms2, lm"):
             invert_confidence_set("tsls", None, None, grid=(0.0, 1.0, 3))
         with pytest.raises(TableError, match="two-sided table unavailable"):

@@ -1,5 +1,7 @@
 """Projection context: hat-matrix entries, Q and B kernels, fast paths."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from mwiv import (
     quadratic_form_Q,
 )
 from mwiv.estimators import _profile
+from mwiv.projection import DenseProjection, JudgeProjection
 
 from conftest import dense_hat_matrix, judge_indicator_matrix, kernel_b, oracle_b, oracle_q
 
@@ -226,9 +229,27 @@ class TestFastPathStructure:
         rng = np.random.default_rng(13)
         data = judge_dataset(labels, rng)
         ctx = build_projection(data)
-        assert ctx.p is None
-        assert ctx.labels is not None and ctx.labels.size == data.n
+        assert isinstance(ctx, JudgeProjection)
+        assert ctx.labels.size == data.n
+        assert all(np.ndim(getattr(ctx, f.name)) <= 1 for f in dataclasses.fields(ctx))
         assert np.isfinite(quadratic_form_Q(ctx, data.x, data.x))
+
+    def test_dense_holds_one_n_by_n_array(self):
+        # P v = q (q'v), so Ptil2 is the only N x N array held, and the build
+        # peaks near two of them; also storing P would take it to about four
+        n = 600
+        rng = np.random.default_rng(17)
+        data = dense_dataset(rng.standard_normal((n, 40)), rng)
+        tracemalloc.start()
+        try:
+            ctx = build_projection(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ctx, DenseProjection)
+        shapes = {f.name: np.shape(getattr(ctx, f.name)) for f in dataclasses.fields(ctx)}
+        assert [name for name, shape in shapes.items() if shape == (n, n)] == ["ptil2"]
+        assert peak <= 2.5 * n * n * 8
 
     def test_judge_equals_dense_on_moments(self):
         rng = np.random.default_rng(14)

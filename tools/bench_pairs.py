@@ -14,10 +14,13 @@ at a time, and a run still going after RUN_TIMEOUT_S is killed.
 The JSON file holds every run's result and, per workload and end-to-end
 metric (names, directions and bounds from BENCHMARK.json), each side's
 median and quartiles, the change's win count over the pairs (ties count
-for neither side), and two verdicts: ``gain`` (the change wins at least
+for neither side), and three verdicts: ``gain`` (the change wins at least
 nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range, in the better direction) and ``within_bound`` (the
-change's median is not worse than the parent's by more than the bound).
+interquartile range, in the better direction), ``within_bound`` (the
+change's median is not worse than the parent's by more than the bound) and
+``unresolved`` (the parent's interquartile range over its median exceeds
+the bound, so the runs spread too widely to call the metric unchanged,
+unless every run of the change reads better than every run of the parent).
 Standard library only.
 """
 
@@ -78,6 +81,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         iqr = pq[2] - pq[0]
         gained = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         worse = -gained / pq[1] if pq[1] else 0.0
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -90,6 +94,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "gain": wins >= 0.9 * len(both) and gained > iqr,
             "bound": metric["bound"],
             "within_bound": worse <= metric["bound"],
+            "unresolved": bool(pq[1]) and iqr / pq[1] > metric["bound"] and not all_better,
         }
     return out
 
