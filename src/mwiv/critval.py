@@ -21,7 +21,11 @@ Three families live here:
 * a loader for externally supplied two-sided tables in the curve CSV format.
 
 Curves are immutable and cheap to evaluate; building one is the expensive
-step, so a small disk cache with atomic writes is provided.
+step, so a small disk cache with atomic writes is provided. The curve CSV
+is a table: on a built curve's formula segment its rows sample the formula
+so that linear interpolation stays within TABLE_TOL * max(c, 1) of it,
+and past nu_tilde they are the continuation's knots. A table read from a
+file is written back row for row.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ class CriticalValueCurve:
     build range out to NU_MAX the measured conditional rejection rate at alpha
     0.05 stays between 0.0496 and 0.0504 (grid rho 0.02 to 0.99 and the
     cap, T up to 200).
+
+    ``formula_end`` marks a curve the package built (``_built``): up to it
+    the curve is a formula (``_formula``), past it the knots are the
+    continuation's. It is None for a table read from a file.
     """
 
     rho_abs: float
@@ -119,6 +127,23 @@ class CriticalValueCurve:
     domain_low: float
     t_tilde: float | None = None
     t_last: float | None = None
+    formula_end: float | None = None
+
+    @classmethod
+    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None):
+        """A built curve, whose formula segment ends at nu_tilde = t_tilde +
+        nu*, or at NU_MAX for the small-rho limit and closed-form-only
+        curves (no t_tilde)."""
+        end = NU_MAX if rho_abs < RHO_BUILD_FLOOR or t_tilde is None else t_tilde + domain_low
+        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end)
+
+    def _formula(self, nu):
+        """The built curve's formula below ``formula_end``: the small-rho
+        limit under RHO_BUILD_FLOOR, else the closed form from nu* =
+        ``domain_low``."""
+        if self.rho_abs < RHO_BUILD_FLOOR:
+            return small_rho_limit_c(nu, self.alpha)
+        return _closed(nu, self.rho_abs, self.domain_low)
 
     def evaluate(self, nu: float) -> float:
         return float(self.evaluate_array(nu))
@@ -311,9 +336,12 @@ def _base_grid(lo: float, hi: float) -> np.ndarray:
 
 def _refine_knots(c, base: np.ndarray, extra: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Knots for c (a map of arrays) over the panels of ``base``, halved
-    until the piecewise-linear interpolant tracks c to ~5e-7, merged with
-    the knots at ``extra``. One numpy pass per halving level; a panel that
-    is not split gives its midpoint and its right end."""
+    until c at each panel's midpoint is within 5e-7 of the chord, merged
+    with the knots at ``extra``. One numpy pass per halving level; a panel
+    that is not split gives its midpoint and its right end. Measured on a
+    dense grid, the interpolant tracks the closed form to 2.9e-7 or better
+    for |rho| <= 0.99, but to 1.57e-6 at the cap (nu - nu* = 0.0137, c
+    about 10,197), where a panel's midpoint misses a bend the other way."""
     a, b, extra = base[:-1], base[1:], np.asarray(extra, dtype=float)
     ca, cb = c(a), c(b)
     nus, cs = [extra], [c(extra)]
@@ -386,17 +414,17 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
 
     if rho_abs < RHO_BUILD_FLOOR:
         nus, cs = _refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0])
-        return CriticalValueCurve(rho_abs, alpha, nus, cs, 0.0)
+        return CriticalValueCurve._built(rho_abs, alpha, nus, cs, 0.0)
 
     _, nu_star = _nu_star(rho_abs, alpha)
     t_tilde, nu_tilde = _tangency(nu_star)
     if t_tilde >= NU_MAX:
         # the three-crossing region starts past the build range
-        return CriticalValueCurve(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
+        return CriticalValueCurve._built(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
     nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
     if nu_max <= nu_tilde:
-        return CriticalValueCurve(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
+        return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
     stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     try:
         cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop)
@@ -404,7 +432,7 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
 
     nus, cs = np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c])
-    knots = CriticalValueCurve(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last)
+    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots
@@ -593,34 +621,83 @@ def _sidecar_key(base: str, rho_abs: float, multi: bool) -> str:
     return f"{base}[rho={rho_abs!r}]" if multi else base
 
 
+# A table row on a formula segment is a sample of the formula, and linear
+# interpolation between samples stays within TABLE_TOL * max(c, 1) of it.
+TABLE_TOL = 5e-7
+
+
+def _sample(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples (nu, f(nu)) on [lo, hi], ends included, whose chords track f
+    to TABLE_TOL * max(f, 1). Each panel of ``_base_grid`` is halved until
+    f at a quarter, half and three quarters of it lies within 0.9 TABLE_TOL
+    * max(f, 1) of the chord; a midpoint alone misses the error where f
+    bends the other way within the panel. Measured on a dense grid, a built
+    curve's table errs by at most that 0.9 TABLE_TOL * max(f, 1). One numpy
+    pass per halving level."""
+    probes = np.array([0.25, 0.5, 0.75])
+    base = _base_grid(lo, hi)
+    a, b = base[:-1], base[1:]
+    fa, fb = f(a), f(b)
+    nus, cs = [base[:1]], [fa[:1]]
+    while a.size:
+        x = a[:, None] + (b - a)[:, None] * probes
+        fx = f(x)
+        off = np.abs(fx - (fa[:, None] + (fb - fa)[:, None] * probes)) > 0.9 * TABLE_TOL * np.maximum(fx, 1.0)
+        split = off.any(axis=1) & (b - a > 64 * ROOT_TOL)
+        nus.append(b[~split])
+        cs.append(fb[~split])
+        mid, fm = x[split, 1], fx[split, 1]
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        fa, fb = np.concatenate([fa[split], fm]), np.concatenate([fm, fb[split]])
+    nu = np.concatenate(nus)
+    order = np.argsort(nu)
+    return nu[order], np.concatenate(cs)[order]
+
+
+def _table_rows(cv: CriticalValueCurve) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's table rows: on a built curve, samples of its formula
+    segment and then the knots past it; on a table read from a file, its
+    rows."""
+    if cv.formula_end is None:
+        return cv.knots_nu, cv.knots_c
+    nu, c = _sample(cv._formula, cv.domain_low, cv.formula_end)
+    past = np.searchsorted(cv.knots_nu, cv.formula_end, side="right")
+    return np.concatenate([nu, cv.knots_nu[past:]]), np.concatenate([c, cv.knots_c[past:]])
+
+
 def curve_csv_text(curves) -> str:
     """Curve CSV as a string: comment sidecar, `rho,nu,crit` header, rows
-    sorted by (rho, nu). Infinite values are never serialized; the domain
-    floor rides in the sidecar, and ``knots`` records each curve's row
-    count so that a truncated file is detected on load."""
+    sorted by (rho, nu) (``_table_rows``). Infinite values are never
+    serialized; the domain floor rides in the sidecar, and ``knots``
+    records each curve's row count so that a truncated file is detected on
+    load. Two curves with one |rho| are a DataError: the file could not be
+    read back."""
     if isinstance(curves, CriticalValueCurve):
         curves = [curves]
     curves = sorted(curves, key=lambda c: c.rho_abs)
+    for a, b in zip(curves, curves[1:]):
+        if a.rho_abs == b.rho_abs:
+            raise DataError(f"a curve table holds one curve per |rho|, and |rho| {b.rho_abs!r} repeats")
     multi = len(curves) > 1
-    lines = []
+    lines, rows = [], []
     for cv in curves:
+        nu, c = (np.asarray(col, dtype=float).tolist() for col in _table_rows(cv))
         lines.append(f"# {_sidecar_key('domain_low', cv.rho_abs, multi)}={cv.domain_low!r}\n")
         lines.append(f"# {_sidecar_key('alpha', cv.rho_abs, multi)}={cv.alpha!r}\n")
         if cv.t_tilde is not None:
             lines.append(f"# {_sidecar_key('t_tilde', cv.rho_abs, multi)}={cv.t_tilde!r}\n")
         if cv.t_last is not None:
             lines.append(f"# {_sidecar_key('t_last', cv.rho_abs, multi)}={cv.t_last!r}\n")
-        lines.append(f"# {_sidecar_key('knots', cv.rho_abs, multi)}={cv.knots_nu.size}\n")
-    lines.append("rho,nu,crit\n")
-    for cv in curves:
-        for nu, c in zip(cv.knots_nu, cv.knots_c):
-            lines.append(f"{cv.rho_abs!r},{float(nu)!r},{float(c)!r}\n")
-    return "".join(lines)
+        lines.append(f"# {_sidecar_key('knots', cv.rho_abs, multi)}={len(nu)}\n")
+        rho = f"{cv.rho_abs!r},"
+        rows += [f"{rho}{n!r},{v!r}\n" for n, v in zip(nu, c)]
+    return "".join([*lines, "rho,nu,crit\n", *rows])
 
 
 def write_curve_csv(path, curves) -> None:
+    text = curve_csv_text(curves)  # before the file opens: a refused table leaves no file
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(curve_csv_text(curves))
+        fh.write(text)
 
 
 def load_curve_csv(path) -> list[CriticalValueCurve]:
@@ -843,7 +920,7 @@ class CurveCache:
             digest.update(body)
             if digest.hexdigest() != want:
                 return None
-            return CriticalValueCurve(
+            return CriticalValueCurve._built(
                 rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"]
             )
         except (OSError, ValueError, KeyError, TypeError, AttributeError):

@@ -359,6 +359,16 @@ class TestCurve:
         rhos = {row.split(",")[0] for row in rows[1:]}
         assert rhos == {"0.3", "0.6"}
 
+    def test_one_curve_per_rho(self, tmp_path, capsys):
+        out_path = tmp_path / "t.csv"
+        code = main([
+            "curve", "--rho", "0.5,-0.5", "--out", str(out_path),
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a curve table holds one curve per |rho|, and |rho| 0.5 repeats\n"
+        assert not out_path.exists()
+
     def test_rho_boundary(self, tmp_path, capsys):
         code = main(["curve", "--rho", "1.0", "--cache-dir", str(tmp_path / "cache")])
         err = capsys.readouterr().err

@@ -27,6 +27,7 @@ from mwiv import (
     fixed_point,
     load_curve_csv,
     load_two_sided_table,
+    small_rho_limit_c,
     snap_rho_to_grid,
     two_sided_chi2,
     write_curve_csv,
@@ -617,6 +618,8 @@ class TestConditionalWaldProperties:
 
 
 class TestSerialization:
+    # A built curve's table samples its formula segment, so a written table
+    # is compared with the curves loaded back from the same file.
     def test_round_trip_exact(self, curve_library, tmp_path):
         curve = curve_library.cache.get(0.3, 0.05)
         path = tmp_path / "curve.csv"
@@ -624,12 +627,14 @@ class TestSerialization:
         loaded = load_curve_csv(path)
         assert len(loaded) == 1
         back = loaded[0]
-        assert np.array_equal(back.knots_nu, curve.knots_nu)
-        assert np.array_equal(back.knots_c, curve.knots_c)
+        nu, c = critval._table_rows(curve)
+        assert np.array_equal(back.knots_nu, nu)
+        assert np.array_equal(back.knots_c, c)
         assert back.domain_low == curve.domain_low
         assert back.alpha == curve.alpha
         assert back.t_tilde == curve.t_tilde
         assert back.t_last == curve.t_last
+        assert back.formula_end is None
 
     def test_multi_curve_file(self, curve_library, tmp_path):
         a = curve_library.cache.get(0.3, 0.05)
@@ -638,6 +643,7 @@ class TestSerialization:
         write_curve_csv(path, [a, b])
         loaded = load_curve_csv(path)
         assert [c.rho_abs for c in loaded] == [0.3, 0.5]
+        a, b = loaded
         table = load_two_sided_table(path)
         # exact block lookup is plain interpolation on that block
         nu = 3.3
@@ -657,9 +663,10 @@ class TestSerialization:
         path = tmp_path / "three.csv"
         write_curve_csv(path, curves)
         table = load_two_sided_table(path)
+        loaded = load_curve_csv(path)
         # between the 0.5 and 0.9 floors only the 0.5 curve is finite
-        nus = np.linspace(curves[1].domain_low, curves[2].domain_low, 50, endpoint=False)
-        assert np.array_equal(table.lookup_array(nus, 0.5), curves[1].evaluate_array(nus))
+        nus = np.linspace(loaded[1].domain_low, loaded[2].domain_low, 50, endpoint=False)
+        assert np.array_equal(table.lookup_array(nus, 0.5), loaded[1].evaluate_array(nus))
         assert np.all(np.isinf(table.lookup_array(nus, 0.6)))
 
     def test_lookup_per_row_rho(self, curve_library, tmp_path):
@@ -679,6 +686,7 @@ class TestSerialization:
         path = tmp_path / "pair.csv"
         write_curve_csv(path, [a, b])
         text = path.read_text()
+        a, b = load_curve_csv(path)
         assert f"# knots[rho=0.3]={a.knots_nu.size}\n" in text
         assert f"# knots[rho=0.5]={b.knots_nu.size}\n" in text
         lines = text.splitlines(keepends=True)
@@ -693,6 +701,16 @@ class TestSerialization:
                 load_curve_csv(path)
             with pytest.raises(TableError):
                 load_two_sided_table(path)
+
+    def test_one_curve_per_rho(self, curve_library, tmp_path):
+        # 0.5 and -0.5 give one |rho|: two blocks of it would not load back
+        a = curve_library.cache.get(0.5, 0.05)
+        b = curve_library.cache.get(-0.5, 0.05)
+        path = tmp_path / "twice.csv"
+        for curves in ([a, b], [curve_library.cache.get(0.3, 0.05), a, a]):
+            with pytest.raises(DataError, match=r"\|rho\| 0\.5 repeats"):
+                write_curve_csv(path, curves)
+            assert not path.exists()
 
     def test_parse_errors(self, tmp_path):
         cases = {
@@ -719,6 +737,58 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TableError, match="table parse error"):
             load_curve_csv(tmp_path / "missing.csv")
+
+
+class TestTableContract:
+    """What the table of a built curve promises (README, "Curve table"):
+    rows that sample the formula segment to TABLE_TOL * max(c, 1), then the
+    continuation knots themselves."""
+
+    RHOS = (0.01, 0.3, 0.9, 0.99, RHO_CAP)
+
+    @pytest.fixture(scope="class")
+    def tables(self, curve_library, tmp_path_factory):
+        curves = [curve_library.cache.get(r, 0.05) for r in self.RHOS]
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_curve_csv(path, curves)
+        return curves, path, load_curve_csv(path)
+
+    @pytest.mark.parametrize("i", range(len(RHOS)))
+    def test_within_tolerance_of_the_formula(self, tables, i):
+        rho, built, table = self.RHOS[i], tables[0][i], tables[2][i]
+        if rho < RHO_BUILD_FLOOR:
+            end, formula = critval.NU_MAX, lambda nu: small_rho_limit_c(nu, 0.05)
+        else:
+            end, formula = find_tangency(rho, 0.05)[1], lambda nu: closed_form_c(nu, rho, 0.05)
+        assert built.formula_end == end
+        lo = table.domain_low
+        # the first 0.05 past nu* holds the cap's peak, where c falls from 13,500
+        nu = np.concatenate([np.linspace(lo, end, 400_001), lo + np.linspace(0.0, 0.05, 100_001)])
+        want = formula(nu)
+        err = np.abs(table.evaluate_array(nu) - want) / np.maximum(want, 1.0)
+        assert err.max() <= critval.TABLE_TOL, (rho, nu[err.argmax()] - lo)
+
+    def test_rows_past_nu_tilde_are_the_knots(self, tables):
+        for built, table in zip(tables[0], tables[2]):
+            past = built.knots_nu > built.formula_end
+            rows = table.knots_nu > built.formula_end
+            assert np.array_equal(table.knots_nu[rows], built.knots_nu[past])
+            assert np.array_equal(table.knots_c[rows], built.knots_c[past])
+            assert past.any() == (built.rho_abs >= RHO_BUILD_FLOOR)
+
+    def test_first_row_is_the_fixed_point(self, tables):
+        for rho, table in zip(self.RHOS, tables[2]):
+            want = (0.0, 0.0) if rho < RHO_BUILD_FLOOR else fixed_point(rho, 0.05)
+            assert (table.knots_nu[0], table.knots_c[0]) == want
+
+    def test_write_load_write_is_byte_identical(self, tables, tmp_path):
+        built, path, loaded = tables
+        again = tmp_path / "again.csv"
+        write_curve_csv(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+        # the cap's 434,982 knots become about 11k rows
+        assert built[-1].knots_nu.size > 400_000
+        assert loaded[-1].knots_nu.size <= 25_000
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -892,6 +962,7 @@ class TestSnapAndCache:
             got, want = fresh.get(rho, alpha), curve_library.cache.get(rho, alpha)
             assert got is not want
             _assert_same_curve(got, want)
+            assert got.formula_end == want.formula_end
 
     def test_unusable_directory_is_a_data_error(self, tmp_path):
         blocker = tmp_path / "file"

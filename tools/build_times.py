@@ -12,9 +12,11 @@ the middle crossing (``critval._excess``, or ``critval._gap`` in checkouts
 that solve it with ``brentq``). The last two columns are the fastest
 prefix build to ``--prefix-nu`` (``build_vtfo_curve(..., nu_max=...)``, as
 the power lab builds its exact-rho curves) and its knot count; a checkout
-without prefix builds prints "-". ``--src`` picks the source tree to import
-``mwiv`` from, so the same script times another checkout. Uses numpy and
-mwiv only.
+without prefix builds prints "-". ``csv_rows`` and ``csv_s`` are the row
+count of the curve's CSV table and the fastest of ``--repeat`` calls of
+``critval.curve_csv_text`` on the full curve, the text ``mwiv curve``
+writes. ``--src`` picks the source tree to import ``mwiv`` from, so the
+same script times another checkout. Uses numpy and mwiv only.
 """
 
 from __future__ import annotations
@@ -69,6 +71,18 @@ def time_prefix(critval, rho: float, alpha: float, nu_max: float, repeat: int) -
     return best, knots
 
 
+def time_csv(critval, rho: float, alpha: float, repeat: int) -> tuple[int, float]:
+    """(table rows, fastest seconds) of ``repeat`` ``curve_csv_text`` calls
+    on the full curve."""
+    curve = critval.build_vtfo_curve(rho, alpha)
+    best, text = float("inf"), ""
+    for _ in range(repeat):
+        start = time.perf_counter()
+        text = critval.curve_csv_text([curve])
+        best = min(best, time.perf_counter() - start)
+    return text.partition("rho,nu,crit\n")[2].count("\n"), best
+
+
 def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
     """(continuation steps, gap evaluations) of one build."""
     calls = [0]
@@ -113,7 +127,7 @@ def main(argv=None) -> int:
 
     prefixes = "nu_max" in inspect.signature(critval.build_vtfo_curve).parameters
     print(f"{'rho':>7} {'alpha':>6} {'knots':>8} {'build_s':>9} {'closed_s':>9} {'cont_s':>9} "
-          f"{'steps':>6} {'evals/step':>10} {'prefix_s':>9} {'p_knots':>8}")
+          f"{'steps':>6} {'evals/step':>10} {'prefix_s':>9} {'p_knots':>8} {'csv_rows':>8} {'csv_s':>8}")
     for alpha in (float(a) for a in args.alpha.split(",")):
         for rho in (float(r) for r in args.rho.split(",")):
             runs = [time_build(critval, rho, alpha) for _ in range(args.repeat)]
@@ -124,8 +138,9 @@ def main(argv=None) -> int:
             if prefixes:
                 prefix_s, prefix_knots = time_prefix(critval, rho, alpha, args.prefix_nu, args.repeat)
                 prefix = f"{prefix_s:9.4f} {prefix_knots:8d}"
+            csv_rows, csv_s = time_csv(critval, rho, alpha, args.repeat)
             print(f"{rho:7.4g} {alpha:6.3g} {knots:8d} {total:9.4f} {total - cont:9.4f} {cont:9.4f} "
-                  f"{steps:6d} {per_step} {prefix}")
+                  f"{steps:6d} {per_step} {prefix} {csv_rows:8d} {csv_s:8.4f}")
     return 0
 
 
