@@ -30,6 +30,7 @@ file is written back row for row.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -65,7 +66,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "6"
+_FORMAT_VERSION = "7"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -89,9 +90,12 @@ _CACHE_KEY = hashlib.sha256(
 ).hexdigest()[:12]
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha) -> float:
+    """alpha as a Python float, so that a NumPy scalar never reaches a
+    name or a table as its repr; a DataError unless 0 < alpha < 0.5."""
     if not 0.0 < alpha < 0.5:
         raise DataError(f"alpha must be in (0, 0.5), got {alpha}")
+    return float(alpha)
 
 
 def two_sided_chi2(alpha: float) -> float:
@@ -107,7 +111,9 @@ class CriticalValueCurve:
     the last knot the final value extends as a constant. ``t_tilde`` and
     ``t_last`` record the conditioning values where the continuation
     started and stopped (None for the small-rho limit curve and for
-    ranges the continuation never reached).
+    ranges the continuation never reached), and ``nu_mid`` the middle
+    crossing at ``t_last``: with ``t_last`` it is the state the
+    continuation stopped in, from which a prefix resumes.
 
     A built curve has conditional size exactly alpha for 0 <= T <=
     ``t_last``. Past it the constant extension is not exact: with the
@@ -128,14 +134,21 @@ class CriticalValueCurve:
     t_tilde: float | None = None
     t_last: float | None = None
     formula_end: float | None = None
+    nu_mid: float | None = None
 
     @classmethod
-    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None):
+    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None, nu_mid=None):
         """A built curve, whose formula segment ends at nu_tilde = t_tilde +
         nu*, or at NU_MAX for the small-rho limit and closed-form-only
         curves (no t_tilde)."""
         end = NU_MAX if rho_abs < RHO_BUILD_FLOOR or t_tilde is None else t_tilde + domain_low
-        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end)
+        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end, nu_mid)
+
+    def _reaches(self, nu_max: float) -> bool:
+        """Whether the curve holds every knot the full curve has up to
+        ``nu_max``: its last knot is at or past it, or at NU_MAX, where a
+        full curve ends (a NaN asks for the full curve)."""
+        return self.knots_nu[-1] >= (nu_max if nu_max < NU_MAX else NU_MAX)
 
     def _formula(self, nu):
         """The built curve's formula below ``formula_end``: the small-rho
@@ -288,23 +301,29 @@ def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: f
 
 
 def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float,
-                  nu_max: float = NU_MAX):
-    """Three-crossing continuation from (t_tilde, nu_tilde) until a high
-    crossing passes ``nu_max``: (its knots past nu_tilde, their c, the last T).
+                  nu_max: float = NU_MAX, start=None):
+    """Three-crossing continuation until a high crossing passes ``nu_max``:
+    (its knots past nu_tilde, their c, the last T, the middle crossing there).
+
+    ``start`` is the state a prefix stopped in: (its last T, the middle
+    crossing there, its knots past nu_tilde, their c). None starts at the
+    tangency, T = t_tilde, with no knots past nu_tilde.
 
     Each step at T = t_tilde + k T_STEP takes the low crossing from the
     closed-form quadratic, the middle one from ``_middle_crossing`` on the
     curve built so far and the high one from the acceptance-probability
     equation; the high crossing is the new knot. The middle crossing only
-    moves up, and so does the index of its knot panel. No step depends on
-    ``nu_max``, so a stop below NU_MAX gives the first knots of the full
-    run, bit for bit.
+    moves up, and so does the index of its knot panel, which is therefore
+    the first panel ending past it (panel 1 while it lies below nu_tilde).
+    No step depends on ``nu_max``, so a stop below NU_MAX gives the first
+    knots of the full run, and a run resumed from that stop gives the
+    rest, bit for bit.
     """
-    cont_nu = [nu_tilde]
-    cont_c = [_closed(nu_tilde, rho, nu_star)]
     # at t_tilde the low and middle crossings meet in the double root
-    nu_m, panel = 0.5 * (t_tilde + nu_star), 1
-    t = t_tilde
+    t, nu_m, past_nu, past_c = start or (t_tilde, 0.5 * (t_tilde + nu_star), [], [])
+    cont_nu = [nu_tilde, *past_nu]
+    cont_c = [_closed(nu_tilde, rho, nu_star), *past_c]
+    panel = max(1, bisect_right(cont_nu, nu_m))
     for _ in range(MAX_ITER):
         t += T_STEP
         nu_l, quad_hi = _closed_form_crossings(nu_star, t)
@@ -326,7 +345,7 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
         cont_nu.append(nu_h)
         cont_c.append(t2_w_curve(nu_h, t, rho))
         if nu_h >= nu_max:
-            return cont_nu[1:], cont_c[1:], t
+            return cont_nu[1:], cont_c[1:], t, nu_m
     raise NumericalError("continuation step failed: NU_MAX not reached")
 
 
@@ -376,7 +395,8 @@ def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
     return _refine_knots(lambda nu: _closed(nu, rho_abs, nu_star), base, ladder)
 
 
-def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) -> CriticalValueCurve:
+def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
+                     prefix: CriticalValueCurve | None = None) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
     Closed-form knots run from nu* to nu_tilde (``find_tangency``), then
@@ -395,6 +415,13 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
     limit and closed-form-only curves are always built in full. A
     non-finite ``nu_max`` builds the full curve.
 
+    ``prefix`` is a curve built earlier for the same |rho| and alpha. Its
+    closed-form knots are reused, and the continuation resumes from the
+    state it stopped in (``t_last``, ``nu_mid``) instead of the tangency,
+    running at least one step. No step depends on where a run stopped, so
+    a curve grown in any number of pieces equals one built at once, bit
+    for bit. ``CurveCache.get`` grows its curves this way.
+
     The construction only sees rho through rho^2 and |rho|, so the sign of
     rho is irrelevant. Below RHO_BUILD_FLOOR the continuation is
     ill-conditioned (the hump probability approaches alpha and the
@@ -407,7 +434,7 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
     steps meet five crossings, not three, and from alpha 0.18 (rho >= 0.3)
     builds fail with a NumericalError naming rho and alpha.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     rho_abs = abs(float(rho))
     if not rho_abs <= RHO_CAP:  # also rejects nan
         raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}, got {float(rho)!r}")
@@ -422,17 +449,24 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) ->
         # the three-crossing region starts past the build range
         return CriticalValueCurve._built(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
 
-    nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
-    if nu_max <= nu_tilde:
-        return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
+    start = None
+    if prefix is None:
+        nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
+        if nu_max <= nu_tilde:
+            return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
+    else:
+        n = int(np.searchsorted(prefix.knots_nu, nu_tilde, side="right"))
+        nus, cs = prefix.knots_nu[:n], prefix.knots_c[:n]
+        if prefix.t_last is not None:
+            start = (prefix.t_last, prefix.nu_mid, prefix.knots_nu[n:].tolist(), prefix.knots_c[n:].tolist())
     stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     try:
-        cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop)
+        cont_nu, cont_c, t_last, nu_mid = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop, start)
     except NumericalError as exc:
-        raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
+        raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={alpha!r}: {exc}") from exc
 
     nus, cs = np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c])
-    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last)
+    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last, nu_mid=nu_mid)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots
@@ -825,48 +859,73 @@ def snap_rho_to_grid(rho):
 
 
 class CurveCache:
-    """Build-once curve store keyed by (rho, alpha).
+    """Curve store keyed by (|rho|, alpha) that builds each curve only as
+    far as it is read, and keeps and resumes what it built.
 
-    ``directory=None`` keeps curves in memory only. On disk each curve is
-    one binary file (``_save_file``): a JSON header line, then the (2, n)
-    little-endian float64 array of ``knots_nu`` and ``knots_c``. File names
-    carry a key over the file format and the build constants. Writes go
-    through a temporary file and an atomic rename, so concurrent builders
-    can race without corrupting the cache; a file that is cut short,
-    damaged or made for another request is rebuilt and replaced.
+    ``directory=None`` keeps curves in memory only. On disk each (|rho|,
+    alpha) has up to two binary files (``_save_file``), named from one stem
+    that carries a key over the file format and the build constants:
+
+    * ``<stem>.bin`` holds the full curve. Once written it is never
+      rewritten, so a warm cache directory stays as it is;
+    * ``<stem>.part.bin`` holds the longest prefix built so far, with the
+      state its continuation stopped in. A longer prefix replaces it, and
+      the full file, once written, deletes it.
+
+    Each file is a JSON header line, then the (2, n) little-endian float64
+    array of ``knots_nu`` and ``knots_c``. Writes go through a temporary
+    file and an atomic rename, so concurrent processes can race without
+    corrupting the cache; a file that is cut short, damaged or made for
+    another request is a miss, rebuilt and replaced.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._memory: dict[tuple[str, str], CriticalValueCurve] = {}
 
-    def _filename(self, rho_abs: float, alpha: float) -> str:
-        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}.bin"
+    def _stem(self, rho_abs: float, alpha: float) -> str:
+        """The name of the (|rho|, alpha) files, without their suffix."""
+        return f"vtfo_rho{rho_abs!r}_alpha{alpha!r}_{_CACHE_KEY}"
 
     def get(self, rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) -> CriticalValueCurve:
-        """The full curve for (|rho|, alpha) from memory, then from disk,
-        else built and stored in both. ``nu_max`` below NU_MAX is the
-        largest nu the caller reads: on a miss the curve is then built only
-        that far (``build_vtfo_curve``) and returned without being stored."""
+        """A curve for (|rho|, alpha) that holds the full curve's knots up to
+        ``nu_max``, the largest nu the caller reads (NU_MAX, the default, or
+        a NaN asks for the full curve); past its last knot a prefix is not
+        the curve, so read it no further than ``nu_max``.
+
+        It looks in memory, then in the full file, then in the prefix file.
+        If none reaches ``nu_max``, it continues the longest of them
+        (``build_vtfo_curve``'s ``prefix``), or builds from the start, up to
+        ``nu_max``. It keeps the result in memory and writes it to the full
+        file when it is the full curve, deleting the prefix file, else to
+        the prefix file.
+        """
         rho_abs = abs(float(rho))
-        key = (repr(rho_abs), repr(float(alpha)))
-        hit = self._memory.get(key)
-        if hit is not None:
-            return hit
-        path = None
+        alpha = _check_alpha(alpha)
+        key = (repr(rho_abs), repr(alpha))
+        best = self._memory.get(key)
+        if best is not None and best._reaches(nu_max):
+            return best
+        stem = None
         if self.directory is not None:
-            path = os.path.join(self.directory, self._filename(rho_abs, alpha))
-            hit = self._load_file(path, rho_abs, float(alpha))
-            if hit is not None:
-                self._memory[key] = hit
-                return hit
-        if nu_max < NU_MAX:
-            return build_vtfo_curve(rho_abs, alpha, nu_max)
-        curve = build_vtfo_curve(rho_abs, alpha)
-        if path is not None:
+            stem = os.path.join(self.directory, self._stem(rho_abs, alpha))
+            for path in (stem + ".bin", stem + ".part.bin"):
+                hit = self._load_file(path, rho_abs, alpha)
+                if hit is not None and (best is None or hit.knots_nu[-1] > best.knots_nu[-1]):
+                    best = self._memory[key] = hit
+                    if hit._reaches(nu_max):
+                        return hit
+        curve = build_vtfo_curve(rho_abs, alpha, nu_max, prefix=best)
+        if stem is not None:
             try:
                 os.makedirs(self.directory, exist_ok=True)
-                self._save_file(path, curve)
+                if curve._reaches(NU_MAX):
+                    self._save_file(stem + ".bin", curve)
+                    # the full file is read first and always reaches
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(stem + ".part.bin")
+                else:
+                    self._save_file(stem + ".part.bin", curve)
             except OSError as exc:
                 raise DataError(f"cannot write the curve cache directory {self.directory!r}: {exc}") from exc
         self._memory[key] = curve
@@ -886,6 +945,7 @@ class CurveCache:
             "domain_low": curve.domain_low,
             "t_tilde": curve.t_tilde,
             "t_last": curve.t_last,
+            "nu_mid": curve.nu_mid,
         }
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
@@ -921,7 +981,8 @@ class CurveCache:
             if digest.hexdigest() != want:
                 return None
             return CriticalValueCurve._built(
-                rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"]
+                rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"],
+                meta["nu_mid"],
             )
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None

@@ -129,18 +129,23 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     ``stats.rho`` says what rho is:
 
     * an array holds one estimate per row. vtfo snaps each up to the
-      tabulation grid (``snap_rho_to_grid``), so a set builds at most one
+      tabulation grid (``snap_rho_to_grid``), so a set reads at most one
       curve per bin; cw solves every row exactly, in one
       ``cw_critical_value`` call.
     * a float is a known population rho, as in the power lab. vtfo reads
-      the curve built at exactly |rho|, capped at RHO_CAP (the capped curve
+      the curve at exactly |rho|, capped at RHO_CAP (the capped curve
       sits above, so it stays valid); snapping would move vtfo power by up
       to 0.037 on the benchmark designs (0.5804 to 0.5432 at s 2, r -0.3,
-      delta 2, rho 0.931). Unless the cache already holds that curve in
-      full, it is built only up to the largest nu read (a NaN builds it
-      in full) and not cached: the power lab's draws rarely pass nu 7, and
-      the prefix gives the same critical values bit for bit. cw
-      interpolates between 512 quantiles on T's range.
+      delta 2, rho 0.931). cw interpolates between 512 quantiles on T's
+      range.
+
+    Either way vtfo asks the cache for each curve only up to the largest
+    nu it reads (``CurveCache.get``'s ``nu_max``; a NaN asks for the full
+    curve). A confidence set has one nu, so in the weak-identification
+    regime most bins need no continuation step, and the power lab's draws
+    rarely pass nu 7. The prefix gives the full curve's critical values
+    bit for bit, and the cache keeps it and resumes it when a later call
+    reads further.
 
     vtf interpolates the external table at rho either way. ``method`` must
     have passed ``_check_method``.
@@ -156,7 +161,8 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
         critical = np.full(nu.shape, np.nan)
         for r in np.unique(bins):
             rows = bins == r
-            critical[rows] = curves.cache.get(r, alpha).evaluate_array(nu[rows])
+            nu_rows = nu[rows]
+            critical[rows] = curves.cache.get(r, alpha, nu_max=np.max(nu_rows)).evaluate_array(nu_rows)
         return stats.t_squared, critical
     if method == "vtf":
         return stats.t_squared, curves.two_sided.lookup_array(nu, rho)
@@ -197,7 +203,7 @@ def run_test(
 ) -> TestDecision:
     """Test beta = beta0 at level alpha with the chosen procedure; raises
     NumericalError where ``invert_confidence_set`` marks beta0 degenerate."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
     profile = _profile(ctx, data)
@@ -255,7 +261,7 @@ def invert_confidence_set(
     together, so an error there (a failed curve build, say) is the set's
     error, not a degenerate point.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
     profile = _profile(ctx, data)

@@ -173,7 +173,7 @@ def rejection_rates(
     ``decide`` for how that differs from the decision layer's estimated
     rho.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if n_draws < 1:
         raise DataError("n_draws must be >= 1")
     _check_seed(seed)
@@ -213,7 +213,7 @@ def rejection_rates(
         rates=rates,
         n_draws=int(n_draws),
         seed=int(seed),
-        alpha=float(alpha),
+        alpha=alpha,
         s=dgp.s,
         r=dgp.r,
         bound_one_sided=one_b,

@@ -1,11 +1,21 @@
 """Command-line interface: reports, files, exit codes, cache behavior."""
 
+import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from mwiv import Dataset, JudgeDesignSpec, read_dataset_csv, simulate_judge_data, write_dataset_csv
+from mwiv import (
+    Dataset,
+    JudgeDesignSpec,
+    read_dataset_csv,
+    simulate_judge_data,
+    snap_rho_to_grid,
+    write_dataset_csv,
+)
+from mwiv import critval
 from mwiv.cli import main
 
 NU_STAR_HALF = 0.8224268134757361
@@ -18,6 +28,11 @@ def parse_report(out):
         key, _, value = line.partition("=")
         pairs[key] = value
     return pairs
+
+
+def _listing(directory):
+    """Each file's (size, mtime_ns), by name."""
+    return {e.name: (e.stat().st_size, e.stat().st_mtime_ns) for e in os.scandir(directory)}
 
 
 @pytest.fixture()
@@ -396,6 +411,36 @@ class TestCurve:
         assert len(list(env_dir.glob("vtfo_rho0.45_*"))) == 1
 
 
+class TestWarmCache:
+    def test_warm_cache_is_never_rewritten(self, strong_csv, tmp_path, capsys):
+        # `test` stores a prefix of its rho bin's curve and `curve` the full
+        # curve, each in its own empty cache. Merged as a user might merge
+        # them, keeping the first file of each name, the cache serves both
+        # calls again without a write and with the same outputs.
+        test = ["test", "--data", str(strong_csv), "--method", "vtfo", "--beta0", "1.0"]
+        assert main([*test, "--cache-dir", str(tmp_path / "from-test")]) == 0
+        test_out = capsys.readouterr()
+        curve = ["curve", "--rho", repr(snap_rho_to_grid(float(parse_report(test_out.out)["rho"])))]
+        assert main([*curve, "--cache-dir", str(tmp_path / "from-curve")]) == 0
+        curve_out = capsys.readouterr()
+        # the test read its curve only part of the way
+        (stored,) = (tmp_path / "from-test").iterdir()
+        (full,) = (tmp_path / "from-curve").iterdir()
+        assert stored.stat().st_size < full.stat().st_size
+
+        merged = tmp_path / "merged"
+        merged.mkdir()
+        for source in ("from-test", "from-curve"):
+            for path in sorted((tmp_path / source).iterdir()):
+                if not (merged / path.name).exists():
+                    shutil.copyfile(path, merged / path.name)
+        listing = _listing(merged)
+        for argv, want in ((test, test_out), (curve, curve_out)):
+            assert main([*argv, "--cache-dir", str(merged)]) == 0
+            assert capsys.readouterr() == want
+        assert _listing(merged) == listing
+
+
 class TestPower:
     def test_size_at_null(self, tmp_path, capsys):
         code = main([
@@ -457,12 +502,25 @@ class TestPower:
         assert "unknown method" in capsys.readouterr().err
 
 
-    def test_default_run_caches_no_curve(self, tmp_path, capsys):
-        # the exact-rho curves of the lab are prefixes, never cached
+    def test_default_run_reuses_its_cached_curves(self, tmp_path, capsys, monkeypatch):
+        # the lab's exact-rho curves are kept as prefixes; a second run reads
+        # them all, builds nothing and writes nothing
         cache = tmp_path / "cache"
-        assert main(["power", "--cache-dir", str(cache), "--out", str(tmp_path / "power.csv")]) == 0
+        argv = ["power", "--cache-dir", str(cache), "--out", str(tmp_path / "power.csv")]
+        assert main(argv) == 0
         assert capsys.readouterr() == ("", "")
-        assert not cache.exists() or not list(cache.glob("vtfo*"))
+        first = (tmp_path / "power.csv").read_bytes()
+        listing = _listing(cache)
+        assert any(name.endswith(".part.bin") for name in listing)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a curve the cache holds")
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "power.csv").read_bytes() == first
+        assert _listing(cache) == listing
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_seed(self, tmp_path, capsys, seed):

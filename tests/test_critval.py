@@ -276,6 +276,21 @@ class TestBuildCurve:
         assert curve.t_tilde == t_tilde
         assert curve.t_last == t_tilde + critval.T_STEP
 
+    def test_numpy_alpha_is_a_float(self, tmp_path):
+        # a NumPy scalar alpha enters as a float, so its repr never reaches
+        # a table's sidecar or a cache file's name
+        curve = build_vtfo_curve(0.3, np.float64(0.05))
+        assert type(curve.alpha) is float
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, [curve])
+        assert "# alpha=0.05\n" in path.read_text()
+        assert load_curve_csv(path)[0].alpha == 0.05
+        cache_dir = tmp_path / "cache"
+        got = CurveCache(directory=str(cache_dir)).get(0.3, np.float64(0.05))
+        assert type(got.alpha) is float
+        assert [p.name for p in cache_dir.iterdir()] == [f"vtfo_rho0.3_alpha0.05_{critval._CACHE_KEY}.bin"]
+        _assert_same_curve(got, curve)
+
     def test_build_checks_alpha_once(self, monkeypatch):
         # one alpha check and one nu* per build, through a prefix and in full
         calls = []
@@ -448,15 +463,59 @@ class TestPrefixBuild:
         _assert_same_curve(build_vtfo_curve(0.01, 0.05, nu_max=3.0), build_vtfo_curve(0.01, 0.05))
 
     @pytest.mark.parametrize("directory", [False, True])
-    def test_prefix_is_never_cached(self, tmp_path, directory):
+    def test_prefix_is_cached(self, tmp_path, directory, monkeypatch):
+        # a prefix is kept in memory and in the prefix file; the small-rho
+        # limit curve is always built in full, so it goes to the full file
         cache = CurveCache(directory=str(tmp_path / "cache") if directory else None)
-        for rho, stop in ((0.3, 6.0), (0.9, 6.0), (0.01, 6.0), (0.3, 39.9)):
+        asks = ((0.3, 6.0), (0.9, 6.0), (0.01, 6.0), (0.3, 39.9))
+        for rho, stop in asks:
             first = cache.get(rho, 0.05, nu_max=stop)
-            again = cache.get(rho, 0.05, nu_max=stop)
-            assert again is not first
-            _assert_same_curve(again, first)
-        assert cache._memory == {}
-        assert not (tmp_path / "cache").exists()
+            assert cache.get(rho, 0.05, nu_max=stop) is first
+            assert first._reaches(stop)
+        assert len(cache._memory) == 3
+        if not directory:
+            assert not (tmp_path / "cache").exists()
+            return
+        names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        key = critval._CACHE_KEY
+        assert names == [f"vtfo_rho0.01_alpha0.05_{key}.bin", f"vtfo_rho0.3_alpha0.05_{key}.part.bin",
+                         f"vtfo_rho0.9_alpha0.05_{key}.part.bin"]
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a curve the cache directory holds")
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
+        fresh = CurveCache(directory=str(tmp_path / "cache"))
+        for rho, stop in asks:
+            _assert_same_curve(fresh.get(rho, 0.05, nu_max=stop), cache.get(rho, 0.05, nu_max=stop))
+
+    @pytest.mark.parametrize("rho", PREFIX_RHO)
+    def test_resumed_prefix_equals_a_full_build(self, curve_library, tmp_path, monkeypatch, rho):
+        # k pieces, through one cache's memory and through fresh caches over
+        # one directory; each piece resumes the last, never builds anew
+        full = curve_library.cache.get(rho, 0.05)
+        closed_builds = []
+        closed_form_knots = critval._closed_form_knots
+
+        def counted(*args):
+            closed_builds.append(args)
+            return closed_form_knots(*args)
+
+        monkeypatch.setattr(critval, "_closed_form_knots", counted)
+        memory = CurveCache()
+        for stop in [*_prefix_stops(rho), critval.NU_MAX]:
+            for got in (memory.get(rho, 0.05, nu_max=stop),
+                        CurveCache(directory=str(tmp_path)).get(rho, 0.05, nu_max=stop)):
+                n = got.knots_nu.size
+                assert got._reaches(stop), stop
+                assert np.array_equal(got.knots_nu, full.knots_nu[:n]), stop
+                assert np.array_equal(got.knots_c, full.knots_c[:n]), stop
+        assert len(closed_builds) == 2
+        for got in (memory.get(rho, 0.05), CurveCache(directory=str(tmp_path)).get(rho, 0.05)):
+            _assert_same_curve(got, full)
+            assert (got.t_last, got.nu_mid, got.formula_end) == (full.t_last, full.nu_mid, full.formula_end)
+        # the full file replaced the prefix file
+        assert [p.name for p in tmp_path.iterdir()] == [f"vtfo_rho{rho!r}_alpha0.05_{critval._CACHE_KEY}.bin"]
 
     def test_cached_full_curve_is_served(self, tmp_path, monkeypatch):
         cache = CurveCache(directory=str(tmp_path))
@@ -866,8 +925,9 @@ class TestSnapAndCache:
         assert cache.get(0.35, 0.05) is first
         files = os.listdir(tmp_path)
         # the key covers the file format and the build constants; files of
-        # the brentq continuation (format "5") carried b0709dada779
-        assert files == ["vtfo_rho0.35_alpha0.05_2d22551741ce.bin"]
+        # the brentq continuation (format "5") carried b0709dada779, and
+        # those without the continuation's state (format "6") 2d22551741ce
+        assert files == ["vtfo_rho0.35_alpha0.05_72ab516c52ed.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))
@@ -885,26 +945,35 @@ class TestSnapAndCache:
         "row boundary", "middle of a row", "inside the header", "at the header line break", "inside the body",
     ])
     def test_truncated_file_is_rebuilt(self, curve_library, tmp_path, cut):
+        # the full file, and the prefix file of a curve read up to nu 6
         want = curve_library.cache.get(0.3, 0.05)
-        CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
-        (path,) = tmp_path.iterdir()
-        raw = path.read_bytes()
-        # a JSON header line, then the (2, n) float64 array of knots_nu and knots_c
-        body = raw.index(b"\n") + 1
-        end = {
-            "row boundary": body + 8 * want.knots_nu.size,
-            "middle of a row": body + 8 * 480 + 3,
-            "inside the header": body // 2,
-            "at the header line break": body - 1,
-            "inside the body": len(raw) - 1,
-        }[cut]
-        path.write_bytes(raw[:end])
-        got = CurveCache(directory=str(tmp_path)).get(0.3, 0.05)
-        assert got.evaluate(10.0) == want.evaluate(10.0)
-        assert got.evaluate(10.0) == pytest.approx(3.721, abs=5e-4)
-        assert np.array_equal(got.knots_nu, want.knots_nu)
-        # the damaged file was replaced by the rebuilt curve
-        assert path.read_bytes() == raw
+        for nu_max, suffix in ((critval.NU_MAX, ".bin"), (6.0, ".part.bin")):
+            directory = tmp_path / suffix[1:]
+            stored = CurveCache(directory=str(directory)).get(0.3, 0.05, nu_max=nu_max)
+            (path,) = directory.iterdir()
+            assert path.name == f"vtfo_rho0.3_alpha0.05_{critval._CACHE_KEY}{suffix}"
+            raw = path.read_bytes()
+            # a JSON header line, then the (2, n) float64 array of knots_nu and knots_c
+            body = raw.index(b"\n") + 1
+            n = stored.knots_nu.size
+            assert n > 481
+            end = {
+                "row boundary": body + 8 * n,
+                "middle of a row": body + 8 * 480 + 3,
+                "inside the header": body // 2,
+                "at the header line break": body - 1,
+                "inside the body": len(raw) - 1,
+            }[cut]
+            path.write_bytes(raw[:end])
+            got = CurveCache(directory=str(directory)).get(0.3, 0.05, nu_max=nu_max)
+            assert got.knots_nu.size == n
+            assert np.array_equal(got.knots_nu, want.knots_nu[:n])
+            assert np.array_equal(got.knots_c, want.knots_c[:n])
+            assert got.evaluate(min(nu_max, 10.0)) == want.evaluate(min(nu_max, 10.0))
+            # the damaged file was replaced by the rebuilt curve, and no other written
+            assert [p.name for p in directory.iterdir()] == [path.name]
+            assert path.read_bytes() == raw
+        assert want.evaluate(10.0) == pytest.approx(3.721, abs=5e-4)
 
     @pytest.mark.parametrize("damage", ["flipped header byte", "flipped body byte", "another rho's file"])
     def test_damaged_file_is_rebuilt(self, curve_library, tmp_path, damage):
@@ -952,16 +1021,23 @@ class TestSnapAndCache:
         names = [name for name in os.listdir(directory) if name.startswith("vtfo_rho")]
         assert len(names) >= 3
 
-        def no_build(rho, alpha=0.05):
+        def no_build(rho, alpha=0.05, nu_max=critval.NU_MAX, prefix=None):
             raise AssertionError(f"rebuilt rho {rho!r}, alpha {alpha!r}")
 
         monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
-        fresh = CurveCache(directory=directory)
         for name in names:
-            rho, alpha = (float(part) for part in re.fullmatch(r"vtfo_rho(.+)_alpha(.+)_\w+\.bin", name).groups())
-            got, want = fresh.get(rho, alpha), curve_library.cache.get(rho, alpha)
+            rho, alpha, part = re.fullmatch(r"vtfo_rho(.+)_alpha(.+)_\w+(\.part)?\.bin", name).groups()
+            rho, alpha = float(rho), float(alpha)
+            # a prefix file is read as far as it reaches, after any full file
+            reach = CurveCache._load_file(os.path.join(directory, name), rho, alpha).knots_nu[-1] if part else math.nan
+            got = CurveCache(directory=directory).get(rho, alpha, nu_max=reach)
+            want = curve_library.cache.get(rho, alpha, nu_max=reach)
             assert got is not want
-            _assert_same_curve(got, want)
+            n = min(got.knots_nu.size, want.knots_nu.size)
+            assert np.array_equal(got.knots_nu[:n], want.knots_nu[:n])
+            assert np.array_equal(got.knots_c[:n], want.knots_c[:n])
+            if not part:
+                _assert_same_curve(got, want)
             assert got.formula_end == want.formula_end
 
     def test_unusable_directory_is_a_data_error(self, tmp_path):
@@ -972,8 +1048,8 @@ class TestSnapAndCache:
 
 
 def _assert_same_curve(got, want):
-    """All seven fields equal, types included."""
-    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last"):
+    """The eight stored fields equal, types included."""
+    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and a == b, name
     for name in ("knots_nu", "knots_c"):
@@ -984,8 +1060,8 @@ def _assert_same_curve(got, want):
 @st.composite
 def cache_curves(draw):
     """One curve as a build makes it: strictly increasing knots, the
-    continuation range as None or a float, domain_low 0.0 as on the
-    small-rho limit curve or any float."""
+    continuation range and its stop state as None or a float, domain_low
+    0.0 as on the small-rho limit curve or any float."""
     nus = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
     return CriticalValueCurve(
         rho_abs=draw(st.floats(0.0, RHO_CAP)),
@@ -995,6 +1071,7 @@ def cache_curves(draw):
         domain_low=draw(st.just(0.0) | finite),
         t_tilde=draw(st.none() | finite),
         t_last=draw(st.none() | finite),
+        nu_mid=draw(st.none() | finite),
     )
 
 

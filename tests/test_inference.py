@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from conftest import oracle_decide, oracle_normalized_stats
 from mwiv import (
+    CurveCache,
     CurveLibrary,
     DataError,
     Dataset,
@@ -110,6 +111,21 @@ class TestRunTest:
             d = run_test("vtfo", ctx, data, b0, curves=curve_library)
             assert math.isinf(d.critical)
             assert not d.reject
+
+    def test_numpy_alpha_names_one_cache_file(self, strong_data, tmp_path):
+        # alpha enters run_test as a float: a NumPy scalar names the same
+        # cache files as 0.05, so a later call reads them without a write
+        data, ctx = strong_data
+        lib = CurveLibrary(cache=CurveCache(directory=str(tmp_path)))
+        got = run_test("vtfo", ctx, data, 1.0, alpha=np.float64(0.05), curves=lib)
+        assert type(got.alpha) is float
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names and all("_alpha0.05_" in name for name in names)
+        stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        again = CurveLibrary(cache=CurveCache(directory=str(tmp_path)))
+        want = run_test("vtfo", ctx, data, 1.0, alpha=0.05, curves=again)
+        assert got == want
+        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == stamps
 
     def test_vtfo_accepts_point_estimate(self, strong_data, curve_library):
         data, ctx = strong_data

@@ -252,9 +252,11 @@ class TestRejectionRates:
 
 
 class TestExactRhoPrefixes:
-    # Without a cached curve the lab builds each exact-rho curve only up to
-    # the largest nu it draws and caches nothing; the rates must equal those
-    # read off full curves, byte for byte.
+    # A fresh library builds each exact-rho curve only up to the largest nu
+    # drawn, keeps it and resumes it for a later delta at the same rho: each
+    # rho is built from the start once (criterion 5's two capped deltas read
+    # one cap curve). The rates must equal those read off full curves, byte
+    # for byte.
     @pytest.mark.parametrize("s, r, deltas, n_draws, seed", [
         (3.0, 0.5, [-2.0, 0.0, 2.0], 10000, 10),  # the two power-curve benchmark designs
         (2.0, -0.3, [-2.0, 0.0, 2.0], 10000, 11),
@@ -264,20 +266,33 @@ class TestExactRhoPrefixes:
     def test_rates_match_full_curves(self, monkeypatch, s, r, deltas, n_draws, seed):
         dgp = AsymptoticDGP(s=s, r=r)
         kw = dict(methods=("vtfo",), n_draws=n_draws, seed=seed)
-        fresh = CurveLibrary()
-        got = rejection_rates(dgp, deltas, curves=fresh, **kw)
-        assert fresh.cache._memory == {}
-
-        full = CurveLibrary()
         rhos = []
         for d in deltas:
             alt = alternative_variances(dgp, d)
             rhos.append(min(abs(alt.tau_b0 / np.sqrt(alt.psi_b0 * dgp.upsilon)), RHO_CAP))
-            full.cache.get(rhos[-1], 0.05)
         if deltas[1] == -0.25:
             assert rhos[1] < RHO_BUILD_FLOOR
         if deltas[0] == -800.0:
             assert rhos[:2] == [RHO_CAP, RHO_CAP]
+
+        fresh = CurveLibrary()
+        started = []
+        build = critval.build_vtfo_curve
+
+        def counted(rho, alpha=0.05, nu_max=critval.NU_MAX, prefix=None):
+            if prefix is None:
+                started.append(rho)
+            return build(rho, alpha, nu_max, prefix=prefix)
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", counted)
+        got = rejection_rates(dgp, deltas, curves=fresh, **kw)
+        assert sorted(started) == sorted(set(rhos))
+        assert len(fresh.cache._memory) == len(set(rhos))
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", build)
+        full = CurveLibrary()
+        for rho in rhos:
+            full.cache.get(rho, 0.05)
 
         def no_build(*args, **kwargs):
             raise AssertionError("built a curve the library holds")

@@ -42,10 +42,10 @@ def time_build(critval, rho: float, alpha: float) -> tuple[float, float, int]:
     spent = [0.0]
 
     def hook(continuation):
-        def timed(*args):
+        def timed(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return continuation(*args)
+                return continuation(*args, **kwargs)
             finally:
                 spent[0] += time.perf_counter() - start
 
@@ -96,8 +96,8 @@ def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
         return counted
 
     def stepper(continuation):
-        def counted(*args):
-            out = continuation(*args)
+        def counted(*args, **kwargs):
+            out = continuation(*args, **kwargs)
             steps[0] += len(out[0])
             return out
 
