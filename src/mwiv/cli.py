@@ -42,20 +42,12 @@ _DEFAULT_METHODS = "vtfo,cw,ms1,ms2,lm"
 
 
 def _resolve_cache_dir(flag: str | None) -> str:
-    if flag:
-        return flag
-    env = os.environ.get("MWIV_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "mwiv")
+    return flag or os.environ.get("MWIV_CACHE_DIR") or os.path.join(os.path.expanduser("~"), ".cache", "mwiv")
 
 
 def _library(args) -> CurveLibrary:
-    cache = CurveCache(directory=_resolve_cache_dir(args.cache_dir))
-    table = None
-    if getattr(args, "vtf_table", None):
-        table = load_two_sided_table(args.vtf_table)
-    return CurveLibrary(cache=cache, two_sided=table)
+    table = load_two_sided_table(args.vtf_table) if getattr(args, "vtf_table", None) else None
+    return CurveLibrary(cache=CurveCache(directory=_resolve_cache_dir(args.cache_dir)), two_sided=table)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:

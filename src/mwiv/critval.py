@@ -910,8 +910,8 @@ class CurveCache:
         if self.directory is not None:
             stem = os.path.join(self.directory, self._stem(rho_abs, alpha))
             for path in (stem + ".bin", stem + ".part.bin"):
-                hit = self._load_file(path, rho_abs, alpha)
-                if hit is not None and (best is None or hit.knots_nu[-1] > best.knots_nu[-1]):
+                hit = self._load_file(path, rho_abs, alpha, 0 if best is None else best.knots_nu.size)
+                if hit is not None:
                     best = self._memory[key] = hit
                     if hit._reaches(nu_max):
                         return hit
@@ -960,16 +960,17 @@ class CurveCache:
                 os.unlink(tmp)
 
     @staticmethod
-    def _load_file(path, rho_abs: float, alpha: float) -> CriticalValueCurve | None:
+    def _load_file(path, rho_abs: float, alpha: float, known: int = 0) -> CriticalValueCurve | None:
         """The curve stored at ``path``, or None when the file is missing,
-        cut short, damaged or made for another (rho, alpha) or format."""
+        cut short, damaged, made for another (rho, alpha) or format, or
+        holds no more than ``known`` knots (its body is then not read)."""
         try:
             with open(path, "rb") as fh:
                 line = fh.readline(4096)
                 meta = json.loads(line)
                 want = meta.pop("sha256")
                 n = meta["knots"]
-                if (meta["format"], meta["rho"], meta["alpha"]) != (_FORMAT_VERSION, rho_abs, alpha):
+                if (meta["format"], meta["rho"], meta["alpha"]) != (_FORMAT_VERSION, rho_abs, alpha) or n <= known:
                     return None
                 if os.fstat(fh.fileno()).st_size != len(line) + 16 * n:
                     return None

@@ -26,6 +26,10 @@ class Dataset:
     ``instruments`` is a 2-D float array (dense form) or a 1-D integer
     array of judge labels. Labels may be arbitrary integers; they are
     canonicalized to 0..K-1 by the projection builder.
+
+    ``y`` and ``x`` are read-only, so identity implies content (a projection
+    context memoizes one profile per dataset): an input that is writeable
+    or does not own its data is copied, a read-only one that owns it kept.
     """
 
     y: np.ndarray
@@ -33,8 +37,9 @@ class Dataset:
     instruments: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        y, x = (np.asarray(v, dtype=float) for v in (self.y, self.x))
+        y, x = (v.copy() if v.flags.writeable or not v.flags.owndata else v for v in (y, x))
+        y.flags.writeable = x.flags.writeable = False
         inst = np.asarray(self.instruments)
         if inst.ndim == 1:
             if not np.issubdtype(inst.dtype, np.integer):

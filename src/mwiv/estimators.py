@@ -3,11 +3,11 @@
 With residuals e0 = y - b0 * x, every b0-dependent quantity is a
 polynomial in b0: Q_xe and tau have degree 1, Q_ee and psi degree 2, phi
 degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
-(ctx, data) takes their coefficients from fifteen kernel calls and
-evaluates them on a float or an array of b0 without forming an N x grid
-array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here and in
-the power lab; t^2, a closed form in (xi, nu, rho), equals the Wald ratio
-(bhat - b0)^2 / Vhat by algebra.
+(ctx, data), memoized, takes their coefficients from fifteen kernel calls
+and evaluates them on a float or an array of b0 without forming an N x
+grid array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here
+and in the power lab; t^2, a closed form in (xi, nu, rho), equals the
+Wald ratio (bhat - b0)^2 / Vhat by algebra.
 
 A point is degenerate where upsilon, psi or phi is not positive; a psi or
 phi within 1e-12 of the summed magnitude of its terms counts as zero, so
@@ -123,6 +123,11 @@ class _Profile:
 
 
 def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
+    """ctx's memoized profile when it is of ``data`` (read-only y and x: the
+    same object, the same content), else a new one that replaces it."""
+    memo = ctx._memo
+    if memo is not None and memo[0] is data:
+        return memo[1]
     x, y, k = data.x, data.y, ctx.k
     lead = ctx.leave_out_fit(x) ** 2 / ctx.m
     mx, my = ctx.annihilate(x), ctx.annihilate(y)
@@ -138,7 +143,9 @@ def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     phi = (2.0 * p00, -4.0 * p01, 2.0 * (2.0 * p02 + p11), -4.0 * p12, 2.0 * p22)
     polys = ((q_xy, -q_xx), (q_yy, -2.0 * q_xy, q_xx), ((0.5 * l1 + pw2) / k, -ups),
              ((l0 + pww) / k, -(l1 + 2.0 * pw2) / k, ups), tuple(c / k for c in phi))
-    return _Profile(q_xx=q_xx, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
+    profile = _Profile(q_xx=q_xx, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
+    object.__setattr__(ctx, "_memo", (data, profile))
+    return profile
 
 
 def _q_xx_with_scale(ctx: ProjectionContext, x: np.ndarray) -> float:
@@ -158,11 +165,7 @@ def jive_point_estimate(ctx: ProjectionContext, data: Dataset) -> float:
 def jive_variance(ctx: ProjectionContext, data: Dataset, beta_hat: float) -> float:
     """Jackknife variance of the point estimate: psi at beta_hat over Q_xx^2,
     and 0.0 at an exact fit (every residual zero at beta_hat)."""
-    return _jive_variance(_profile(ctx, data), data, beta_hat)
-
-
-def _jive_variance(profile: _Profile, data: Dataset, beta_hat: float) -> float:
-    """``jive_variance`` read off a profile of (ctx, data) already built."""
+    profile = _profile(ctx, data)
     if not np.isfinite(beta_hat):
         raise NumericalError("variance estimate nonpositive: beta_hat not finite")
     psi = profile.values(beta_hat)[3][0]

@@ -31,9 +31,9 @@ from .data import Dataset
 from .errors import DataError, NumericalError, TableError
 from .estimators import (
     NormalizedStats,
-    _jive_variance,
     _profile,
     jive_point_estimate,
+    jive_variance,
 )
 from .projection import ProjectionContext
 
@@ -226,14 +226,9 @@ def run_test(
 def default_grid(ctx: ProjectionContext, data: Dataset, n: int = 2001) -> tuple[float, float, int]:
     """beta_hat +- 20 jackknife standard errors; a fixed wide band when the
     variance estimate is unavailable."""
-    return _default_grid(ctx, data, _profile(ctx, data), n)
-
-
-def _default_grid(ctx: ProjectionContext, data: Dataset, profile, n: int = 2001) -> tuple[float, float, int]:
-    """``default_grid`` from a profile of (ctx, data) already built."""
     beta_hat = jive_point_estimate(ctx, data)
     try:
-        v_hat = _jive_variance(profile, data, beta_hat)
+        v_hat = jive_variance(ctx, data, beta_hat)
     except NumericalError:
         v_hat = 0.0
     half = 20.0 * float(np.sqrt(v_hat)) if v_hat > 0.0 else 1000.0
@@ -266,7 +261,7 @@ def invert_confidence_set(
     _check_method(method, curves)
     profile = _profile(ctx, data)
     if grid is None:
-        grid = _default_grid(ctx, data, profile)
+        grid = default_grid(ctx, data)
     lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo and n >= 3):
         raise DataError("grid must be finite with hi > lo and n >= 3")

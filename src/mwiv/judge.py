@@ -91,4 +91,5 @@ def simulate_judge_data(spec: JudgeDesignSpec) -> Dataset:
     v = scale_v * (corr * z1 + np.sqrt(1.0 - corr**2) * z2)
     x = np.asarray(spec.pi)[labels] + v
     y = spec.beta * x + e
+    x.flags.writeable = y.flags.writeable = False  # fresh: Dataset keeps them uncopied
     return Dataset(y=y, x=x, instruments=labels)

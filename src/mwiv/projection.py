@@ -39,19 +39,20 @@ __all__ = [
 @dataclass(frozen=True)
 class ProjectionContext:
     """Immutable projection state; safe for shared concurrent reads. Each
-    public kernel checks lengths, then runs its subclass's private kernel."""
+    public kernel checks lengths, then runs its subclass's private kernel.
+    ``_memo`` is the last dataset's beta0 profile, one ``(data, profile)``
+    tuple (``estimators._profile``) replaced in one assignment: a concurrent
+    reader sees the old pair or the new, and a race builds a profile twice."""
 
     n: int
     k: int
     m: np.ndarray  # annihilator diagonal M_ii, strictly inside (0, 1)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _check_length(self, *vecs: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for v in vecs:
-            v = np.asarray(v, dtype=float)
-            if v.ndim != 1 or v.shape[0] != self.n:
-                raise DataError(f"dimension error: expected length {self.n}")
-            out.append(v)
+        out = [np.asarray(v, dtype=float) for v in vecs]
+        if any(v.shape != (self.n,) for v in out):
+            raise DataError(f"dimension error: expected length {self.n}")
         return out
 
     def leave_out_fit(self, v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 continuation, conditional quantiles, serialization, caching."""
 
 import gc
+import io
 import math
 import os
 import re
@@ -516,6 +517,35 @@ class TestPrefixBuild:
             assert (got.t_last, got.nu_mid, got.formula_end) == (full.t_last, full.nu_mid, full.formula_end)
         # the full file replaced the prefix file
         assert [p.name for p in tmp_path.iterdir()] == [f"vtfo_rho{rho!r}_alpha0.05_{critval._CACHE_KEY}.bin"]
+
+    def test_resume_reads_no_prefix_body_memory_holds(self, tmp_path, monkeypatch):
+        # memory's prefix of the cap is as long as the prefix file, so a
+        # resume stops after the file's header; a longer prefix that another
+        # cache wrote is read in full and served without a build
+        bodies = []
+
+        class Recording(io.BufferedReader):
+            def readinto(self, b):
+                bodies.append(os.path.basename(self.raw.name))
+                return super().readinto(b)
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            return Recording(io.FileIO(path, "rb")) if mode == "rb" else open(path, mode, *args, **kwargs)
+
+        cache = CurveCache(directory=str(tmp_path))
+        cache.get(0.9999, 0.05, 7.0)
+        monkeypatch.setattr(critval, "open", recording_open, raising=False)
+        curve = cache.get(0.9999, 0.05, 15.0)
+        assert bodies == []
+        fresh = build_vtfo_curve(0.9999, 0.05, nu_max=15.0)
+        assert np.array_equal(curve.knots_nu, fresh.knots_nu) and np.array_equal(curve.knots_c, fresh.knots_c)
+
+        CurveCache(directory=str(tmp_path)).get(0.9999, 0.05, 20.0)
+        bodies.clear()
+        monkeypatch.setattr(critval, "build_vtfo_curve", None)
+        longer = cache.get(0.9999, 0.05, 20.0)
+        assert bodies == [f"vtfo_rho0.9999_alpha0.05_{critval._CACHE_KEY}.part.bin"]
+        assert longer._reaches(20.0) and np.array_equal(longer.knots_nu[:curve.knots_nu.size], curve.knots_nu)
 
     def test_cached_full_curve_is_served(self, tmp_path, monkeypatch):
         cache = CurveCache(directory=str(tmp_path))

@@ -249,27 +249,64 @@ class TestConfidenceSets:
         with pytest.raises(DataError, match="grid must be finite"):
             invert_confidence_set("ms1", ctx, data, grid=(2.0, 1.0, 11))
 
-    def test_default_grid_from_the_set_profile(self, strong_data, monkeypatch):
-        # without a grid a set reads the default grid's ends off its own
-        # beta0 profile: one profile per set, the ends default_grid gives
+    def test_one_profile_build_per_dataset(self, monkeypatch):
+        # the context memoizes the beta0 profile of the last dataset it saw:
+        # a session's variance, grid, test and sets build it once, a second
+        # dataset builds its own, and the memoized profile is the fresh one
+        data = scaled_design(2.0, 3)
+        ctx = build_projection(data)
+        built = []
+        profile_cls = estimators._Profile
+
+        def count(**fields):
+            built.append(fields)
+            return profile_cls(**fields)
+
+        monkeypatch.setattr(estimators, "_Profile", count)
+        estimators.jive_variance(ctx, data, jive_point_estimate(ctx, data))
+        lo, hi, n = inference.default_grid(ctx, data)
+        run_test("ms2", ctx, data, 1.0)
+        sets = [invert_confidence_set(m, ctx, data) for m in ("ms2", "ms1", "lm")]
+        assert len(built) == 1
+        assert all((cs.grid_lo, cs.grid_hi, cs.grid_n) == (lo, hi, n) == (lo, hi, 2001) for cs in sets)
+
+        other = Dataset(y=data.y + 0.5 * data.x, x=data.x, instruments=data.instruments)
+        got = normalized_stats(ctx, other, 0.3)
+        assert len(built) == 2
+        want = normalized_stats(build_projection(other), other, 0.3)
+        assert len(built) == 3
+        assert all(getattr(got, f) == getattr(want, f) for f in ("xi", "nu", "rho", "ar", "t_squared"))
+        assert got.xi != normalized_stats(ctx, data, 0.3).xi
+        assert len(built) == 4
+
+        grid = np.linspace(lo, hi, 401)
+        memoized = estimators._profile(ctx, data).stats(grid)
+        assert len(built) == 4
+        fresh = estimators._profile(build_projection(data), data).stats(grid)
+        for f in ("xi", "rho", "rho_raw", "rho_clamped", "ar", "t_squared", "beta0"):
+            assert getattr(memoized[0], f).tobytes() == getattr(fresh[0], f).tobytes(), f
+        assert (memoized[0].nu, memoized[0].q_xx, memoized[0].b_xxxx) == (fresh[0].nu, fresh[0].q_xx, fresh[0].b_xxxx)
+        assert np.array_equal(memoized[1], fresh[1])
+
+    def test_failed_build_is_not_memoized(self, monkeypatch):
+        data = scaled_design(2.0, 3)
+        ctx = build_projection(data)
+        with monkeypatch.context() as m:
+            m.setattr(type(ctx), "pair_weighted", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                estimators._profile(ctx, data)
+        assert ctx._memo is None
+        assert estimators._profile(ctx, data) is ctx._memo[1]
+
+    def test_default_grid_from_the_set_profile(self):
+        # an exact fit has variance 0.0 and takes the fixed band, in the
+        # grid a set reads off its own profile too
         x = np.random.default_rng(10).standard_normal(20)
         exact = Dataset(y=0.7 * x, x=x, instruments=np.repeat([0, 1, 2, 3], 5))
-        profile = inference._profile
-        for data, ctx in (strong_data, (exact, build_projection(exact))):
-            lo, hi, n = inference.default_grid(ctx, data)
-            built = []
-
-            def count(*args):
-                built.append(args)
-                return profile(*args)
-
-            with monkeypatch.context() as m:
-                m.setattr(inference, "_profile", count)
-                m.setattr(estimators, "_profile", count)
-                cs = invert_confidence_set("ms2", ctx, data)
-            assert len(built) == 1
-            assert (cs.grid_lo, cs.grid_hi, cs.grid_n) == (lo, hi, n) == (lo, hi, 2001)
-        # an exact fit has variance 0.0 and takes the fixed band
+        ctx = build_projection(exact)
+        lo, hi, n = inference.default_grid(ctx, exact)
+        cs = invert_confidence_set("ms2", ctx, exact)
+        assert (cs.grid_lo, cs.grid_hi, cs.grid_n) == (lo, hi, n)
         assert hi - lo == pytest.approx(2000.0)
 
     def test_all_degenerate(self):

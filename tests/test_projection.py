@@ -10,8 +10,13 @@ import pytest
 from mwiv import (
     DataError,
     Dataset,
+    JudgeDesignSpec,
     build_projection,
+    invert_confidence_set,
     quadratic_form_Q,
+    read_dataset_csv,
+    simulate_judge_data,
+    write_dataset_csv,
 )
 from mwiv.estimators import _profile
 from mwiv.projection import DenseProjection, JudgeProjection
@@ -315,3 +320,50 @@ class TestBuildErrors:
         rng = np.random.default_rng(16)
         with pytest.raises(DataError, match="insufficient cluster size"):
             build_projection(dense_dataset(z, rng))
+
+
+class TestDatasetIsReadOnly:
+    """y and x are read-only, so a projection context can memoize its beta0
+    profile by dataset identity."""
+
+    def test_writes_raise(self):
+        data = judge_dataset(np.repeat([0, 1, 2], 4), np.random.default_rng(20))
+        for v in (data.y, data.x):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 1.0
+
+    def test_source_mutation_does_not_reach_the_dataset(self):
+        rng = np.random.default_rng(21)
+        labels = np.repeat(np.arange(8), 6)
+        x = np.repeat(rng.standard_normal(8), 6) + rng.standard_normal(48)
+        y = x + rng.standard_normal(48)
+        data = Dataset(y=y, x=x, instruments=labels)
+        ctx = build_projection(data)
+        grid = (-3.0, 5.0, 41)
+        before = invert_confidence_set("ms2", ctx, data, grid=grid)
+        kept = data.y.copy(), data.x.copy()
+        y[:] = 0.0
+        x *= 3.0
+        assert np.array_equal(data.y, kept[0]) and np.array_equal(data.x, kept[1])
+        after = invert_confidence_set("ms2", build_projection(data), data, grid=grid)
+        assert after.statistics.tobytes() == before.statistics.tobytes()
+        assert after.intervals == before.intervals
+
+    def test_simulated_and_read_data_are_read_only(self, tmp_path):
+        spec = JudgeDesignSpec(n_judges=4, per_judge=(5,) * 4, pi=(1.0, -1.0, 0.5, 0.0), beta=1.0, seed=2)
+        simulated = simulate_judge_data(spec)
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, simulated)
+        for data in (simulated, read_dataset_csv(path)):
+            assert not data.y.flags.writeable and not data.x.flags.writeable
+
+    def test_read_only_owner_is_kept(self):
+        rng = np.random.default_rng(22)
+        y, x = rng.standard_normal(12), rng.standard_normal(12)
+        y.flags.writeable = x.flags.writeable = False
+        data = Dataset(y=y, x=x, instruments=np.repeat([0, 1, 2], 4))
+        assert data.y is y and data.x is x
+        # a read-only view does not own its data, so it is copied
+        view = y[:]
+        assert not view.flags.owndata
+        assert Dataset(y=view, x=x, instruments=np.repeat([0, 1, 2], 4)).y is not view
