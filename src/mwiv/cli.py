@@ -39,6 +39,7 @@ from .projection import build_projection
 __all__ = ["main"]
 
 _DEFAULT_METHODS = "vtfo,cw,ms1,ms2,lm"
+_EXIT_CODES = {DataError: 2, TableError: 3, NumericalError: 4}
 
 
 def _resolve_cache_dir(flag: str | None) -> str:
@@ -89,12 +90,9 @@ def cmd_estimate(args) -> int:
         nu, rho, t_squared = stats.nu, stats.rho, stats.t_squared
     except NumericalError:
         nu = rho = t_squared = float("nan")
-    print(f"beta_hat={float(beta_hat)!r}")
-    print(f"v_hat={float(v_hat)!r}")
-    print(f"nu={float(nu)!r}")
-    print(f"rho={float(rho)!r}")
-    print(f"beta0={float(args.beta0)!r}")
-    print(f"t_squared={float(t_squared)!r}")
+    for name, value in (("beta_hat", beta_hat), ("v_hat", v_hat), ("nu", nu), ("rho", rho), ("beta0", args.beta0),
+                        ("t_squared", t_squared)):
+        print(f"{name}={float(value)!r}")
     return 0
 
 
@@ -254,15 +252,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 With residuals e0 = y - b0 * x, every b0-dependent quantity is a
 polynomial in b0: Q_xe and tau have degree 1, Q_ee and psi degree 2, phi
 degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
-(ctx, data), memoized, takes their coefficients from fifteen kernel calls
+(ctx, data), memoized, takes their coefficients from eight kernel calls
 and evaluates them on a float or an array of b0 without forming an N x
 grid array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here
 and in the power lab; t^2, a closed form in (xi, nu, rho), equals the
@@ -79,9 +79,11 @@ def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
 @dataclass(frozen=True)
 class _Profile:
     """The b0 polynomials of one (ctx, data): Q_xe, Q_ee, tau, psi and phi,
-    coefficients ascending in b0."""
+    coefficients ascending in b0. Q_xe's constant is Q_xy, and q_xx_scale
+    is Q(|x|, |x|), the magnitude against which Q_xx counts as zero."""
 
     q_xx: float
+    q_xx_scale: float
     upsilon: float
     b_xxxx: float
     polys: tuple
@@ -134,32 +136,25 @@ def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     # e0 (M e0) = u0 - b0 u1 + b0^2 u2 and e0 (M x) = w - b0 u2
     u0, u1, u2, w = y * my, x * my + y * mx, x * mx, y * mx
     l0, l1, l2 = (float(np.sum(lead * u)) for u in (u0, u1, u2))
-    p00, p01, p02, p11, p12, p22, pww, pw2 = (
-        ctx.pair_weighted(f, g)
-        for f, g in ((u0, u0), (u0, u1), (u0, u2), (u1, u1), (u1, u2), (u2, u2), (w, w), (w, u2))
-    )
-    q_xx, q_xy, q_yy = (quadratic_form_Q(ctx, a, b) for a, b in ((x, x), (x, y), (y, y)))
+    stack = np.array((u0, u1, u2, w)).T  # (N, 4) with contiguous columns
+    p = ctx.pair_weighted(stack, stack).tolist()  # upper triangle: (u0, u1, u2, w) pairs
+    p00, p01, p02, p11, p12, p22, pw2, pww = *p[0][:3], *p[1][1:3], *p[2][2:], p[3][3]
+    q_xx, q_xy, q_yy, q_abs = (quadratic_form_Q(ctx, a, b) for a, b in ((x, x), (x, y), (y, y), (abs(x), abs(x))))
     ups = (l2 + p22) / k
     phi = (2.0 * p00, -4.0 * p01, 2.0 * (2.0 * p02 + p11), -4.0 * p12, 2.0 * p22)
     polys = ((q_xy, -q_xx), (q_yy, -2.0 * q_xy, q_xx), ((0.5 * l1 + pw2) / k, -ups),
              ((l0 + pww) / k, -(l1 + 2.0 * pw2) / k, ups), tuple(c / k for c in phi))
-    profile = _Profile(q_xx=q_xx, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
+    profile = _Profile(q_xx=q_xx, q_xx_scale=q_abs, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
     object.__setattr__(ctx, "_memo", (data, profile))
     return profile
 
 
-def _q_xx_with_scale(ctx: ProjectionContext, x: np.ndarray) -> float:
-    q_xx = quadratic_form_Q(ctx, x, x)
-    scale = quadratic_form_Q(ctx, np.abs(x), np.abs(x))
-    if abs(q_xx) < _ZERO * max(scale, 1e-300):
-        raise NumericalError("degenerate first stage: |Q_xx| is numerically zero")
-    return q_xx
-
-
 def jive_point_estimate(ctx: ProjectionContext, data: Dataset) -> float:
-    """Ratio of leave-out quadratic forms Q_yx / Q_xx."""
-    q_xx = _q_xx_with_scale(ctx, data.x)
-    return quadratic_form_Q(ctx, data.y, data.x) / q_xx
+    """Ratio of leave-out quadratic forms Q_yx / Q_xx, from the profile."""
+    profile = _profile(ctx, data)
+    if abs(profile.q_xx) < _ZERO * max(profile.q_xx_scale, 1e-300):
+        raise NumericalError("degenerate first stage: |Q_xx| is numerically zero")
+    return profile.polys[0][0] / profile.q_xx
 
 
 def jive_variance(ctx: ProjectionContext, data: Dataset, beta_hat: float) -> float:

@@ -53,6 +53,10 @@ __all__ = [
 
 METHODS = ("vtfo", "vtf", "cw", "ms1", "ms2", "lm")
 
+# A cw set, the costliest, peaks at about 760 bytes per grid point under
+# tracemalloc (1e5 and 2e5 points), so the largest set stays under 1 GB.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class CurveLibrary:
@@ -210,17 +214,9 @@ def run_test(
     stats, degenerate = _testable_stats(method, profile, np.array([beta0], dtype=float))
     profile.refuse(degenerate)
     statistic, critical = (float(v[0]) for v in decide(method, stats, alpha, curves))
-    return TestDecision(
-        method=method,
-        beta0=float(beta0),
-        alpha=float(alpha),
-        statistic=statistic,
-        critical=critical,
-        reject=statistic > critical,
-        nu=float(stats.nu),
-        rho=float(stats.rho[0]),
-        rho_clamped=bool(stats.rho_clamped[0]),
-    )
+    return TestDecision(method=method, beta0=float(beta0), alpha=float(alpha), statistic=statistic, critical=critical,
+                        reject=statistic > critical, nu=float(stats.nu), rho=float(stats.rho[0]),
+                        rho_clamped=bool(stats.rho_clamped[0]))
 
 
 def default_grid(ctx: ProjectionContext, data: Dataset, n: int = 2001) -> tuple[float, float, int]:
@@ -259,13 +255,13 @@ def invert_confidence_set(
     alpha = _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()
     _check_method(method, curves)
-    profile = _profile(ctx, data)
     if grid is None:
         grid = default_grid(ctx, data)
     lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo and n >= 3):
-        raise DataError("grid must be finite with hi > lo and n >= 3")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo and 3 <= n <= MAX_GRID_POINTS):
+        raise DataError(f"grid must be finite with hi > lo and 3 <= n <= {MAX_GRID_POINTS}")
 
+    profile = _profile(ctx, data)
     betas = np.linspace(lo, hi, n)
     stats, degenerate = _testable_stats(method, profile, betas)
     if degenerate.all():
@@ -292,22 +288,10 @@ def invert_confidence_set(
         analytic = bool(detect_unbounded(method, stats, alpha))
     except ValueError:
         analytic = None
-    return ConfidenceSet(
-        method=method,
-        alpha=float(alpha),
-        grid_lo=lo,
-        grid_hi=hi,
-        grid_n=n,
-        betas=betas,
-        statistics=statistics,
-        criticals=criticals,
-        rejects=rejects,
-        degenerate=degenerate,
-        intervals=tuple(intervals),
-        unbounded_flag=unbounded_flag,
-        unbounded_reason=reason,
-        analytic_unbounded=analytic,
-    )
+    return ConfidenceSet(method=method, alpha=float(alpha), grid_lo=lo, grid_hi=hi, grid_n=n, betas=betas,
+                         statistics=statistics, criticals=criticals, rejects=rejects, degenerate=degenerate,
+                         intervals=tuple(intervals), unbounded_flag=unbounded_flag, unbounded_reason=reason,
+                         analytic_unbounded=analytic)
 
 
 def detect_unbounded(method: str, stats: NormalizedStats, alpha: float = 0.05) -> UnboundednessCheck:
@@ -350,12 +334,7 @@ def detect_unbounded(method: str, stats: NormalizedStats, alpha: float = 0.05) -
         rule = "nu^2 <= q2 (large-beta0 limit of xi^2)"
     else:
         raise ValueError("unboundedness is not characterized for method 'cw'")
-    return UnboundednessCheck(
-        method=method,
-        unbounded=bool(unb),
-        rule=rule,
-        quartic_leading=quartic_leading,
-    )
+    return UnboundednessCheck(method=method, unbounded=bool(unb), rule=rule, quartic_leading=quartic_leading)
 
 
 def _fmt_bool(b: bool) -> str:

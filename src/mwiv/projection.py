@@ -4,18 +4,20 @@ Everything downstream consumes the kernels built here:
 
 * leave-out quadratic forms  Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j
 * the pair kernel            sum_{i != j} Ptil2_ij f_i g_j   with
-  Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2)
+  Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2), on two vectors or, as the
+  matrix F' Ptil2 G, on two (N, m) stacks
 * the leave-out fit          sum_{j != i} P_ij v_j, and the annihilator Mv
 
 The estimators' beta0 profile takes every variance object from them; a
 cross moment B_abcd = (2/K) sum_{i != j} Ptil2_ij [a_i (Mb)_i] [c_j (Md)_j]
-is one pair kernel of two annihilated products.
+is one pair kernel of two annihilated products, and the profile takes all
+eight it needs from one stacked call.
 
-One class per instrument form, each holding only what its kernels read:
-``JudgeProjection`` uses P_ij = 1{same judge}/N_k and stores no N x N
-object; ``DenseProjection`` holds Z's thin QR factor q (P v = q q'v and
-diag P = 1 - M) and Ptil2, its one N x N array: 31 MB held and a 62 MB
-build peak under tracemalloc at N = 2000, K = 40.
+One class per instrument form, each holding only what its kernels read
+and neither holding an N x N array: ``JudgeProjection`` uses P_ij =
+1{same judge}/N_k; ``DenseProjection`` holds Z's thin QR factor q (P v =
+q q'v and diag P = 1 - M) and builds Ptil2 from q one row block at a time
+inside the pair kernel.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ class ProjectionContext:
     m: np.ndarray  # annihilator diagonal M_ii, strictly inside (0, 1)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _check_length(self, *vecs: np.ndarray) -> list[np.ndarray]:
+    def _check_length(self, *vecs: np.ndarray, stacks: bool = False) -> list[np.ndarray]:
         out = [np.asarray(v, dtype=float) for v in vecs]
-        if any(v.shape != (self.n,) for v in out):
+        ndim = out[0].ndim if stacks else 1
+        if ndim not in (1, 2) or any(v.ndim != ndim or v.shape[0] != self.n for v in out):
             raise DataError(f"dimension error: expected length {self.n}")
         return out
 
@@ -67,9 +70,10 @@ class ProjectionContext:
         """Unnormalized sum_{i != j} P_ij a_i b_j, exactly symmetric in (a, b)."""
         return self._quad_pp(*self._check_length(a, b))
 
-    def pair_weighted(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Unnormalized sum_{i != j} Ptil2_ij f_i g_j, exactly symmetric."""
-        return self._pair_weighted(*self._check_length(f, g))
+    def pair_weighted(self, f: np.ndarray, g: np.ndarray):
+        """Unnormalized sum_{i != j} Ptil2_ij f_i g_j, exactly symmetric, or
+        for (N, a) and (N, b) stacks the (a, b) matrix F' Ptil2 G."""
+        return self._pair_weighted(*self._check_length(f, g, stacks=True))
 
 
 @dataclass(frozen=True)
@@ -97,19 +101,28 @@ class JudgeProjection(ProjectionContext):
         ab = self._judge_sums(a * b)
         return float(np.sum((sa * sb - ab) * self.inv_counts))
 
-    def _pair_weighted(self, f: np.ndarray, g: np.ndarray) -> float:
-        sf = self._judge_sums(f)
-        sg = self._judge_sums(g)
-        fg = self._judge_sums(f * g)
-        return float(np.sum((sf * sg - fg) * self.pair_w))
+    def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
+        # Each entry runs the float ops of two vectors; a stack passed twice
+        # sums each column once and mirrors its upper triangle.
+        fs, gs = np.atleast_2d(f.T), np.atleast_2d(g.T)
+        sf = [self._judge_sums(v) for v in fs]
+        sg = sf if g is f else [self._judge_sums(v) for v in gs]
+        out = np.empty((len(fs), len(gs)))
+        for a, b in np.ndindex(out.shape):
+            mirror = g is f and b < a
+            out[a, b] = out[b, a] if mirror else np.sum((sf[a] * sg[b] - self._judge_sums(fs[a] * gs[b])) * self.pair_w)
+        return out if f.ndim == 2 else float(out[0, 0])
 
 
 @dataclass(frozen=True)
 class DenseProjection(ProjectionContext):
-    """Projection onto the column space of a general instrument matrix Z."""
+    """Projection onto the column space of a general instrument matrix Z.
+
+    Holds q and m, O(N K). The pair kernel builds Ptil2 from q in row
+    blocks of ``_BLOCK`` floats (4 MB; one block up to N = 724), so a
+    context reused across datasets builds them again for each profile."""
 
     q: np.ndarray = field(repr=False)  # thin QR factor of Z, N x K
-    ptil2: np.ndarray = field(repr=False)  # N x N, zero diagonal
 
     def _leave_out_fit(self, v: np.ndarray) -> np.ndarray:
         return self.m * v - self._annihilate(v)
@@ -120,11 +133,38 @@ class DenseProjection(ProjectionContext):
     def _quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((self.q.T @ a) @ (self.q.T @ b) - np.sum((1.0 - self.m) * (a * b)))
 
-    def _pair_weighted(self, f: np.ndarray, g: np.ndarray) -> float:
+    def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
         # Canonical argument order so swapped calls run the same float ops.
-        if f.tobytes() > g.tobytes():
+        if f.ndim == 1 and f.tobytes() > g.tobytes():
             f, g = g, f
-        return float(f @ (self.ptil2 @ g))
+        # Ptil2 is symmetric, so the block of rows r holds Ptil2[r, r.start:]
+        # and its columns past r stand for the block below r too.
+        out, spare = 0.0, None
+        for rows, ptil2 in _p_blocks(self.q, upper=True):
+            # P_ij^2 / (M_ii M_jj + P_ij^2) in place, beside one denominator
+            spare = np.empty(ptil2.size) if spare is None else spare  # the first block is the largest
+            denom = np.multiply.outer(self.m[rows], self.m[rows.start:], out=spare[: ptil2.size].reshape(ptil2.shape))
+            ptil2 **= 2
+            ptil2 /= np.add(denom, ptil2, out=denom)
+            np.fill_diagonal(ptil2, 0.0)
+            below = ptil2[:, len(ptil2):]
+            out = out + f[rows].T @ (ptil2 @ g[rows.start:]) + (below @ f[rows.stop:]).T @ g[rows]
+        return out if f.ndim == 2 else float(out)
+
+
+_BLOCK = 1 << 19  # floats in a block of P's rows
+
+
+def _p_blocks(q: np.ndarray, upper: bool = False):
+    """(rows, P[rows, c:]) over consecutive row blocks of P = q q', with c =
+    0, or with ``upper`` c = rows.start; each is written over the last."""
+    n = q.shape[0]
+    step = max(1, _BLOCK // n)
+    buf = np.empty(min(step, n) * n)
+    for lo in range(0, n, step):
+        rows, cols = slice(lo, min(lo + step, n)), slice(lo if upper else 0, n)
+        shape = (rows.stop - lo, n - cols.start)
+        yield rows, np.matmul(q[rows], q[cols].T, out=buf[: shape[0] * shape[1]].reshape(shape))
 
 
 def build_projection(data: Dataset) -> JudgeProjection | DenseProjection:
@@ -155,16 +195,12 @@ def _build_dense(z: np.ndarray) -> DenseProjection:
         raise DataError("rank-deficient instruments: Z'Z is singular")
     # QR keeps the conditioning of Z, not of Z'Z.
     q, _ = np.linalg.qr(z)
-    # P = q q' becomes Ptil2 in place, beside one N x N denominator.
-    ptil2 = q @ q.T
-    m = 1.0 - np.diag(ptil2)
+    # diag P from the kernel's own row blocks, so its entries are the ones
+    # the kernel squares
+    m = 1.0 - np.concatenate([np.diagonal(p, rows.start).copy() for rows, p in _p_blocks(q)])
     if m.min() <= 1e-10 or m.max() >= 1.0:
         raise DataError("insufficient cluster size: an observation has leave-out leverage one")
-    ptil2 **= 2
-    denom = np.outer(m, m)
-    ptil2 /= np.add(denom, ptil2, out=denom)
-    np.fill_diagonal(ptil2, 0.0)
-    return DenseProjection(n=n, k=k, m=m, q=q, ptil2=ptil2)
+    return DenseProjection(n=n, k=k, m=m, q=q)
 
 
 def quadratic_form_Q(ctx: ProjectionContext, a: np.ndarray, b: np.ndarray) -> float:

@@ -83,6 +83,15 @@ def oracle_ptil2(p, i, j):
     return p[i, j] ** 2 / (mii * mjj + mij**2)
 
 
+def oracle_ptil2_matrix(p):
+    """``oracle_ptil2`` for every pair at once, with a zero diagonal: the
+    explicit N x N matrix the streamed dense kernel never forms."""
+    m = 1.0 - np.diag(p)
+    ptil2 = p**2 / (np.outer(m, m) + p**2)
+    np.fill_diagonal(ptil2, 0.0)
+    return ptil2
+
+
 def oracle_pair(p, k, f, g):
     """sum_{i != j} Ptil2_ij f_i g_j by explicit loops (no 1/K, no 2)."""
     n = len(f)

@@ -165,6 +165,19 @@ class TestEstimate:
         assert code == 2
         assert "instruments contain non-finite values" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cs", "--method", "vtfo", "--grid", "0:1:100000000"],
+        ["power", "--draws", "1000000000"],
+    ])
+    def test_oversized_request_exits_2(self, strong_csv, tmp_path, capsys, argv):
+        if argv[0] == "cs":
+            argv = argv + ["--data", str(strong_csv)]
+        code = main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: grid must be finite with hi > lo and 3 <= n <= 1000000\n" if argv[0] == "cs"
+                       else "error: n_draws must be >= 1 and <= 5000000\n")
+
     def test_nonfinite_beta0(self, strong_csv, capsys):
         code = main(["estimate", "--data", str(strong_csv), "--beta0", "nan"])
         out, err = capsys.readouterr()

@@ -102,6 +102,29 @@ class TestPointEstimate:
         ctx = build_projection(data)
         with pytest.raises(NumericalError, match="degenerate first stage"):
             jive_point_estimate(ctx, data)
+        # and again from the memoized profile
+        assert ctx._memo is not None
+        with pytest.raises(NumericalError, match="degenerate first stage"):
+            jive_point_estimate(ctx, data)
+
+    @pytest.mark.parametrize("kind", ["judge", "dense"])
+    def test_memoized_estimate_calls_no_kernel(self, monkeypatch, kind):
+        rng = np.random.default_rng(40)
+        z = np.repeat(np.arange(8), 6) if kind == "judge" else rng.standard_normal((48, 6))
+        x = rng.standard_normal(48) + (z if kind == "judge" else z @ np.full(6, 0.5))
+        data = Dataset(y=x + rng.standard_normal(48), x=x, instruments=z)
+        ctx = build_projection(data)
+        want = quadratic_form_Q(ctx, data.y, data.x) / quadratic_form_Q(ctx, data.x, data.x)
+        _profile(ctx, data)
+
+        def kernel(*args):
+            raise AssertionError("a projection kernel ran")
+
+        for name in ("quad_pp", "pair_weighted", "annihilate", "leave_out_fit"):
+            monkeypatch.setattr(type(ctx), name, kernel)
+        assert jive_point_estimate(ctx, data) == want
+        lo, hi, _ = default_grid(ctx, data)
+        assert lo < want < hi
 
 
 class TestVariance:

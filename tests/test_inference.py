@@ -1,6 +1,7 @@
 """Hypothesis tests, confidence set inversion, unboundedness rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ class TestConfidenceSets:
             invert_confidence_set("ms1", ctx, data, grid=(0.0, 1.0, 2))
         with pytest.raises(DataError, match="grid must be finite"):
             invert_confidence_set("ms1", ctx, data, grid=(2.0, 1.0, 11))
+
+    @pytest.mark.parametrize("method", ["cw", "ms2"])
+    def test_grid_size_is_bounded_before_allocating(self, strong_data, curve_library, method):
+        data, ctx = strong_data
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"3 <= n <= {inference.MAX_GRID_POINTS}"):
+                invert_confidence_set(method, ctx, data, grid=(0.0, 1.0, 10**9), curves=curve_library)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_one_profile_build_per_dataset(self, monkeypatch):
         # the context memoizes the beta0 profile of the last dataset it saw:

@@ -1,5 +1,7 @@
 """Asymptotic power lab: draw protocol, variance expansion, rates, bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -85,6 +87,17 @@ class TestDrawProtocol:
         dgp = AsymptoticDGP(s=0.0, r=0.0)
         with pytest.raises(DataError, match="n_draws must be >= 1"):
             rejection_rates(dgp, [0.0], methods=("ms1",), n_draws=0)
+
+    def test_n_draws_is_bounded_before_allocating(self):
+        dgp = AsymptoticDGP(s=0.0, r=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"n_draws must be >= 1 and <= {power.MAX_DRAWS}"):
+                rejection_rates(dgp, [0.0, 1.0], n_draws=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAlternativeVariances:

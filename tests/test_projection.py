@@ -19,9 +19,16 @@ from mwiv import (
     write_dataset_csv,
 )
 from mwiv.estimators import _profile
-from mwiv.projection import DenseProjection, JudgeProjection
+from mwiv.projection import DenseProjection, JudgeProjection, _p_blocks
 
-from conftest import dense_hat_matrix, judge_indicator_matrix, kernel_b, oracle_b, oracle_q
+from conftest import (
+    dense_hat_matrix,
+    judge_indicator_matrix,
+    kernel_b,
+    oracle_b,
+    oracle_ptil2_matrix,
+    oracle_q,
+)
 
 
 def judge_dataset(labels, rng=None, y=None, x=None):
@@ -239,22 +246,26 @@ class TestFastPathStructure:
         assert all(np.ndim(getattr(ctx, f.name)) <= 1 for f in dataclasses.fields(ctx))
         assert np.isfinite(quadratic_form_Q(ctx, data.x, data.x))
 
-    def test_dense_holds_one_n_by_n_array(self):
-        # P v = q (q'v), so Ptil2 is the only N x N array held, and the build
-        # peaks near two of them; also storing P would take it to about four
-        n = 600
+    def test_dense_holds_no_n_by_n_array(self):
+        # P v = q (q'v), and the pair kernel streams Ptil2 from q in 4 MB row
+        # blocks, so neither the context nor a profile holds an N x N array
+        n = 2000
         rng = np.random.default_rng(17)
         data = dense_dataset(rng.standard_normal((n, 40)), rng)
         tracemalloc.start()
         try:
             ctx = build_projection(data)
-            peak = tracemalloc.get_traced_memory()[1]
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _profile(ctx, data)
+            profile_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert isinstance(ctx, DenseProjection)
         shapes = {f.name: np.shape(getattr(ctx, f.name)) for f in dataclasses.fields(ctx)}
-        assert [name for name, shape in shapes.items() if shape == (n, n)] == ["ptil2"]
-        assert peak <= 2.5 * n * n * 8
+        assert not [name for name, shape in shapes.items() if shape == (n, n)]
+        assert build_peak <= 10 * 2**20
+        assert profile_peak <= 16 * 2**20
 
     def test_judge_equals_dense_on_moments(self):
         rng = np.random.default_rng(14)
@@ -272,6 +283,55 @@ class TestFastPathStructure:
             bj = kernel_b(ctx_j, data.x, data.y, data.x, data.y)
             bd = kernel_b(ctx_d, data.x, data.y, data.x, data.y)
             assert bj == pytest.approx(bd, rel=1e-10, abs=1e-12)
+
+
+class TestStreamedPairKernel:
+    """The dense pair kernel against an explicit Ptil2, and the judge
+    kernel's stacked call against its per-pair call."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # N = 1000 runs two row blocks of unequal length
+        rng = np.random.default_rng(30)
+        z = rng.standard_normal((1000, 20))
+        ctx = build_projection(dense_dataset(z, rng))
+        assert [len(p) for _, p in _p_blocks(ctx.q, upper=True)] == [524, 476]
+        return ctx, oracle_ptil2_matrix(dense_hat_matrix(z)), rng
+
+    def test_vectors_match_explicit_ptil2(self, dense):
+        ctx, ptil2, rng = dense
+        f, g = rng.standard_normal((2, ctx.n))
+        assert ctx.pair_weighted(f, g) == pytest.approx(f @ ptil2 @ g, rel=1e-12)
+        assert ctx.pair_weighted(f, g) == ctx.pair_weighted(g, f)
+
+    def test_stacks_match_explicit_ptil2(self, dense):
+        ctx, ptil2, rng = dense
+        f, g = rng.standard_normal((2, ctx.n, 4))
+        np.testing.assert_allclose(ctx.pair_weighted(f, g), f.T @ ptil2 @ g, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ctx.pair_weighted(f, f), f.T @ ptil2 @ f, rtol=1e-12, atol=0.0)
+        for a in range(4):
+            for b in range(4):
+                vec = ctx.pair_weighted(f[:, a], g[:, b])
+                assert ctx.pair_weighted(f, g)[a, b] == pytest.approx(vec, rel=1e-12)
+
+    def test_judge_stack_entries_are_the_pair_kernel(self):
+        rng = np.random.default_rng(31)
+        ctx = build_projection(judge_dataset(random_judge_labels(rng, 30), rng))
+        f, g = rng.standard_normal((2, ctx.n, 4))
+        for stacked, right in ((ctx.pair_weighted(f, g), g), (ctx.pair_weighted(f, f), f)):
+            assert stacked.shape == (4, 4)
+            for a in range(4):
+                for b in range(4):
+                    assert stacked[a, b] == ctx.pair_weighted(f[:, a], right[:, b])
+
+    @pytest.mark.parametrize("kind", ["judge", "dense"])
+    def test_shapes_are_checked(self, kind):
+        ctx = build_projection(symmetry_dataset(kind, np.random.default_rng(32)))
+        n = ctx.n
+        for f, g in ((np.ones(n), np.ones((n, 2))), (np.ones((n - 1, 2)), np.ones((n - 1, 2))),
+                     (np.ones((n, 2, 1)), np.ones((n, 2, 1)))):
+            with pytest.raises(DataError, match="dimension error"):
+                ctx.pair_weighted(f, g)
 
 
 class TestBuildErrors:

@@ -18,6 +18,10 @@ of ``--repeat`` runs, in milliseconds, of:
   A checkout that memoizes the profile serves these from it; one that
   does not builds it again in each call.
 
+and two memory columns, in MB of 2**20 bytes: ``build_mb`` and
+``profile_mb``, the tracemalloc peaks of one ``build_projection`` and of
+the first profile on a new context, each measured in its own untimed run.
+
 ``sha256`` covers the variance, the grid and the ms2 set's statistics,
 critical values, reject flags and intervals; two checkouts print the same
 digest when those are byte-identical. ``--src`` picks the source tree to
@@ -33,6 +37,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -66,6 +71,16 @@ def fastest(call, repeat: int, fresh=None) -> tuple[float, object]:
     return 1e3 * best, out
 
 
+def traced_peak_mb(call) -> tuple[float, object]:
+    """(tracemalloc peak of ``call`` in MB, its result)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1] / 2**20, out
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=5, help="runs per call; the fastest is shown")
@@ -76,7 +91,8 @@ def main(argv=None) -> int:
     import mwiv
     from mwiv import estimators
 
-    print(f"{'design':>6} {'build':>8} {'profile':>8} {'variance':>8} {'grid':>8} {'ms2_set':>8} {'sha256':>16}")
+    print(f"{'design':>6} {'build':>8} {'profile':>8} {'variance':>8} {'grid':>8} {'ms2_set':>8} "
+          f"{'build_mb':>8} {'profile_mb':>10} {'sha256':>16}")
     for name, make in (("dense", dense_design), ("judge", judge_design)):
         data = make(mwiv, args.seed)
         build_ms, ctx = fastest(lambda: mwiv.build_projection(data), args.repeat)
@@ -87,11 +103,14 @@ def main(argv=None) -> int:
         var_ms, var = fastest(lambda: mwiv.jive_variance(ctx, data, beta), args.repeat)
         grid_ms, grid = fastest(lambda: mwiv.default_grid(ctx, data, 41), args.repeat)
         set_ms, cs = fastest(lambda: mwiv.invert_confidence_set("ms2", ctx, data, grid=grid), args.repeat)
+        build_mb, fresh_ctx = traced_peak_mb(lambda: mwiv.build_projection(data))
+        profile_mb, _ = traced_peak_mb(lambda: estimators._profile(fresh_ctx, data))
+        del fresh_ctx
         h = hashlib.sha256(repr((var, grid, cs.intervals)).encode())
         for part in (cs.statistics, cs.criticals, cs.rejects):
             h.update(part.tobytes())
         print(f"{name:>6} {build_ms:8.2f} {profile_ms:8.2f} {var_ms:8.3f} {grid_ms:8.3f} {set_ms:8.3f} "
-              f"{h.hexdigest()[:16]:>16}")
+              f"{build_mb:8.1f} {profile_mb:10.1f} {h.hexdigest()[:16]:>16}")
         del ctx
     return 0
 
