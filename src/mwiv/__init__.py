@@ -63,7 +63,6 @@ from .power import (
 from .projection import (
     ProjectionContext,
     build_projection,
-    quadratic_form_Q,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "write_dataset_csv",
     "ProjectionContext",
     "build_projection",
-    "quadratic_form_Q",
     "NormalizedStats",
     "jive_point_estimate",
     "jive_variance",

@@ -28,6 +28,7 @@ from .inference import (
 )
 from .judge import JudgeDesignSpec, simulate_judge_data
 from .power import (
+    MAX_DELTAS,
     AsymptoticDGP,
     power_csv_text,
     rejection_rates,
@@ -135,8 +136,8 @@ def cmd_curve(args) -> int:
 def cmd_power(args) -> int:
     dgp = AsymptoticDGP(s=args.s, r=args.r)
     lo, hi, n = _parse_grid(args.grid)
-    if n < 1:
-        raise DataError("grid must have n >= 1")
+    if not 1 <= n <= MAX_DELTAS:
+        raise DataError(f"grid must have n >= 1 and <= {MAX_DELTAS}")
     methods = args.method.split(",") if args.method else _DEFAULT_METHODS.split(",")
     if args.method is None and args.vtf_table:
         methods.append("vtf")

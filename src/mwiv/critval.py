@@ -10,13 +10,15 @@ Three families live here:
   continuation that keeps the conditional rejection probability at alpha
   for every conditioning value 0 <= T <= t_last, the last continuation
   step. Each step takes its low crossing from a quadratic root and solves
-  only the middle one numerically, by a safeguarded Newton iteration in
-  plain floats. Past the last knot the curve holds its final value, which
-  at NU_MAX = 40 ends within 0.014 of the chi-squared constant q2 =
-  3.8415; there the measured conditional rejection rate at alpha 0.05
-  stays between 0.0496 and 0.0504, so at strong identification the test
-  is the Wald test up to that cutoff gap. For T < 0 the curve is
-  conservative;
+  only the middle one numerically, in plain floats: Newton's iteration
+  from the secant extrapolation of the last two middle crossings (a
+  predictor-corrector step), with a safeguarded, bracketed Newton solve
+  where the prediction fails. Past the last knot the curve holds its
+  final value, which at NU_MAX = 40 ends within 0.014 of the chi-squared
+  constant q2 = 3.8415; there the measured conditional rejection rate at
+  alpha 0.05 stays between 0.0496 and 0.0504, so at strong
+  identification the test is the Wald test up to that cutoff gap. For
+  T < 0 the curve is conservative;
 * the conditional-Wald quantile c_cw(rho, T);
 * a loader for externally supplied two-sided tables in the curve CSV format.
 
@@ -66,7 +68,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "7"
+_FORMAT_VERSION = "8"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -81,12 +83,13 @@ NU_STEP = 0.01  # base panel width of the closed-form knots
 NU_MAX = 40.0
 ROOT_TOL = 1e-10
 MAX_ITER = 100000
+PREDICT_ITER = 6  # Newton steps from a predicted middle crossing
 
 # Cache files carry this key in their names, so a change to the format, to
 # any build constant or to the solver (which bumps _FORMAT_VERSION) never
 # reuses an old file.
 _CACHE_KEY = hashlib.sha256(
-    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER))]).encode()
+    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER, PREDICT_ITER))]).encode()
 ).hexdigest()[:12]
 
 
@@ -111,9 +114,11 @@ class CriticalValueCurve:
     the last knot the final value extends as a constant. ``t_tilde`` and
     ``t_last`` record the conditioning values where the continuation
     started and stopped (None for the small-rho limit curve and for
-    ranges the continuation never reached), and ``nu_mid`` the middle
-    crossing at ``t_last``: with ``t_last`` it is the state the
-    continuation stopped in, from which a prefix resumes.
+    ranges the continuation never reached), ``nu_mid`` the middle
+    crossing at ``t_last`` and ``nu_prev`` the one a step before (the
+    double root at ``t_tilde`` after the first step), which with it
+    predicts the next: with ``t_last`` they are the state the continuation
+    stopped in, from which a prefix resumes.
 
     A built curve has conditional size exactly alpha for 0 <= T <=
     ``t_last``. Past it the constant extension is not exact: with the
@@ -135,14 +140,16 @@ class CriticalValueCurve:
     t_last: float | None = None
     formula_end: float | None = None
     nu_mid: float | None = None
+    nu_prev: float | None = None
 
     @classmethod
-    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None, nu_mid=None):
+    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None, nu_mid=None,
+               nu_prev=None):
         """A built curve, whose formula segment ends at nu_tilde = t_tilde +
         nu*, or at NU_MAX for the small-rho limit and closed-form-only
         curves (no t_tilde)."""
         end = NU_MAX if rho_abs < RHO_BUILD_FLOOR or t_tilde is None else t_tilde + domain_low
-        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end, nu_mid)
+        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end, nu_mid, nu_prev)
 
     def _reaches(self, nu_max: float) -> bool:
         """Whether the curve holds every knot the full curve has up to
@@ -264,16 +271,36 @@ def _excess(nu: float, t: float, rho: float, nu_star: float, nu_tilde: float, co
 
 
 def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: float, nu_tilde: float,
-                     cont_nu: list, cont_c: list, panel: int) -> float:
-    """The middle crossing at T = t: a root of ``_excess`` in the bracket
-    [lo, max(quad_hi, lo + T_STEP)], lo the last crossing, capped below T
-    and grown in doubling steps to a sign change. Newton steps start from
-    the secant point of the bracket ends (the exact root quad_hi on the
-    closed segment; where the bracket holds several roots, from alpha about
-    0.14, it leads to the root brentq finds). A step that would leave the
-    shrinking bracket bisects instead; the iteration stops at a step of at
-    most ROOT_TOL or a bracket of at most 2 ROOT_TOL."""
+                     cont_nu: list, cont_c: list, panel: int, prev: float | None = None) -> float:
+    """The middle crossing at T = t: a root of ``_excess`` in (lo, T), lo
+    the last crossing.
+
+    With ``prev``, the crossing a step before lo, Newton steps start from
+    the secant prediction 2 lo - prev, and the root is kept once a step is
+    at most ROOT_TOL and the root lies in (lo, T (1 - 1e-12)). Otherwise
+    (no ``prev``, an iterate outside that interval, a zero slope or no
+    convergence in PREDICT_ITER steps) the bracketed solve runs: the
+    bracket [lo, max(quad_hi, lo + T_STEP)], capped below T, grows in
+    doubling steps to a sign change, and Newton steps start from the
+    secant point of its ends (the exact root quad_hi on the closed
+    segment), bisecting where a step would leave the shrinking bracket,
+    until a step of at most ROOT_TOL or a bracket of at most 2 ROOT_TOL.
+    Where a step meets several roots, from alpha 0.13, the prediction
+    follows the root continuous in T and the bracketed solve the one its
+    secant point leads to."""
     cap = t * (1.0 - 1e-12)
+    if prev is not None:
+        x = 2.0 * lo - prev
+        for _ in range(PREDICT_ITER):
+            if not lo < x < cap:  # also catches nan
+                break
+            g, slope = _excess(x, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)
+            dx = g / slope if slope != 0.0 else math.inf
+            x -= dx
+            if abs(dx) <= ROOT_TOL:
+                if lo < x < cap:
+                    return x
+                break
     hi, grow = min(max(quad_hi, lo + T_STEP), cap), T_STEP
     g_lo = _excess(lo, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)[0]
     if g_lo == 0.0:
@@ -303,11 +330,13 @@ def _middle_crossing(lo: float, quad_hi: float, t: float, rho: float, nu_star: f
 def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float,
                   nu_max: float = NU_MAX, start=None):
     """Three-crossing continuation until a high crossing passes ``nu_max``:
-    (its knots past nu_tilde, their c, the last T, the middle crossing there).
+    (its knots past nu_tilde, their c, the last T, the middle crossing
+    there, the middle crossing a step before).
 
     ``start`` is the state a prefix stopped in: (its last T, the middle
-    crossing there, its knots past nu_tilde, their c). None starts at the
-    tangency, T = t_tilde, with no knots past nu_tilde.
+    crossing there and a step before, its knots past nu_tilde, their c).
+    None starts at the tangency, T = t_tilde, with no knots past nu_tilde
+    and no crossing before the double root there.
 
     Each step at T = t_tilde + k T_STEP takes the low crossing from the
     closed-form quadratic, the middle one from ``_middle_crossing`` on the
@@ -320,14 +349,15 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
     rest, bit for bit.
     """
     # at t_tilde the low and middle crossings meet in the double root
-    t, nu_m, past_nu, past_c = start or (t_tilde, 0.5 * (t_tilde + nu_star), [], [])
+    t, nu_m, nu_prev, past_nu, past_c = start or (t_tilde, 0.5 * (t_tilde + nu_star), None, [], [])
     cont_nu = [nu_tilde, *past_nu]
     cont_c = [_closed(nu_tilde, rho, nu_star), *past_c]
     panel = max(1, bisect_right(cont_nu, nu_m))
     for _ in range(MAX_ITER):
         t += T_STEP
         nu_l, quad_hi = _closed_form_crossings(nu_star, t)
-        nu_m = _middle_crossing(nu_m, quad_hi, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel)
+        nu_prev, nu_m = nu_m, _middle_crossing(nu_m, quad_hi, t, rho, nu_star, nu_tilde, cont_nu, cont_c, panel,
+                                               nu_prev)
         panel = bisect_right(cont_nu, nu_m, panel)
 
         if not nu_star <= nu_l <= nu_m <= t:
@@ -345,7 +375,7 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
         cont_nu.append(nu_h)
         cont_c.append(t2_w_curve(nu_h, t, rho))
         if nu_h >= nu_max:
-            return cont_nu[1:], cont_c[1:], t, nu_m
+            return cont_nu[1:], cont_c[1:], t, nu_m, nu_prev
     raise NumericalError("continuation step failed: NU_MAX not reached")
 
 
@@ -417,7 +447,8 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
 
     ``prefix`` is a curve built earlier for the same |rho| and alpha. Its
     closed-form knots are reused, and the continuation resumes from the
-    state it stopped in (``t_last``, ``nu_mid``) instead of the tangency,
+    state it stopped in (``t_last``, ``nu_mid``, ``nu_prev``) instead of
+    the tangency,
     running at least one step. No step depends on where a run stopped, so
     a curve grown in any number of pieces equals one built at once, bit
     for bit. ``CurveCache.get`` grows its curves this way.
@@ -430,9 +461,11 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
     ~6e-4 of the exact curve at the floor, a conditional size error of
     roughly 2e-5.
 
-    The continuation is made for conventional levels: from alpha 0.14 some
-    steps meet five crossings, not three, and from alpha 0.18 (rho >= 0.3)
-    builds fail with a NumericalError naming rho and alpha.
+    The continuation is made for conventional levels. From alpha 0.13 some
+    steps meet five crossings, not three, and the middle crossing follows
+    the root that is continuous in T (``_middle_crossing``). From alpha
+    0.17 some builds fail with a NumericalError naming rho and alpha (at
+    0.17 rho 0.4 to 0.6, from 0.18 nearly every rho from 0.1 up).
     """
     alpha = _check_alpha(alpha)
     rho_abs = abs(float(rho))
@@ -458,15 +491,16 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
         n = int(np.searchsorted(prefix.knots_nu, nu_tilde, side="right"))
         nus, cs = prefix.knots_nu[:n], prefix.knots_c[:n]
         if prefix.t_last is not None:
-            start = (prefix.t_last, prefix.nu_mid, prefix.knots_nu[n:].tolist(), prefix.knots_c[n:].tolist())
+            start = (prefix.t_last, prefix.nu_mid, prefix.nu_prev, prefix.knots_nu[n:].tolist(),
+                     prefix.knots_c[n:].tolist())
     stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     try:
-        cont_nu, cont_c, t_last, nu_mid = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop, start)
+        cont_nu, cont_c, *state = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop, start)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={alpha!r}: {exc}") from exc
 
     nus, cs = np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c])
-    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde, t_last=t_last, nu_mid=nu_mid)
+    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde, *state)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots
@@ -946,6 +980,7 @@ class CurveCache:
             "t_tilde": curve.t_tilde,
             "t_last": curve.t_last,
             "nu_mid": curve.nu_mid,
+            "nu_prev": curve.nu_prev,
         }
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
@@ -983,7 +1018,7 @@ class CurveCache:
                 return None
             return CriticalValueCurve._built(
                 rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"],
-                meta["nu_mid"],
+                meta["nu_mid"], meta["nu_prev"],
             )
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None

@@ -3,7 +3,7 @@
 With residuals e0 = y - b0 * x, every b0-dependent quantity is a
 polynomial in b0: Q_xe and tau have degree 1, Q_ee and psi degree 2, phi
 degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
-(ctx, data), memoized, takes their coefficients from eight kernel calls
+(ctx, data), memoized, takes their coefficients from five kernel calls
 and evaluates them on a float or an array of b0 without forming an N x
 grid array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here
 and in the power lab; t^2, a closed form in (xi, nu, rho), equals the
@@ -26,7 +26,7 @@ from numpy.polynomial.polynomial import polyval
 from .critval import RHO_CAP
 from .data import Dataset
 from .errors import DataError, NumericalError
-from .projection import ProjectionContext, quadratic_form_Q
+from .projection import ProjectionContext
 
 __all__ = [
     "NormalizedStats",
@@ -139,7 +139,7 @@ def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     stack = np.array((u0, u1, u2, w)).T  # (N, 4) with contiguous columns
     p = ctx.pair_weighted(stack, stack).tolist()  # upper triangle: (u0, u1, u2, w) pairs
     p00, p01, p02, p11, p12, p22, pw2, pww = *p[0][:3], *p[1][1:3], *p[2][2:], p[3][3]
-    q_xx, q_xy, q_yy, q_abs = (quadratic_form_Q(ctx, a, b) for a, b in ((x, x), (x, y), (y, y), (abs(x), abs(x))))
+    q_xx, q_xy, q_yy, q_abs = (q / np.sqrt(k) for q in ctx.quad_forms(x, y))
     ups = (l2 + p22) / k
     phi = (2.0 * p00, -4.0 * p01, 2.0 * (2.0 * p02 + p11), -4.0 * p12, 2.0 * p22)
     polys = ((q_xy, -q_xx), (q_yy, -2.0 * q_xy, q_xx), ((0.5 * l1 + pw2) / k, -ups),

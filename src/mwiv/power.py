@@ -36,6 +36,10 @@ __all__ = [
 # One delta's draws peak at about 161 bytes per draw under tracemalloc (the
 # five default methods, 1e5 and 2e5 draws), so the most stay under 1 GB.
 MAX_DRAWS = 5 * 10**6
+# Each delta spawns its own seed substream up front, about 380 bytes under
+# tracemalloc (1e4 and 2e4 deltas, one draw each), so the most stay under
+# 0.4 GB.
+MAX_DELTAS = 10**6
 
 
 def _default_base(r: float) -> tuple[float, float, float, float, float, float]:
@@ -189,6 +193,8 @@ def rejection_rates(
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.ndim != 1 or delta_grid.size == 0:
         raise DataError("delta_grid must be a nonempty 1-D array")
+    if delta_grid.size > MAX_DELTAS:
+        raise DataError(f"delta_grid must hold at most {MAX_DELTAS} deltas")
     if not np.all(np.isfinite(delta_grid)):
         raise DataError("delta_grid must be finite")
     rates = {m: np.zeros(delta_grid.size) for m in methods}

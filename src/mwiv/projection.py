@@ -2,7 +2,8 @@
 
 Everything downstream consumes the kernels built here:
 
-* leave-out quadratic forms  Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j
+* leave-out quadratic forms  Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j,
+  one at a time or the profile's four in one pass
 * the pair kernel            sum_{i != j} Ptil2_ij f_i g_j   with
   Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2), on two vectors or, as the
   matrix F' Ptil2 G, on two (N, m) stacks
@@ -34,7 +35,6 @@ __all__ = [
     "JudgeProjection",
     "DenseProjection",
     "build_projection",
-    "quadratic_form_Q",
 ]
 
 
@@ -70,6 +70,12 @@ class ProjectionContext:
         """Unnormalized sum_{i != j} P_ij a_i b_j, exactly symmetric in (a, b)."""
         return self._quad_pp(*self._check_length(a, b))
 
+    def quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+        """``quad_pp`` of (x, x), (x, y), (y, y) and (|x|, |x|), each equal to
+        its own call bit for bit, from the sums they share; |x| |x| is x x
+        exactly."""
+        return self._quad_forms(*self._check_length(x, y))
+
     def pair_weighted(self, f: np.ndarray, g: np.ndarray):
         """Unnormalized sum_{i != j} Ptil2_ij f_i g_j, exactly symmetric, or
         for (N, a) and (N, b) stacks the (a, b) matrix F' Ptil2 G."""
@@ -100,6 +106,13 @@ class JudgeProjection(ProjectionContext):
         sb = self._judge_sums(b)
         ab = self._judge_sums(a * b)
         return float(np.sum((sa * sb - ab) * self.inv_counts))
+
+    def _quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+        # six judge sums where four _quad_pp calls run twelve
+        sx, sy, sa = (self._judge_sums(v) for v in (x, y, np.abs(x)))
+        xx, xy, yy = (self._judge_sums(a * b) for a, b in ((x, x), (x, y), (y, y)))
+        return tuple(float(np.sum((a * b - ab) * self.inv_counts))
+                     for a, b, ab in ((sx, sx, xx), (sx, sy, xy), (sy, sy, yy), (sa, sa, xx)))
 
     def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
         # Each entry runs the float ops of two vectors; a stack passed twice
@@ -132,6 +145,12 @@ class DenseProjection(ProjectionContext):
 
     def _quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((self.q.T @ a) @ (self.q.T @ b) - np.sum((1.0 - self.m) * (a * b)))
+
+    def _quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+        qx, qy, qa = (self.q.T @ v for v in (x, y, np.abs(x)))
+        w = 1.0 - self.m
+        xx, xy, yy = (np.sum(w * (a * b)) for a, b in ((x, x), (x, y), (y, y)))
+        return tuple(float(a @ b - d) for a, b, d in ((qx, qx, xx), (qx, qy, xy), (qy, qy, yy), (qa, qa, xx)))
 
     def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
         # Canonical argument order so swapped calls run the same float ops.
@@ -202,7 +221,3 @@ def _build_dense(z: np.ndarray) -> DenseProjection:
         raise DataError("insufficient cluster size: an observation has leave-out leverage one")
     return DenseProjection(n=n, k=k, m=m, q=q)
 
-
-def quadratic_form_Q(ctx: ProjectionContext, a: np.ndarray, b: np.ndarray) -> float:
-    """Leave-out quadratic form (1/sqrt(K)) sum_{i != j} P_ij a_i b_j."""
-    return ctx.quad_pp(a, b) / np.sqrt(ctx.k)

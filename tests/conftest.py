@@ -38,7 +38,6 @@ from mwiv import (
     NumericalError,
     TableError,
     cw_critical_value,
-    quadratic_form_Q,
     snap_rho_to_grid,
     two_sided_chi2,
 )
@@ -374,6 +373,12 @@ def kernel_b(ctx, a, b, c, d):
     context's own annihilator and pair kernel, the calls the beta0 profile
     makes for each of its cross moments; ``oracle_b`` is the loop version."""
     return 2.0 * ctx.pair_weighted(a * ctx.annihilate(b), c * ctx.annihilate(d)) / ctx.k
+
+
+def quadratic_form_Q(ctx, a, b):
+    """Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j from the context's own
+    kernel; ``oracle_q`` is the loop version."""
+    return ctx.quad_pp(a, b) / np.sqrt(ctx.k)
 
 def oracle_normalized_stats(ctx, data, beta0):
     """The direct per-point path: the variance objects from the projection

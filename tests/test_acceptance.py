@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import conditional_reject_prob, judge_indicator_matrix, kernel_b, run_cli
+from conftest import conditional_reject_prob, judge_indicator_matrix, kernel_b, quadratic_form_Q, run_cli
 from mwiv import (
     AsymptoticDGP,
     Dataset,
@@ -29,7 +29,6 @@ from mwiv import (
     jive_point_estimate,
     jive_variance,
     normalized_stats,
-    quadratic_form_Q,
     rejection_rates,
     run_test,
     simulate_judge_data,

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,15 +169,27 @@ class TestEstimate:
     @pytest.mark.parametrize("argv", [
         ["cs", "--method", "vtfo", "--grid", "0:1:100000000"],
         ["power", "--draws", "1000000000"],
+        ["power", "--grid=-1:1:100000000"],
     ])
     def test_oversized_request_exits_2(self, strong_csv, tmp_path, capsys, argv):
+        want = {
+            "--method": "grid must be finite with hi > lo and 3 <= n <= 1000000",
+            "--draws": "n_draws must be >= 1 and <= 5000000",
+            "--grid=-1:1:100000000": "grid must have n >= 1 and <= 1000000",
+        }[argv[1]]
         if argv[0] == "cs":
             argv = argv + ["--data", str(strong_csv)]
-        code = main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--cache-dir", str(tmp_path / "cache")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("error: grid must be finite with hi > lo and 3 <= n <= 1000000\n" if argv[0] == "cs"
-                       else "error: n_draws must be >= 1 and <= 5000000\n")
+        assert err == f"error: {want}\n"
+        if argv[0] == "power":
+            assert peak < 2**20
 
     def test_nonfinite_beta0(self, strong_csv, capsys):
         code = main(["estimate", "--data", str(strong_csv), "--beta0", "nan"])

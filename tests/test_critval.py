@@ -2,7 +2,9 @@
 continuation, conditional quantiles, serialization, caching."""
 
 import gc
+import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -223,42 +225,40 @@ class TestLoopOracle:
         assert np.max(np.abs(curve.knots_c[n_closed:] - c[n_closed:]), initial=0.0) <= 1e-6
 
 
-# Outcomes of the brentq continuation at high levels, where some steps meet
-# five crossings: per alpha, the knot counts of the rho values in
-# HIGH_ALPHA_RHO that build (always the first ones); the others fail.
+# Outcomes of the continuation at high levels, where some steps meet five
+# crossings: per alpha, for each rho in HIGH_ALPHA_RHO, the knot count of
+# its curve or the reason its build fails.
 HIGH_ALPHA_RHO = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9)
-HIGH_ALPHA_KNOTS = {
+F, B = "frontier did not advance", "root bracketing failure"
+HIGH_ALPHA_OUTCOMES = {
     0.14: (4235, 4517, 4721, 5509, 6071, 6334, 6270, 6915, 7430, 8945, 10239, 12448),
     0.15: (4236, 4501, 4697, 5442, 5994, 6242, 6183, 6785, 7298, 8736, 9992, 12098),
-    0.16: (4220, 4472, 4668, 5386, 5908, 6141, 6101, 6665, 7169, 8539, 9747, 11781),
-    0.17: (4221, 4457, 4643, 5330, 5840, 6071, 6008, 6580, 7048, 8384, 9485, 11474),
-    0.18: (4205, 4443, 4622, 5283),
-    0.19: (4206, 4428, 4600),
-    0.2: (4191, 4412),
-    0.22: (4191,),
-    0.25: (),
-    0.3: (),
-    0.35: (),
-    0.4: (),
-    0.45: (),
+    0.16: (4220, 4472, 4666, 5391, 5908, 6141, 6101, 6665, 7169, 8533, 9747, 11774),
+    0.17: (4221, 4457, 4646, 5322, 5828, F, F, F, 7048, 8384, 9485, 11474),
+    0.18: (4205, 4443, *[F] * 10),
+    0.19: (4206, 4428, *[F] * 10),
+    0.2: (4191, *[F] * 11),
+    0.22: (4191, *[F] * 11),
+    0.25: (4162, *[F] * 11),
+    0.3: (4147, *[F] * 11),
+    0.35: (F,) * 12,
+    0.4: (4088, *[F] * 11),
+    0.45: (B, 4102, *[F] * 10),
 }
 
 
 class TestBuildCurve:
-    @pytest.mark.parametrize("alpha", list(HIGH_ALPHA_KNOTS))
+    @pytest.mark.parametrize("alpha", list(HIGH_ALPHA_OUTCOMES))
     def test_high_alpha_outcomes(self, alpha):
-        # builds succeed with the same knot count or fail with the same
-        # message as with the brentq middle crossing
-        knots = HIGH_ALPHA_KNOTS[alpha]
-        for i, rho in enumerate(HIGH_ALPHA_RHO):
-            if i < len(knots):
-                assert build_vtfo_curve(rho, alpha).knots_nu.size == knots[i], rho
+        # builds succeed with the same knot count or fail with the same message
+        for rho, want in zip(HIGH_ALPHA_RHO, HIGH_ALPHA_OUTCOMES[alpha], strict=True):
+            if not isinstance(want, str):
+                assert build_vtfo_curve(rho, alpha).knots_nu.size == want, rho
                 continue
-            reason = "root bracketing failure" if (rho, alpha) == (0.02, 0.45) else "frontier did not advance"
-            want = f"vtfo curve build failed at rho={rho!r}, alpha={alpha!r}: continuation step failed: {reason}"
             with pytest.raises(NumericalError) as info:
                 build_vtfo_curve(rho, alpha)
-            assert str(info.value) == want
+            prefix = f"vtfo curve build failed at rho={rho!r}, alpha={alpha!r}"
+            assert str(info.value) == f"{prefix}: continuation step failed: {want}"
 
     def test_closed_form_only_past_build_range(self, monkeypatch):
         # t_tilde >= NU_MAX: no continuation; at the cap that takes alpha
@@ -517,6 +517,71 @@ class TestPrefixBuild:
             assert (got.t_last, got.nu_mid, got.formula_end) == (full.t_last, full.nu_mid, full.formula_end)
         # the full file replaced the prefix file
         assert [p.name for p in tmp_path.iterdir()] == [f"vtfo_rho{rho!r}_alpha0.05_{critval._CACHE_KEY}.bin"]
+
+    @pytest.mark.parametrize("rho,alpha", [(0.5, 0.05), (0.9, 0.12)])
+    def test_resume_after_the_first_step_and_around_a_fallback(self, tmp_path, monkeypatch, rho, alpha):
+        def fallback_steps(build):
+            # the steps of one build whose middle crossing took the bracketed
+            # solve: only it evaluates the gap at the last crossing itself
+            last, steps, fallbacks = [None], [0], []
+            excess, middle = critval._excess, critval._middle_crossing
+
+            def solve(lo, *args):
+                last[0] = lo
+                steps[0] += 1
+                return middle(lo, *args)
+
+            def gap(nu, *args):
+                if nu == last[0] and steps[0] not in fallbacks:
+                    fallbacks.append(steps[0])
+                return excess(nu, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(critval, "_middle_crossing", solve)
+                patch.setattr(critval, "_excess", gap)
+                return build(), fallbacks
+
+        full, fallbacks = fallback_steps(lambda: build_vtfo_curve(rho, alpha))
+        nu_star, _ = fixed_point(rho, alpha)
+        t_tilde, nu_tilde = find_tangency(rho, alpha)
+        highs = full.knots_nu[full.knots_nu > nu_tilde]
+        # the first step has no crossing before it; the second predicts from
+        # the double root at the tangency
+        assert fallbacks[0] == 1 and (len(fallbacks) > 1) == (alpha > 0.1)
+
+        # a stop at the k-th high crossing stops right after step k
+        stops = {1: math.nextafter(nu_tilde, math.inf)}
+        for k in fallbacks[1:2]:
+            stops.update({k - 1: highs[k - 2], k: highs[k - 1]})
+        for k, stop in stops.items():
+            part = build_vtfo_curve(rho, alpha, nu_max=stop)
+            assert part.knots_nu[-1] == highs[k - 1] and round((part.t_last - t_tilde) / critval.T_STEP) == k
+            if k == 1:
+                assert part.nu_prev == 0.5 * (t_tilde + nu_star)
+            # the resumed run takes the full build's solver path, step for step
+            resumed, resumed_fallbacks = fallback_steps(lambda: build_vtfo_curve(rho, alpha, prefix=part))
+            assert resumed_fallbacks == [s - k for s in fallbacks if s > k]
+            _assert_same_curve(resumed, full)
+            directory = str(tmp_path / f"step{k}")
+            CurveCache(directory=directory).get(rho, alpha, nu_max=stop)
+            _assert_same_curve(CurveCache(directory=directory).get(rho, alpha), full)
+
+    def test_format_7_file_is_a_miss(self, tmp_path):
+        # a file of the format before the crossing before last, as that
+        # format wrote it, under today's name: it is rebuilt and replaced
+        full = build_vtfo_curve(0.3, 0.05)
+        cache = CurveCache(directory=str(tmp_path))
+        path = tmp_path / (cache._stem(0.3, 0.05) + ".bin")
+        body = np.stack([full.knots_nu, full.knots_c]).astype("<f8")
+        meta = {"format": "7", "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
+                "t_tilde": full.t_tilde, "t_last": full.t_last, "nu_mid": full.nu_mid}
+        digest = hashlib.sha256(json.dumps(meta).encode())
+        digest.update(body)
+        path.write_bytes(json.dumps({**meta, "sha256": digest.hexdigest()}).encode() + b"\n" + body.tobytes())
+        assert CurveCache._load_file(path, 0.3, 0.05) is None
+        _assert_same_curve(cache.get(0.3, 0.05), full)
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == "8"
+        _assert_same_curve(CurveCache._load_file(path, 0.3, 0.05), full)
 
     def test_resume_reads_no_prefix_body_memory_holds(self, tmp_path, monkeypatch):
         # memory's prefix of the cap is as long as the prefix file, so a
@@ -955,9 +1020,10 @@ class TestSnapAndCache:
         assert cache.get(0.35, 0.05) is first
         files = os.listdir(tmp_path)
         # the key covers the file format and the build constants; files of
-        # the brentq continuation (format "5") carried b0709dada779, and
-        # those without the continuation's state (format "6") 2d22551741ce
-        assert files == ["vtfo_rho0.35_alpha0.05_72ab516c52ed.bin"]
+        # the brentq continuation (format "5") carried b0709dada779, those
+        # without the continuation's state (format "6") 2d22551741ce, and
+        # those without the crossing before last (format "7") 72ab516c52ed
+        assert files == ["vtfo_rho0.35_alpha0.05_1348503e18eb.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))
@@ -1078,8 +1144,8 @@ class TestSnapAndCache:
 
 
 def _assert_same_curve(got, want):
-    """The eight stored fields equal, types included."""
-    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid"):
+    """The nine stored fields equal, types included."""
+    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid", "nu_prev"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and a == b, name
     for name in ("knots_nu", "knots_c"):
@@ -1102,6 +1168,7 @@ def cache_curves(draw):
         t_tilde=draw(st.none() | finite),
         t_last=draw(st.none() | finite),
         nu_mid=draw(st.none() | finite),
+        nu_prev=draw(st.none() | finite),
     )
 
 

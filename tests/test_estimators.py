@@ -15,7 +15,6 @@ from mwiv import (
     jive_point_estimate,
     jive_variance,
     normalized_stats,
-    quadratic_form_Q,
     run_test,
     simulate_judge_data,
 )
@@ -30,6 +29,7 @@ from conftest import (
     oracle_normalized_stats,
     oracle_v_hat,
     oracle_variances,
+    quadratic_form_Q,
 )
 
 
@@ -120,7 +120,7 @@ class TestPointEstimate:
         def kernel(*args):
             raise AssertionError("a projection kernel ran")
 
-        for name in ("quad_pp", "pair_weighted", "annihilate", "leave_out_fit"):
+        for name in ("quad_pp", "quad_forms", "pair_weighted", "annihilate", "leave_out_fit"):
             monkeypatch.setattr(type(ctx), name, kernel)
         assert jive_point_estimate(ctx, data) == want
         lo, hi, _ = default_grid(ctx, data)

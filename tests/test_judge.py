@@ -9,12 +9,11 @@ from mwiv import (
     build_projection,
     jive_point_estimate,
     normalized_stats,
-    quadratic_form_Q,
     run_test,
     simulate_judge_data,
 )
 
-from conftest import oracle_judge_moments
+from conftest import oracle_judge_moments, quadratic_form_Q
 
 
 def uniform_spec(n_judges, nk, pi_val, **kw):

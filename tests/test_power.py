@@ -88,6 +88,18 @@ class TestDrawProtocol:
         with pytest.raises(DataError, match="n_draws must be >= 1"):
             rejection_rates(dgp, [0.0], methods=("ms1",), n_draws=0)
 
+    def test_delta_grid_is_bounded_before_allocating(self):
+        dgp = AsymptoticDGP(s=0.0, r=0.0)
+        deltas = np.zeros(power.MAX_DELTAS + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"delta_grid must hold at most {power.MAX_DELTAS} deltas"):
+                rejection_rates(dgp, deltas, methods=("ms1",), n_draws=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_n_draws_is_bounded_before_allocating(self):
         dgp = AsymptoticDGP(s=0.0, r=0.0)
         tracemalloc.start()

@@ -13,7 +13,6 @@ from mwiv import (
     JudgeDesignSpec,
     build_projection,
     invert_confidence_set,
-    quadratic_form_Q,
     read_dataset_csv,
     simulate_judge_data,
     write_dataset_csv,
@@ -28,6 +27,7 @@ from conftest import (
     oracle_b,
     oracle_ptil2_matrix,
     oracle_q,
+    quadratic_form_Q,
 )
 
 
@@ -158,6 +158,23 @@ class TestQuadraticForm:
         assert quadratic_form_Q(ctx, data.y, data.x) == quadratic_form_Q(
             ctx, data.x, data.y
         )
+
+    @pytest.mark.parametrize("kind", ["judge", "dense"])
+    def test_profile_forms_are_the_single_forms(self, kind, monkeypatch):
+        # the four forms share their sums, and each equals its own call bit
+        # for bit; the judge form takes six judge sums
+        ctx = build_projection(symmetry_dataset(kind, np.random.default_rng(33)))
+        x, y = np.random.default_rng(34).standard_normal((2, ctx.n))
+        want = tuple(ctx.quad_pp(a, b) for a, b in ((x, x), (x, y), (y, y), (np.abs(x), np.abs(x))))
+        sums = []
+        if kind == "judge":
+            judge_sums = JudgeProjection._judge_sums
+            monkeypatch.setattr(JudgeProjection, "_judge_sums", lambda self, v: sums.append(v) or judge_sums(self, v))
+        got = ctx.quad_forms(x, y)
+        assert got == want and all(type(q) is float for q in got)
+        assert len(sums) == (6 if kind == "judge" else 0)
+        with pytest.raises(DataError, match="dimension error"):
+            ctx.quad_forms(x[:-1], y[:-1])
 
     def test_noiseless_judge_value(self):
         # x equal to the judge mean: Q_xx = sum pi_k^2 (N_k - 1) / sqrt(K)

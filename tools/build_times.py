@@ -7,9 +7,14 @@ For each pair it builds the curve ``--repeat`` times and prints the
 fastest build with its split: the continuation (``critval._continuation``)
 and the rest, which is nearly all closed-form knots (small-rho limit knots
 below the build floor). One more, untimed build counts the continuation's
-steps and its gap evaluations, the calls to the function whose root is
-the middle crossing (``critval._excess``, or ``critval._gap`` in checkouts
-that solve it with ``brentq``). The last two columns are the fastest
+steps, its gap evaluations per step, the calls to the function whose root
+is the middle crossing (``critval._excess``, or ``critval._gap`` in
+checkouts that solve it with ``brentq``), and ``fallbacks``, the steps
+whose middle crossing took the bracketed solve rather than the predicted
+one. A step falls back when the gap is evaluated at the last crossing
+itself, which only the bracketed solve does, so in checkouts without the
+predictor every step counts ("-" in checkouts without
+``critval._middle_crossing``). The last two columns are the fastest
 prefix build to ``--prefix-nu`` (``build_vtfo_curve(..., nu_max=...)``, as
 the power lab builds its exact-rho curves) and its knot count; a checkout
 without prefix builds prints "-". ``csv_rows`` and ``csv_s`` are the row
@@ -83,15 +88,26 @@ def time_csv(critval, rho: float, alpha: float, repeat: int) -> tuple[int, float
     return text.partition("rho,nu,crit\n")[2].count("\n"), best
 
 
-def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
-    """(continuation steps, gap evaluations) of one build."""
+def count_steps(critval, rho: float, alpha: float) -> tuple[int, int, int | None]:
+    """(continuation steps, gap evaluations, fallbacks) of one build; None
+    for the fallbacks of a checkout without ``_middle_crossing``."""
     calls = [0]
     steps = [0]
+    last = [None]  # the last crossing of the step being solved
+    fallbacks = [0]
 
     def counter(gap):
-        def counted(*args):
+        def counted(nu, *args):
             calls[0] += 1
-            return gap(*args)
+            fallbacks[0] += nu == last[0]
+            return gap(nu, *args)
+
+        return counted
+
+    def solver(middle):
+        def counted(lo, *args):
+            last[0] = lo
+            return middle(lo, *args)
 
         return counted
 
@@ -106,12 +122,15 @@ def count_steps(critval, rho: float, alpha: float) -> tuple[int, int]:
     gap_name = "_excess" if hasattr(critval, "_excess") else "_gap"
     gap = _wrapped(critval, gap_name, counter)
     continuation = _wrapped(critval, "_continuation", stepper)
+    middle = _wrapped(critval, "_middle_crossing", solver) if hasattr(critval, "_middle_crossing") else None
     try:
         critval.build_vtfo_curve(rho, alpha)
     finally:
         setattr(critval, gap_name, gap)
         critval._continuation = continuation
-    return steps[0], calls[0]
+        if middle is not None:
+            critval._middle_crossing = middle
+    return steps[0], calls[0], None if middle is None else fallbacks[0]
 
 
 def main(argv=None) -> int:
@@ -127,20 +146,21 @@ def main(argv=None) -> int:
 
     prefixes = "nu_max" in inspect.signature(critval.build_vtfo_curve).parameters
     print(f"{'rho':>7} {'alpha':>6} {'knots':>8} {'build_s':>9} {'closed_s':>9} {'cont_s':>9} "
-          f"{'steps':>6} {'evals/step':>10} {'prefix_s':>9} {'p_knots':>8} {'csv_rows':>8} {'csv_s':>8}")
+          f"{'steps':>6} {'evals/step':>10} {'fallbacks':>9} {'prefix_s':>9} {'p_knots':>8} {'csv_rows':>8} {'csv_s':>8}")
     for alpha in (float(a) for a in args.alpha.split(",")):
         for rho in (float(r) for r in args.rho.split(",")):
             runs = [time_build(critval, rho, alpha) for _ in range(args.repeat)]
             total, cont, knots = min(runs)
-            steps, evals = count_steps(critval, rho, alpha)
+            steps, evals, fallbacks = count_steps(critval, rho, alpha)
             per_step = f"{evals / steps:10.2f}" if steps else f"{'-':>10}"
+            fallbacks = f"{'-' if fallbacks is None else fallbacks:>9}"
             prefix = f"{'-':>9} {'-':>8}"
             if prefixes:
                 prefix_s, prefix_knots = time_prefix(critval, rho, alpha, args.prefix_nu, args.repeat)
                 prefix = f"{prefix_s:9.4f} {prefix_knots:8d}"
             csv_rows, csv_s = time_csv(critval, rho, alpha, args.repeat)
             print(f"{rho:7.4g} {alpha:6.3g} {knots:8d} {total:9.4f} {total - cont:9.4f} {cont:9.4f} "
-                  f"{steps:6d} {per_step} {prefix} {csv_rows:8d} {csv_s:8.4f}")
+                  f"{steps:6d} {per_step} {fallbacks} {prefix} {csv_rows:8d} {csv_s:8.4f}")
     return 0
 
 
