@@ -506,178 +506,138 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
     return knots
 
 
-# Brent settings of the cw quantile.
-_CW_XTOL = 1e-9
-_CW_MAXITER = 200
-_SUBDIAGONAL = {n: np.eye(n, k=-1) for n in (2, 4)}
+_CW_MAXITER = 100  # per cw solve, in c and in each root
+_CW_Z_TOL = 1e-12  # relative Newton step, or bracket width, at which a root is final
+_CW_P_TOL = 1e-15  # |P(t2 > c | T) - alpha| at which c is final
+# Per root x1 < x2 < x3 < x4: the branch s of h (``_cw_residual``) and whether h > 0 below the root.
+_CW_BRANCH = np.array([1.0, -1.0, -1.0, 1.0])
+_CW_POSITIVE_BELOW = np.array([True, True, False, False])
 
 
-def _real_roots(first_row: np.ndarray) -> np.ndarray:
-    """Real roots of monic polynomials given the first rows of their
-    companion matrices, one polynomial per row; a complex root comes back
-    as +inf, which sorts past the real ones."""
-    m, n = first_row.shape
-    comp = np.empty((m, n, n))
-    comp[:] = _SUBDIAGONAL[n]
-    comp[:, 0] = first_row
-    try:
-        ev = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"CW quantile failure: {exc}") from exc
-    return np.where(np.abs(ev.imag) <= 1e-9 * (1.0 + np.abs(ev.real)), ev.real, np.inf)
+def _cw_residual(r, a, tau, th, c, s, z):
+    """h(z) = z(rz + T) - s sqrt(c g(z)), g(z) = a z^2 + T^2, its derivative
+    and sqrt(c g), all over tau = max(T, 1), with T = tau th and a = 1 - r^2.
+    No term passes T z / tau, so none overflows where T^2 is finite."""
+    v = z / tau
+    root = np.sqrt(c * (a * v * v + th * th))
+    return z * (r * v + th) - s * root, 2.0 * r * v + th - s * c * a * v / (tau * root), root
 
 
-def _cw_accept(rho_abs: np.ndarray, r2: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P(t2 <= c | T = t) over Z ~ N(0,1), for 1-D arrays of |rho|, its
-    square r2, t and c > 0, one row each.
+def _positive_root(r, b, k):
+    """The positive root of r x^2 + b x - k = 0 (k >= 0), without cancellation."""
+    d = np.sqrt(b * b + 4.0 * r * k)
+    return np.where(b > 0.0, 2.0 * k / (b + d), (d - b) / (2.0 * r))
 
-    t2 <= c is the quartic inequality r^2 z^4 + 2 t r z^3 + (t^2 - c(1 -
-    r^2)) z^2 - c t^2 <= 0 in z. As in ``np.roots``, trailing zero
-    coefficients are split off as exact zero roots, and the other roots are
-    the eigenvalues of the companion matrices. The constant -c t^2 is zero
-    only where t^2 underflows, and the z^2 coefficient is then -c(1 - r^2),
-    which is not, so such a row is a quadratic times z^2; no lower degree
-    occurs. The roots cut the line into intervals, and the normal mass of
-    each interval whose midpoint satisfies the inequality is summed from
-    left to right.
+
+def _cw_reject(r, t, c, guess):
+    """P(t2 > c | T = t) over Z ~ N(0,1) and its derivative in c, for 1-D
+    arrays of |rho| in [1e-12, 1), t >= 0 and c > 0; also the real roots
+    x1 < x2 < x3 < x4 of f(z) = (z(rz + T))^2 - c g(z) in an (m, 4) array
+    (x2, x3 NaN where f has two) and their derivatives in c.
+
+    f' = 2z(2r^2 z^2 + 3rTz + T^2 - ca) vanishes at 0 and z+- = (-3T +-
+    sqrt(T^2 + 8ca))/(4r): f falls to a minimum at z- < -T/r, rises to a
+    maximum and falls to a minimum at max(0, z+), both minima <= 0. So
+    x1 < z- and x4 > max(0, z+), and the inner pair exists only where
+    f(z+) > 0, with -T/r < x2 < z+ < x3 < 0. A quadratic below h bounds x1
+    below and x4 above, exactly at T = 0 and as T -> inf. Newton's method
+    on h (``_cw_residual``) solves each root in its bracket, bisecting where
+    a step leaves it, from ``guess`` where that lies inside, else from the
+    outer end. t2 > c outside [x1, x4] and inside (x2, x3); each root moves
+    away from the acceptance region as c grows, so P falls at sum phi(x)|dx/dc|.
     """
-    rho_abs, r2, t, c = rho_abs[:, None], r2[:, None], t[:, None], c[:, None]
-    a3 = 2.0 * t * rho_abs
-    a2 = t * t - c * (1.0 - r2)
-    a0 = -c * t * t
-    first_row = np.concatenate([a3, a2, np.zeros(t.shape), a0], axis=1) / -r2
-    quad = a0[:, 0] == 0.0
-    edges = np.empty((t.size, 6))
-    edges[:, 0], edges[:, 5] = -np.inf, np.inf
-    edges[~quad, 1:5] = _real_roots(first_row[~quad])
-    if quad.any():
-        edges[quad, 1:3] = _real_roots(first_row[quad, :2])
-        edges[quad, 3:5] = 0.0
-    edges.sort(axis=1)
-    left, right = edges[:, :-1], edges[:, 1:]
-    finite = np.isfinite(edges)
-    left_fin, right_fin = finite[:, :-1], finite[:, 1:]
-    with np.errstate(invalid="ignore"):
-        mid = np.where(
-            left_fin,
-            np.where(right_fin, 0.5 * (left + right), left + 1.0),
-            np.where(right_fin, right - 1.0, 0.0),
-        )
-        v = a3 + r2 * mid
-        v = a2 + v * mid
-        v = 0.0 + v * mid
-        v = a0 + v * mid
-    inside = (right > left) & (v <= 0.0)
-    cdf = ndtr(edges)
-    return np.cumsum(np.where(inside, cdf[:, 1:] - cdf[:, :-1], 0.0), axis=1)[:, -1]
-
-
-def _cw_bracket(rho_abs: np.ndarray, r2: np.ndarray, t: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
-    """Double each upper end ``hi`` (in place) until it accepts with
-    probability at least ``target``; returns the acceptance there."""
-    p_hi = np.empty(t.size)
-    open_ = np.arange(t.size)
-    for _ in range(200):
-        p = _cw_accept(rho_abs[open_], r2[open_], t[open_], hi[open_])
-        ok = p >= target
-        p_hi[open_[ok]] = p[ok]
-        open_ = open_[~ok]
-        if not open_.size:
-            return p_hi
-        hi[open_] *= 2.0
-    raise NumericalError("CW quantile failure: no upper bracket")
-
-
-def _brentq_array(f, hi: np.ndarray, f_lo: float, f_hi: np.ndarray) -> np.ndarray:
-    """``brentq(f_i, 0, hi_i, xtol=_CW_XTOL, maxiter=_CW_MAXITER)`` for every i at once.
-
-    A numpy transcription of scipy's C Brent iteration (``brentq.c``, with
-    its default rtol): the same updates in the same floating-point order,
-    so every root equals the scalar solver's bit for bit. ``f(idx, x)``
-    evaluates the functions ``idx`` at ``x``; ``f_lo`` is their common
-    value at 0 and ``f_hi`` their values at ``hi``. Each step updates the
-    still-open brackets only.
-    """
-    xtol, rtol = _CW_XTOL, 4.0 * np.finfo(float).eps
-    out = np.array(hi, dtype=float)
-    idx = np.flatnonzero(f_hi != 0.0)
-    xcur, fcur = out[idx], f_hi[idx]
-    xpre, fpre = np.zeros(idx.size), np.full(idx.size, f_lo)
-    xblk, fblk = np.zeros(idx.size), np.zeros(idx.size)
-    spre, scur = np.zeros(idx.size), np.zeros(idx.size)
+    m, a, tau = r.size, (1.0 - r) * (1.0 + r), np.maximum(t, 1.0)
+    th = t / tau
+    hat = np.sqrt(th * th + 8.0 * a * c / (tau * tau))
+    z_plus = 2.0 * tau * (a * c / (tau * tau) - th * th) / (r * (hat + 3.0 * th))
+    b, k = th - np.sqrt(a * c) / tau, np.sqrt(c) * th / tau
+    outer = -tau * (th / r + _positive_root(r, b, k * (1.0 + np.sqrt(a) / r)))
+    inner = (z_plus < 0.0) & (_cw_residual(r, a, tau, th, c, -1.0, z_plus)[0] < 0.0)
+    lo = np.stack([outer, -t / r, z_plus, np.maximum(z_plus, 0.0)], axis=1)
+    hi = np.stack([-tau * (3.0 * th + hat) / (4.0 * r), z_plus, np.zeros(m), tau * _positive_root(r, b, k)], axis=1)
+    live = np.stack([np.ones(m, dtype=bool), inner, inner, np.ones(m, dtype=bool)], axis=1)
+    rows, col = np.nonzero(live)
+    s, below_pos, lo, hi, z = _CW_BRANCH[col], _CW_POSITIVE_BELOW[col], lo[live], hi[live], guess[live]
+    z = np.where((z > lo) & (z < hi), z, np.where(below_pos, lo, hi))
+    r, a, tau, th, c = r[rows], a[rows], tau[rows], th[rows], c[rows]
+    roots, slopes, open_ = z.copy(), np.zeros(z.size), np.ones(z.size, dtype=bool)
     for _ in range(_CW_MAXITER):
-        new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
-        spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            out[idx[done]] = xcur[done]
-            keep = ~done
-            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-            )
-        if not idx.size:
-            return out
-
-        # both steps are formed everywhere and used only where C would
-        with np.errstate(all="ignore"):
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            inverse_quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, secant, inverse_quad)
-        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-        short &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(idx, xcur)
-    raise NumericalError(f"CW quantile failure: no convergence after {_CW_MAXITER} iterations")
+        h, dh, root = _cw_residual(r, a, tau, th, c, s, z)
+        below = (h > 0.0) == below_pos
+        lo, hi = np.where(below, z, lo), np.where(below, hi, z)
+        step = h / dh
+        small = np.abs(step) <= _CW_Z_TOL * np.abs(z)
+        new = np.where(small | ((z - step > lo) & (z - step < hi)), z - step, 0.5 * (lo + hi))
+        done = open_ & (small | (h == 0.0) | (hi - lo <= _CW_Z_TOL * np.abs(new)))
+        slopes = np.where(done, s * root / (2.0 * c * dh), slopes)
+        z = roots = np.where(open_, new, roots)
+        open_ &= ~done
+        if not open_.any():
+            break
+    else:
+        raise NumericalError("CW quantile failure: a root of the quartic did not converge")
+    z, dz = np.full((m, 4), np.nan), np.zeros((m, 4))
+    z[live], dz[live] = roots, slopes
+    phi_dz = np.exp(-0.5 * z * z) * np.abs(dz) / math.sqrt(2.0 * math.pi)
+    reject = ndtr(z[:, 0]) + ndtr(-z[:, 3]) + np.where(inner, ndtr(z[:, 2]) - ndtr(z[:, 1]), 0.0)
+    return reject, -(phi_dz[:, 0] + phi_dz[:, 3] + np.where(inner, phi_dz[:, 1] + phi_dz[:, 2], 0.0)), z, dz
 
 
 def cw_critical_value(rho, t_stat, alpha: float = 0.05):
     """Conditional quantile of the statistic given T = t_stat.
 
-    Solves P(t2(T + rho Z, T, rho) <= c) = 1 - alpha over Z ~ N(0,1) for c
-    by Brent's method on [0, hi], where ``hi`` doubles until it accepts;
-    the acceptance probability comes from the real roots of a quartic in z
-    (``_cw_accept``). ``rho`` and ``t_stat`` are floats or arrays that
-    broadcast against each other, so every row may carry its own rho. Two
-    floats (or 0-d arrays) give a float, anything else an array of the
-    broadcast shape. Every row, one or many, goes through
-    ``_brentq_array``, a numpy transcription of scipy's ``brentq`` that
-    solves them all at once and gives each row the value the scalar
-    iteration would, bit for bit.
+    Solves P(t2(T + rho Z, T, rho) > c) = alpha over Z ~ N(0,1) for c, with
+    P from the roots of a quartic in z (``_cw_reject``); below |rho| = 1e-12,
+    c is the closed form q2 T^2/(T^2 + q2). Newton's method in c runs on
+    the probit Phi^-1(P/2), linear in sqrt(c) at T = 0 and as T -> inf, from
+    q2 (T^2 + r^2 q2)/(T^2 + (1 - r^2) q2), exact there and as r -> 0. It
+    bisects its bracket, first [0, q2/(1 - r^2)] (t2 <= z^2/(1 - r^2) by
+    Cauchy-Schwarz), where a step leaves it or is not half the last; each
+    step starts its roots from the last step's, moved along dz/dc. ``rho``
+    and ``t_stat`` are floats or arrays that broadcast together, so every
+    row may carry its own rho; two floats (or 0-d arrays) give a float,
+    anything else an array of the broadcast shape. Every row stops on its
+    own test, so a scalar call equals its row of an array call bit for bit.
+    A non-finite rho or T, or |rho| >= 1, is a DataError; a T whose square
+    overflows is a NumericalError.
     """
     _check_alpha(alpha)
     rho, t = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(t_stat, dtype=float))
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(t))):
         raise DataError("the conditional quantile needs finite rho and T")
-    rho_abs, flat = np.abs(rho).ravel(), t.ravel()
-    if np.any(rho_abs >= 1.0):
+    r_all, t_all = np.abs(rho).ravel(), np.abs(t).ravel()
+    if np.any(r_all >= 1.0):
         raise DataError("rho out of range: |rho| must be < 1 for the conditional quantile")
     q2 = two_sided_chi2(alpha)
-    # Python's r**2 (libm pow), not numpy's r*r: each row is the scalar solve's
-    r2 = np.array([r**2 for r in rho_abs.tolist()])
-    c_star = q2 * flat * flat / (flat * flat + q2)  # the rho -> 0 closed form
-    solve = np.flatnonzero(rho_abs >= 1e-12)
-    if solve.size:
-        ra, r2s, ts = rho_abs[solve], r2[solve], flat[solve]
-        target = 1.0 - alpha
-        hi = np.maximum(np.maximum(4.0 * q2, 2.0 * r2s * q2 / (1.0 - r2s)), ts * ts)
-        p_hi = _cw_bracket(ra, r2s, ts, hi, target)
-        c_star[solve] = _brentq_array(
-            lambda idx, c: _cw_accept(ra[idx], r2s[idx], ts[idx], c) - target,
-            hi, -target, p_hi - target,
-        )
-    return float(c_star[0]) if t.ndim == 0 else c_star.reshape(t.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(t_all * t_all)):
+            bad = float(t.ravel()[~np.isfinite(t_all * t_all)][0])
+            raise NumericalError(f"CW quantile failure: T = {bad!r} overflows its square")
+        # where q2 T^2 overflows, the closed form is q2 to the last bit
+        c_star = np.minimum(q2 * t_all * t_all / (t_all * t_all + q2), q2)
+        idx = np.flatnonzero(r_all >= 1e-12)
+        r, t_abs = r_all[idx], t_all[idx]
+        a = (1.0 - r) * (1.0 + r)
+        c = q2 * ((t_abs * t_abs + r * r * q2) / (t_abs * t_abs + a * q2))
+        lo, hi = np.zeros(idx.size), q2 / a
+        step, guess = hi.copy(), np.full((idx.size, 4), np.nan)
+        for _ in range(_CW_MAXITER):
+            reject, d_reject, z, dz = _cw_reject(r, t_abs, c, guess)
+            lo, hi = np.where(reject > alpha, c, lo), np.where(reject > alpha, hi, c)
+            probit = ndtri(0.5 * reject)
+            density = np.exp(-0.5 * probit * probit) / math.sqrt(2.0 * math.pi)
+            new = c - (probit - ndtri(0.5 * alpha)) * 2.0 * density / d_reject
+            new = np.where((new > lo) & (new < hi) & (np.abs(new - c) <= 0.5 * np.abs(step)), new, 0.5 * (lo + hi))
+            step = new - c
+            close = np.abs(reject - alpha) <= _CW_P_TOL
+            done = close | (np.abs(step) <= 4.0 * np.finfo(float).eps * c)
+            c_star[idx[done]] = np.where(close, c, new)[done]
+            idx, r, t_abs, lo, hi, step, guess, c = (
+                x[~done] for x in (idx, r, t_abs, lo, hi, step, z + dz * step[:, None], new)
+            )
+            if not idx.size:
+                return float(c_star[0]) if t.ndim == 0 else c_star.reshape(t.shape)
+    raise NumericalError(f"CW quantile failure: no convergence after {_CW_MAXITER} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
 
     * an array holds one estimate per row. vtfo snaps each up to the
       tabulation grid (``snap_rho_to_grid``), so a set reads at most one
-      curve per bin; cw solves every row exactly, in one
-      ``cw_critical_value`` call.
+      curve per bin; cw solves every row in one ``cw_critical_value``
+      call, each row as a scalar call would, to a size error below 1e-12.
     * a float is a known population rho, as in the power lab. vtfo reads
       the curve at exactly |rho|, capped at RHO_CAP (the capped curve
       sits above, so it stays valid); snapping would move vtfo power by up

@@ -6,8 +6,9 @@ moments from explicit double loops, a judge design's population variance
 objects from their formulas, and the conditional size auditor integrates
 the normal law directly against a built curve. None of it
 shares kernels with the package, so agreement is evidence rather than
-tautology. The loop oracles at the end (``oracle_cw_quantile``,
-``oracle_decide``, ``oracle_normalized_stats``, ``oracle_vtfo_curve``)
+tautology. The loop oracles at the end (``oracle_cw_accept`` and
+``oracle_cw_quantile``, ``oracle_decide``, ``oracle_normalized_stats``,
+``oracle_vtfo_curve``)
 are different: they are the package's earlier scalar, per-point paths,
 kept so the array and Newton paths that replaced them can be checked
 against them. ``kernel_b`` beside them composes the package's own kernels
@@ -286,13 +287,47 @@ def curve_library(tmp_path_factory):
     return CurveLibrary(cache=CurveCache(directory=str(directory)))
 
 
-def oracle_cw_quantile(rho, t, alpha=0.05):
-    """The conditional-Wald quantile by one scalar solve per T.
+def oracle_cw_accept(rho, t, c):
+    """P(t2 <= c | T = t) over Z ~ N(0,1), by one scalar pass: ``np.roots``
+    on the quartic in z and a ``Polynomial`` sign test between its real
+    roots, summing the normal mass of each accepting interval."""
+    if c <= 0.0:
+        return 0.0
+    rho_abs, t = abs(float(rho)), float(t)
+    coeffs = [
+        rho_abs**2,
+        2.0 * t * rho_abs,
+        t * t - c * (1.0 - rho_abs**2),
+        0.0,
+        -c * t * t,
+    ]
+    roots = np.roots(coeffs)
+    real = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))].real)
+    points = [float(r) for r in real]
+    prob = 0.0
+    prev = -np.inf
+    poly = np.polynomial.Polynomial(coeffs[::-1])
+    for right in points + [np.inf]:
+        if right > prev:
+            if np.isinf(prev):
+                mid = (right - 1.0) if np.isfinite(right) else 0.0
+            elif np.isinf(right):
+                mid = prev + 1.0
+            else:
+                mid = 0.5 * (prev + right)
+            if poly(mid) <= 0.0:
+                lo_cdf = 0.0 if np.isinf(prev) else float(ndtr(prev))
+                hi_cdf = 1.0 if np.isinf(right) else float(ndtr(right))
+                prob += hi_cdf - lo_cdf
+            prev = right
+    return prob
 
-    The acceptance probability of a candidate c comes from ``np.roots`` on
-    the quartic in z and a ``Polynomial`` sign test between its real roots;
-    ``brentq`` solves for c. The package's array solver must agree with it
-    bit for bit.
+
+def oracle_cw_quantile(rho, t, alpha=0.05):
+    """The conditional-Wald quantile by one scalar solve per T: ``brentq``
+    on ``oracle_cw_accept`` with xtol 1e-9. The package's Newton solver
+    agrees with it to that xtol, 1e-9 * max(1, c); its conditional size,
+    measured by ``oracle_cw_accept``, is the tighter check.
     """
     rho_abs = abs(float(rho))
     t = float(t)
@@ -301,47 +336,15 @@ def oracle_cw_quantile(rho, t, alpha=0.05):
         if t == 0.0:
             return 0.0
         return q2 * t * t / (t * t + q2)
-
-    def accept_prob(c):
-        if c <= 0.0:
-            return 0.0
-        coeffs = [
-            rho_abs**2,
-            2.0 * t * rho_abs,
-            t * t - c * (1.0 - rho_abs**2),
-            0.0,
-            -c * t * t,
-        ]
-        roots = np.roots(coeffs)
-        real = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))].real)
-        points = [float(r) for r in real]
-        prob = 0.0
-        prev = -np.inf
-        poly = np.polynomial.Polynomial(coeffs[::-1])
-        for right in points + [np.inf]:
-            if right > prev:
-                if np.isinf(prev):
-                    mid = (right - 1.0) if np.isfinite(right) else 0.0
-                elif np.isinf(right):
-                    mid = prev + 1.0
-                else:
-                    mid = 0.5 * (prev + right)
-                if poly(mid) <= 0.0:
-                    lo_cdf = 0.0 if np.isinf(prev) else float(ndtr(prev))
-                    hi_cdf = 1.0 if np.isinf(right) else float(ndtr(right))
-                    prob += hi_cdf - lo_cdf
-                prev = right
-        return prob
-
     target = 1.0 - alpha
     hi = max(4.0 * q2, 2.0 * rho_abs**2 * q2 / (1.0 - rho_abs**2), t * t)
     for _ in range(200):
-        if accept_prob(hi) >= target:
+        if oracle_cw_accept(rho_abs, t, hi) >= target:
             break
         hi *= 2.0
     else:
         raise RuntimeError("no upper bracket")
-    return float(brentq(lambda c: accept_prob(c) - target, 0.0, hi, xtol=1e-9, maxiter=200))
+    return float(brentq(lambda c: oracle_cw_accept(rho_abs, t, c) - target, 0.0, hi, xtol=1e-9, maxiter=200))
 
 
 def oracle_decide(method, stats, alpha, curves):
