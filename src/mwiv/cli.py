@@ -48,7 +48,7 @@ def _resolve_cache_dir(flag: str | None) -> str:
 
 
 def _library(args) -> CurveLibrary:
-    table = load_two_sided_table(args.vtf_table) if getattr(args, "vtf_table", None) else None
+    table = load_two_sided_table(args.vtf_table) if args.vtf_table else None
     return CurveLibrary(cache=CurveCache(directory=_resolve_cache_dir(args.cache_dir)), two_sided=table)
 
 
@@ -183,12 +183,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(sub, data=False, beta0=False, method=None, grid=False, out=False, seed=False):
+def _add_common(sub, data=False, beta0=False, method=None, grid=False, out=False, seed=False, alpha=False,
+                cache_dir=False, vtf_table=False):
     if data:
         sub.add_argument("--data", required=True, help="dataset CSV (y,x plus z1..zK or judge)")
     if beta0:
         sub.add_argument("--beta0", type=float, default=0.0, help="hypothesized coefficient")
-    sub.add_argument("--alpha", type=float, default=0.05, help="test level in (0, 0.5)")
+    if alpha:
+        sub.add_argument("--alpha", type=float, default=0.05, help="test level in (0, 0.5)")
     if method is not None:
         sub.add_argument("--method", default=method, help="one of vtfo,vtf,cw,ms1,ms2,lm")
     if grid:
@@ -197,8 +199,10 @@ def _add_common(sub, data=False, beta0=False, method=None, grid=False, out=False
         sub.add_argument("--out", default=None, help="output file (stdout when omitted)")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument("--cache-dir", default=None, help="curve cache directory")
-    sub.add_argument("--vtf-table", default=None, help="two-sided table CSV for method vtf")
+    if cache_dir:
+        sub.add_argument("--cache-dir", default=None, help="curve cache directory")
+    if vtf_table:
+        sub.add_argument("--vtf-table", default=None, help="two-sided table CSV for method vtf")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,24 +214,25 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("estimate", help="point estimate, variance, and t-statistic report")
-    _add_common(p, data=True, beta0=True)
+    # estimate reads no curve, but scripts pass it --cache-dir as they do the commands that read one
+    _add_common(p, data=True, beta0=True, cache_dir=True)
     p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("test", help="test beta0 with one procedure")
-    _add_common(p, data=True, beta0=True, method="vtfo")
+    _add_common(p, data=True, beta0=True, method="vtfo", alpha=True, cache_dir=True, vtf_table=True)
     p.set_defaults(func=cmd_test)
 
     p = subs.add_parser("cs", help="confidence set by grid inversion")
-    _add_common(p, data=True, method="vtfo", grid=True, out=True)
+    _add_common(p, data=True, method="vtfo", grid=True, out=True, alpha=True, cache_dir=True, vtf_table=True)
     p.set_defaults(func=cmd_cs)
 
     p = subs.add_parser("curve", help="build and emit critical-value curves")
-    _add_common(p, out=True)
+    _add_common(p, out=True, alpha=True, cache_dir=True)
     p.add_argument("--rho", default="0.5", help="comma-separated correlation values")
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("power", help="Monte Carlo power curves in the limit experiment")
-    _add_common(p, out=True, seed=True)
+    _add_common(p, out=True, seed=True, alpha=True, cache_dir=True, vtf_table=True)
     p.add_argument("--method", default=None, help="comma-separated method list")
     p.add_argument("--grid", default="-10:10:41", help="delta grid lo:hi:n")
     p.add_argument("--s", type=float, default=3.0, help="concentration parameter")

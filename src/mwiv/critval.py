@@ -25,9 +25,9 @@ Three families live here:
 Curves are immutable and cheap to evaluate; building one is the expensive
 step, so a small disk cache with atomic writes is provided. The curve CSV
 is a table: on a built curve's formula segment its rows sample the formula
-so that linear interpolation stays within TABLE_TOL * max(c, 1) of it,
-and past nu_tilde they are the continuation's knots. A table read from a
-file is written back row for row.
+(``_sample``, as the knots do, but to TABLE_TOL * max(c, 1)), and past
+nu_tilde they are the continuation's knots. A table read from a file is
+written back row for row.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "8"
+_FORMAT_VERSION = "9"
 
 # Curve construction grid and tolerances.
 T_STEP = 0.01  # continuation step in the conditioning value T
@@ -84,13 +84,24 @@ NU_MAX = 40.0
 ROOT_TOL = 1e-10
 MAX_ITER = 100000
 PREDICT_ITER = 6  # Newton steps from a predicted middle crossing
+# Formula knots and formula table rows are samples (``_sample``) whose
+# chords stay within a tolerance times max(c, 1) of the formula. A table
+# row serves a reader; a knot also sets conditional size, and knots at
+# TABLE_TOL put it 6.1e-7 off on criterion 2's grid and 1.3e-6 off at rho
+# 0.5, T 3e-3, against 1.7e-7 and 7.4e-7 at BUILD_TOL. The small-rho limit
+# over-rejects at small T, and coarse chords near 0 hide part of that (rho
+# 0.01, T 0.01: 0.082; 0.15 at BUILD_TOL), so LIMIT_TOL keeps the knots of
+# midpoint halving to 5e-7 with whole panels' midpoints kept (ROADMAP item 2).
+BUILD_TOL = 5e-8
+LIMIT_TOL = 5e-7 / 3.6
+TABLE_TOL = 5e-7
 
 # Cache files carry this key in their names, so a change to the format, to
 # any build constant or to the solver (which bumps _FORMAT_VERSION) never
 # reuses an old file.
-_CACHE_KEY = hashlib.sha256(
-    "|".join([_FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER, PREDICT_ITER))]).encode()
-).hexdigest()[:12]
+_CACHE_KEY = hashlib.sha256("|".join([
+    _FORMAT_VERSION, *map(repr, (T_STEP, NU_STEP, NU_MAX, ROOT_TOL, MAX_ITER, PREDICT_ITER, BUILD_TOL, LIMIT_TOL))
+]).encode()).hexdigest()[:12]
 
 
 def _check_alpha(alpha) -> float:
@@ -120,11 +131,17 @@ class CriticalValueCurve:
     predicts the next: with ``t_last`` they are the state the continuation
     stopped in, from which a prefix resumes.
 
-    A built curve has conditional size exactly alpha for 0 <= T <=
-    ``t_last``. Past it the constant extension is not exact: with the
-    build range out to NU_MAX the measured conditional rejection rate at alpha
-    0.05 stays between 0.0496 and 0.0504 (grid rho 0.02 to 0.99 and the
-    cap, T up to 200).
+    A built curve is made for conditional size alpha at 0 <= T <=
+    ``t_last``: the formula holds it exactly, and so does each continuation
+    step at its T. But the knots interpolate the formula, and at small T,
+    where the statistic meets the curve just past nu*, interpolation error
+    becomes size error: over T 1e-4 to 0.1 the test is conservative by up
+    to 1.5e-2 at rho 0.02, 9.1e-5 at 0.1 and 5.7e-6 at 0.3, and within
+    7.4e-7 of alpha from rho 0.5 up (``tools/size_scan.py``). Past
+    ``t_last`` the constant extension is not exact: with the build range
+    out to NU_MAX the measured conditional rejection rate at alpha 0.05
+    stays between 0.0496 and 0.0504 (grid rho 0.02 to 0.99 and the cap, T
+    up to 200).
 
     ``formula_end`` marks a curve the package built (``_built``): up to it
     the curve is a formula (``_formula``), past it the knots are the
@@ -383,55 +400,69 @@ def _base_grid(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / NU_STEP)) + 1))
 
 
-def _refine_knots(c, base: np.ndarray, extra: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Knots for c (a map of arrays) over the panels of ``base``, halved
-    until c at each panel's midpoint is within 5e-7 of the chord, merged
-    with the knots at ``extra``. One numpy pass per halving level; a panel
-    that is not split gives its midpoint and its right end. Measured on a
-    dense grid, the interpolant tracks the closed form to 2.9e-7 or better
-    for |rho| <= 0.99, but to 1.57e-6 at the cap (nu - nu* = 0.0137, c
-    about 10,197), where a panel's midpoint misses a bend the other way."""
-    a, b, extra = base[:-1], base[1:], np.asarray(extra, dtype=float)
-    ca, cb = c(a), c(b)
-    nus, cs = [extra], [c(extra)]
+def _sample(f, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples (nu, f(nu)) on [lo, hi], ends included, whose chords track f
+    to tol * max(f, 1): the one knot refinement, of a build's formula knots
+    (BUILD_TOL, LIMIT_TOL for the small-rho limit) and of a table's rows
+    (TABLE_TOL). Each panel of ``_base_grid`` is halved until f at a
+    quarter, half and three quarters of it lies within 0.9 tol * max(f, 1)
+    of the chord, or the panel is 64 ROOT_TOL wide; a midpoint alone
+    misses the error where f bends the other way within the panel.
+    Measured on a dense grid, a built curve's table errs by at most that
+    0.9 TABLE_TOL * max(f, 1). One numpy pass per halving level."""
+    probes = np.array([[0.25], [0.5], [0.75]])  # one row per probe: numpy loops run along the panels
+    base = _base_grid(lo, hi)
+    a, b = base[:-1], base[1:]
+    fa, fb = f(a), f(b)
+    nus, cs = [base[:1]], [fa[:1]]
     while a.size:
-        mid = 0.5 * (a + b)
-        cm = c(mid)
-        split = (np.abs(cm - 0.5 * (ca + cb)) > 5e-7) & (b - a > 64 * ROOT_TOL)
-        nus += [mid[~split], b[~split]]
-        cs += [cm[~split], cb[~split]]
-        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
-        ca, cb = np.concatenate([ca[split], cm[split]]), np.concatenate([cm[split], cb[split]])
-    nu, first = np.unique(np.concatenate(nus), return_index=True)
-    return nu, np.concatenate(cs)[first]
+        x = a + (b - a) * probes
+        fx = f(x)
+        off = np.abs(fx - (fa + (fb - fa) * probes)) > 0.9 * tol * np.maximum(fx, 1.0)
+        split = off.any(axis=0) & (b - a > 64 * ROOT_TOL)
+        nus.append(b[~split])
+        cs.append(fb[~split])
+        mid, fm = x[1, split], fx[1, split]
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        fa, fb = np.concatenate([fa[split], fm]), np.concatenate([fm, fb[split]])
+    nu = np.concatenate(nus)
+    order = np.argsort(nu)
+    return nu[order], np.concatenate(cs)[order]
 
 
 def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
-    """Knots for the closed-form segment on [nu*, nu_end].
+    """Knots for the closed-form segment on [nu*, nu_end]: its samples at
+    BUILD_TOL, merged with a geometric ladder of exact points out of nu*.
 
     At T = 0 the statistic surface touches the curve tangentially at the
-    fixed point, so interpolation error there converts into conditional
-    size error at square-root rate. A geometric ladder of knots out of
-    nu_star keeps the panel error quadratically small in the distance to
-    the contact and removes that sliver.
+    fixed point, and at a small T it crosses the curve about T past it, so
+    interpolation error there converts into conditional size error at
+    square-root rate. The ladder, each point 1.1 times as far out as the
+    last, keeps the panel error quadratically small in the distance to the
+    contact; with a ratio of 1.4 the size at rho 0.5, T 1e-3 is 3.8e-6
+    off, with 1.1 it is 2.5e-7 off (``tools/size_scan.py``).
     """
-    base = _base_grid(nu_star, nu_end)
-    ladder = [float(base[0])]
-    eps = 1e-8 * max(nu_star, 1.0)
-    first_step = float(base[1] - base[0])
+    def closed(nu):
+        return _closed(nu, rho_abs, nu_star)
+
+    ladder, eps = [], 1e-8 * max(nu_star, 1.0)
+    first_step = float(_base_grid(nu_star, nu_end)[1] - nu_star)
     while eps < first_step and nu_star + eps < nu_end:
         ladder.append(nu_star + eps)
-        eps *= 1.4
-    return _refine_knots(lambda nu: _closed(nu, rho_abs, nu_star), base, ladder)
+        eps *= 1.1
+    nus, cs = _sample(closed, nu_star, nu_end, BUILD_TOL)
+    ladder = np.array(ladder)
+    nus, first = np.unique(np.concatenate([nus, ladder]), return_index=True)
+    return nus, np.concatenate([cs, closed(ladder)])[first]
 
 
 def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
                      prefix: CriticalValueCurve | None = None) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
-    Closed-form knots run from nu* to nu_tilde (``find_tangency``), then
-    the continuation steps T by T_STEP from t_tilde until its high
-    crossing passes NU_MAX. When t_tilde >= NU_MAX the three-crossing
+    Closed-form knots (``_closed_form_knots``) run from nu* to nu_tilde
+    (``find_tangency``), then the continuation steps T by T_STEP from
+    t_tilde until its high crossing passes NU_MAX. When t_tilde >= NU_MAX the three-crossing
     region starts past the build range and the closed form alone is the
     curve (at the cap, alpha below about 3.4e-12).
 
@@ -457,9 +488,11 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
     rho is irrelevant. Below RHO_BUILD_FLOOR the continuation is
     ill-conditioned (the hump probability approaches alpha and the
     high-crossing quantile diverges; builds fail outright below ~0.003),
-    so those curves use the small-rho limit instead. The limit sits within
-    ~6e-4 of the exact curve at the floor, a conditional size error of
-    roughly 2e-5.
+    so those curves use the small-rho limit, sampled at LIMIT_TOL, instead.
+    The limit sits within ~7e-4 of the exact curve at the floor, but its
+    domain starts at 0, not at nu*, and at small T it over-rejects: at rho
+    0.01 by 0.012 at T 1e-3, 0.082 at T 0.01, 3.9e-3 at T 0.1 and 3.7e-5 at
+    T 1 (``tools/size_scan.py``).
 
     The continuation is made for conventional levels. From alpha 0.13 some
     steps meet five crossings, not three, and the middle crossing follows
@@ -473,7 +506,7 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
         raise DataError(f"rho out of range: |rho| must be <= {RHO_CAP}, got {float(rho)!r}")
 
     if rho_abs < RHO_BUILD_FLOOR:
-        nus, cs = _refine_knots(lambda nu: small_rho_limit_c(nu, alpha), _base_grid(0.0, NU_MAX), [0.0])
+        nus, cs = _sample(lambda nu: small_rho_limit_c(nu, alpha), 0.0, NU_MAX, LIMIT_TOL)
         return CriticalValueCurve._built(rho_abs, alpha, nus, cs, 0.0)
 
     _, nu_star = _nu_star(rho_abs, alpha)
@@ -649,46 +682,13 @@ def _sidecar_key(base: str, rho_abs: float, multi: bool) -> str:
     return f"{base}[rho={rho_abs!r}]" if multi else base
 
 
-# A table row on a formula segment is a sample of the formula, and linear
-# interpolation between samples stays within TABLE_TOL * max(c, 1) of it.
-TABLE_TOL = 5e-7
-
-
-def _sample(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples (nu, f(nu)) on [lo, hi], ends included, whose chords track f
-    to TABLE_TOL * max(f, 1). Each panel of ``_base_grid`` is halved until
-    f at a quarter, half and three quarters of it lies within 0.9 TABLE_TOL
-    * max(f, 1) of the chord; a midpoint alone misses the error where f
-    bends the other way within the panel. Measured on a dense grid, a built
-    curve's table errs by at most that 0.9 TABLE_TOL * max(f, 1). One numpy
-    pass per halving level."""
-    probes = np.array([0.25, 0.5, 0.75])
-    base = _base_grid(lo, hi)
-    a, b = base[:-1], base[1:]
-    fa, fb = f(a), f(b)
-    nus, cs = [base[:1]], [fa[:1]]
-    while a.size:
-        x = a[:, None] + (b - a)[:, None] * probes
-        fx = f(x)
-        off = np.abs(fx - (fa[:, None] + (fb - fa)[:, None] * probes)) > 0.9 * TABLE_TOL * np.maximum(fx, 1.0)
-        split = off.any(axis=1) & (b - a > 64 * ROOT_TOL)
-        nus.append(b[~split])
-        cs.append(fb[~split])
-        mid, fm = x[split, 1], fx[split, 1]
-        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        fa, fb = np.concatenate([fa[split], fm]), np.concatenate([fm, fb[split]])
-    nu = np.concatenate(nus)
-    order = np.argsort(nu)
-    return nu[order], np.concatenate(cs)[order]
-
-
 def _table_rows(cv: CriticalValueCurve) -> tuple[np.ndarray, np.ndarray]:
     """A curve's table rows: on a built curve, samples of its formula
     segment and then the knots past it; on a table read from a file, its
     rows."""
     if cv.formula_end is None:
         return cv.knots_nu, cv.knots_c
-    nu, c = _sample(cv._formula, cv.domain_low, cv.formula_end)
+    nu, c = _sample(cv._formula, cv.domain_low, cv.formula_end, TABLE_TOL)
     past = np.searchsorted(cv.knots_nu, cv.formula_end, side="right")
     return np.concatenate([nu, cv.knots_nu[past:]]), np.concatenate([c, cv.knots_c[past:]])
 

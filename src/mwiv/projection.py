@@ -67,12 +67,13 @@ class ProjectionContext:
         return self._annihilate(*self._check_length(v))
 
     def quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Unnormalized sum_{i != j} P_ij a_i b_j, exactly symmetric in (a, b)."""
-        return self._quad_pp(*self._check_length(a, b))
+        """Unnormalized sum_{i != j} P_ij a_i b_j, exactly symmetric in (a, b):
+        the (x, y) form of ``quad_forms``."""
+        return self.quad_forms(a, b)[1]
 
     def quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-        """``quad_pp`` of (x, x), (x, y), (y, y) and (|x|, |x|), each equal to
-        its own call bit for bit, from the sums they share; |x| |x| is x x
+        """Unnormalized sum_{i != j} P_ij a_i b_j for (a, b) = (x, x), (x, y),
+        (y, y) and (|x|, |x|), from the sums they share; |x| |x| is x x
         exactly."""
         return self._quad_forms(*self._check_length(x, y))
 
@@ -101,14 +102,8 @@ class JudgeProjection(ProjectionContext):
         sums = self._judge_sums(v)
         return v - sums[self.labels] * self.inv_counts[self.labels]
 
-    def _quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
-        sa = self._judge_sums(a)
-        sb = self._judge_sums(b)
-        ab = self._judge_sums(a * b)
-        return float(np.sum((sa * sb - ab) * self.inv_counts))
-
     def _quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-        # six judge sums where four _quad_pp calls run twelve
+        # six judge sums where four forms one by one run twelve
         sx, sy, sa = (self._judge_sums(v) for v in (x, y, np.abs(x)))
         xx, xy, yy = (self._judge_sums(a * b) for a, b in ((x, x), (x, y), (y, y)))
         return tuple(float(np.sum((a * b - ab) * self.inv_counts))
@@ -142,9 +137,6 @@ class DenseProjection(ProjectionContext):
 
     def _annihilate(self, v: np.ndarray) -> np.ndarray:
         return v - self.q @ (self.q.T @ v)
-
-    def _quad_pp(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float((self.q.T @ a) @ (self.q.T @ b) - np.sum((1.0 - self.m) * (a * b)))
 
     def _quad_forms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
         qx, qy, qa = (self.q.T @ v for v in (x, y, np.abs(x)))

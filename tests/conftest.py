@@ -44,6 +44,7 @@ from mwiv import (
 )
 from mwiv import critval
 from mwiv.critval import find_tangency, fixed_point, small_rho_limit_c, t2_w_curve
+from mwiv.projection import JudgeProjection
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -378,10 +379,22 @@ def kernel_b(ctx, a, b, c, d):
     return 2.0 * ctx.pair_weighted(a * ctx.annihilate(b), c * ctx.annihilate(d)) / ctx.k
 
 
+def quad_pp(ctx, a, b):
+    """sum_{i != j} P_ij a_i b_j, one form at a time, from the context's
+    own state: per judge (sum a)(sum b) - sum ab over N_k, or for dense
+    instruments (q'a).(q'b) - sum_i P_ii a_i b_i. The package's forms
+    (``ProjectionContext.quad_forms``) must equal it bit for bit."""
+    if isinstance(ctx, JudgeProjection):
+        sa, sb, ab = (ctx._judge_sums(v) for v in (a, b, a * b))
+        return float(np.sum((sa * sb - ab) * ctx.inv_counts))
+    return float((ctx.q.T @ a) @ (ctx.q.T @ b) - np.sum((1.0 - ctx.m) * (a * b)))
+
+
 def quadratic_form_Q(ctx, a, b):
-    """Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j from the context's own
-    kernel; ``oracle_q`` is the loop version."""
-    return ctx.quad_pp(a, b) / np.sqrt(ctx.k)
+    """Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j from ``quad_pp``;
+    ``oracle_q`` is the loop version."""
+    return quad_pp(ctx, a, b) / np.sqrt(ctx.k)
+
 
 def oracle_normalized_stats(ctx, data, beta0):
     """The direct per-point path: the variance objects from the projection
@@ -445,22 +458,45 @@ def oracle_normalized_stats(ctx, data, beta0):
 
 
 
-def _oracle_refine_knots(c, base, pairs):
-    """The scalar knot refinement: a depth-first stack of panels, each
-    halved until c at its midpoint is within 5e-7 of the chord (or the
-    panel is 64 ROOT_TOL wide), merged with ``pairs`` and deduplicated in
-    a loop."""
+def _oracle_sample(f, lo, hi, tol):
+    """The scalar knot refinement, ``critval._sample``'s rule, as a list of
+    (nu, f(nu)) from lo: a depth-first stack of the base panels, each
+    halved until f at a quarter, half and three quarters of it lies within
+    0.9 tol * max(f, 1) of the chord (or the panel is 64 ROOT_TOL wide),
+    one scalar formula call per point."""
+    base = critval._base_grid(lo, hi)
+    pairs = [(float(base[0]), f(float(base[0])))]
     stack = [(float(base[i]), float(base[i + 1])) for i in range(len(base) - 2, -1, -1)]
     while stack:
         a, b = stack.pop()
-        mid = 0.5 * (a + b)
-        ca, cb, cm = c(a), c(b), c(mid)
-        if abs(cm - 0.5 * (ca + cb)) > 5e-7 and (b - a) > 64 * critval.ROOT_TOL:
+        fa, fb = f(a), f(b)
+        off = False
+        for p in (0.25, 0.5, 0.75):
+            fx = f(a + (b - a) * p)
+            off = off or abs(fx - (fa + (fb - fa) * p)) > 0.9 * tol * max(fx, 1.0)
+        if off and b - a > 64 * critval.ROOT_TOL:
+            mid = a + (b - a) * 0.5
             stack.append((mid, b))
             stack.append((a, mid))
         else:
-            pairs.append((mid, cm))
-            pairs.append((b, cb))
+            pairs.append((b, fb))
+    return pairs
+
+
+def _oracle_closed_form_knots(rho_abs, nu_star, nu_end):
+    """Closed-form knots on [nu*, nu_end]: the samples at BUILD_TOL and a
+    ladder of points out of nu*, each 1.1 times as far as the last, sorted
+    and deduplicated in a loop."""
+
+    def c(nu):
+        return critval._closed(nu, rho_abs, nu_star)
+
+    pairs = _oracle_sample(c, nu_star, nu_end, critval.BUILD_TOL)
+    eps = 1e-8 * max(nu_star, 1.0)
+    first_step = float(critval._base_grid(nu_star, nu_end)[1] - nu_star)
+    while eps < first_step and nu_star + eps < nu_end:
+        pairs.append((nu_star + eps, c(nu_star + eps)))
+        eps *= 1.1
     pairs.sort()
     nus, cs = [], []
     for nu, cc in pairs:
@@ -468,23 +504,6 @@ def _oracle_refine_knots(c, base, pairs):
             nus.append(nu)
             cs.append(cc)
     return nus, cs
-
-
-def _oracle_closed_form_knots(rho_abs, nu_star, nu_end):
-    """Closed-form knots on [nu*, nu_end] with the geometric ladder out of
-    nu*, one scalar formula call per point."""
-
-    def c(nu):
-        return critval._closed(nu, rho_abs, nu_star)
-
-    base = critval._base_grid(nu_star, nu_end)
-    pairs = [(float(base[0]), c(base[0]))]
-    eps = 1e-8 * max(nu_star, 1.0)
-    first_step = float(base[1] - base[0])
-    while eps < first_step and nu_star + eps < nu_end:
-        pairs.append((nu_star + eps, c(nu_star + eps)))
-        eps *= 1.4
-    return _oracle_refine_knots(c, base, pairs)
 
 
 def _oracle_gap(nu, t, rho_abs, nu_star, nu_tilde, cont_nu, cont_c):
@@ -540,17 +559,16 @@ def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde):
 
 
 def oracle_vtfo_curve(rho, alpha=0.05):
-    """The curve build with scalar loops: knot refinement panel by panel
-    and the continuation's middle crossing from ``brentq``. Returns
+    """The curve build with scalar loops: formula knots sampled panel by
+    panel and the continuation's middle crossing from ``brentq``. Returns
     (knots_nu, knots_c, domain_low, t_tilde, t_last, n_closed), where the
     first ``n_closed`` knots are closed-form or limit knots; a failed
     continuation raises the package's NumericalError message."""
     rho_abs = abs(float(rho))
     if rho_abs < RHO_BUILD_FLOOR:
-        nus, cs = _oracle_refine_knots(
-            lambda nu: small_rho_limit_c(nu, alpha), critval._base_grid(0.0, critval.NU_MAX), [(0.0, 0.0)]
-        )
-        return np.array(nus), np.array(cs), 0.0, None, None, len(nus)
+        pairs = _oracle_sample(lambda nu: small_rho_limit_c(nu, alpha), 0.0, critval.NU_MAX, critval.LIMIT_TOL)
+        nus, cs = np.array(pairs).T
+        return nus, cs, 0.0, None, None, nus.size
     nu_star, _ = fixed_point(rho_abs, alpha)
     t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
     if t_tilde >= critval.NU_MAX:

@@ -599,3 +599,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert "--pi must be a comma-separated float list" in err
+
+
+class TestOptions:
+    # options a command would parse and ignore are refused: simulate uses
+    # no level, curve and no table, and estimate no level or table
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "0.1"],
+        ["simulate", "--cache-dir", "cache"],
+        ["simulate", "--vtf-table", "table.csv"],
+        ["estimate", "--data", "data.csv", "--alpha", "0.1"],
+        ["estimate", "--data", "data.csv", "--vtf-table", "table.csv"],
+        ["curve", "--vtf-table", "table.csv"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_ignored_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
+    def test_estimate_accepts_cache_dir(self, strong_csv, tmp_path, capsys):
+        # scripts pass --cache-dir to every command that had it; estimate
+        # reads no curve, so the directory stays unmade
+        assert main(["estimate", "--data", str(strong_csv), "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert parse_report(capsys.readouterr().out)["beta0"] == "0.0"
+        assert not (tmp_path / "cache").exists()

@@ -197,6 +197,37 @@ class TestContinuation:
             assert abs(t2_w_curve(nu_l, t, rho) - c) <= 1e-12 * c
 
 
+class TestSizeNearTZero:
+    """Conditional size at small T, where the statistic meets the curve
+    just past its fixed point: the tangency region that criterion 2's
+    42-point grid skips. The bound is 5e-5, and 1e-6 from rho 0.5 up:
+    there a ladder ratio of 1.4 puts rho 0.5, T 1e-3 3.8e-6 off, and knots
+    sampled at TABLE_TOL put rho 0.5, T 3e-3 1.3e-6 off."""
+
+    def test_worst_error(self, curve_library):
+        worst = {}
+        for rho in (0.3, 0.5, 0.9, 0.99, RHO_CAP):
+            curve = curve_library.cache.get(rho, 0.05)
+            for t in (1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1):
+                err = abs(conditional_reject_prob(curve, t) - 0.05)
+                bound = 5e-5 if rho < 0.5 else 1e-6
+                worst[bound] = max(worst.get(bound, (0.0,)), (err, rho, t))
+        for bound, (err, rho, t) in worst.items():
+            print(f"worst |p - 0.05| near T = 0 under bound {bound:.0e}: {err:.2e} at rho {rho}, T {t}")
+        assert all(err <= bound for bound, (err, *_) in worst.items())
+
+    # p - 0.05 of the small-rho limit at rho 0.01, as midpoint halving to
+    # 5e-7 made its knots, rounded up in the fourth digit: a regression
+    # bound on a curve that over-rejects (ROADMAP item 2), not a size claim
+    LIMIT_EXCESS = {1e-4: 3.421e-3, 1e-3: 1.219e-2, 3e-3: 3.210e-2, 1e-2: 8.184e-2, 3e-2: 4.773e-2, 0.1: 3.866e-3}
+
+    def test_limit_curve_no_worse(self, curve_library):
+        curve = curve_library.cache.get(0.01, 0.05)
+        errs = {t: conditional_reject_prob(curve, t) - 0.05 for t in self.LIMIT_EXCESS}
+        print("p - 0.05 of the limit curve at rho 0.01:", " ".join(f"T {t}: {e:+.3e}" for t, e in errs.items()))
+        assert all(abs(errs[t]) <= bound for t, bound in self.LIMIT_EXCESS.items())
+
+
 # The curves checked against the loop oracle: the small-rho limit, the
 # build floor, grid values up to the cap and one off-grid value.
 LOOP_ORACLE_RHO = [0.01, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9959, 0.9999]
@@ -226,34 +257,36 @@ class TestLoopOracle:
 
 
 # Outcomes of the continuation at high levels, where some steps meet five
-# crossings: per alpha, for each rho in HIGH_ALPHA_RHO, the knot count of
-# its curve or the reason its build fails.
+# crossings: per alpha, for each rho in HIGH_ALPHA_RHO, the number of
+# continuation knots (one per step) of its curve or the reason its build
+# fails.
 HIGH_ALPHA_RHO = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9)
 F, B = "frontier did not advance", "root bracketing failure"
 HIGH_ALPHA_OUTCOMES = {
-    0.14: (4235, 4517, 4721, 5509, 6071, 6334, 6270, 6915, 7430, 8945, 10239, 12448),
-    0.15: (4236, 4501, 4697, 5442, 5994, 6242, 6183, 6785, 7298, 8736, 9992, 12098),
-    0.16: (4220, 4472, 4666, 5391, 5908, 6141, 6101, 6665, 7169, 8533, 9747, 11774),
-    0.17: (4221, 4457, 4646, 5322, 5828, F, F, F, 7048, 8384, 9485, 11474),
-    0.18: (4205, 4443, *[F] * 10),
-    0.19: (4206, 4428, *[F] * 10),
-    0.2: (4191, *[F] * 11),
-    0.22: (4191, *[F] * 11),
-    0.25: (4162, *[F] * 11),
-    0.3: (4147, *[F] * 11),
+    0.14: (3985, 3962, 3922, 3844, 3766, 3691, 3611, 3542, 3453, 3380, 3346, 3301),
+    0.15: (3986, 3963, 3926, 3849, 3779, 3707, 3620, 3548, 3481, 3395, 3377, 3319),
+    0.16: (3986, 3965, 3927, 3860, 3781, 3706, 3648, 3558, 3508, 3410, 3406, 3353),
+    0.17: (3987, 3966, 3933, 3857, 3785, F, F, F, 3531, 3461, 3400, 3393),
+    0.18: (3987, 3968, *[F] * 10),
+    0.19: (3988, 3969, *[F] * 10),
+    0.2: (3988, *[F] * 11),
+    0.22: (3989, *[F] * 11),
+    0.25: (3991, *[F] * 11),
+    0.3: (3993, *[F] * 11),
     0.35: (F,) * 12,
-    0.4: (4088, *[F] * 11),
-    0.45: (B, 4102, *[F] * 10),
+    0.4: (3997, *[F] * 11),
+    0.45: (B, 3996, *[F] * 10),
 }
 
 
 class TestBuildCurve:
     @pytest.mark.parametrize("alpha", list(HIGH_ALPHA_OUTCOMES))
     def test_high_alpha_outcomes(self, alpha):
-        # builds succeed with the same knot count or fail with the same message
+        # builds succeed with the same steps or fail with the same message
         for rho, want in zip(HIGH_ALPHA_RHO, HIGH_ALPHA_OUTCOMES[alpha], strict=True):
             if not isinstance(want, str):
-                assert build_vtfo_curve(rho, alpha).knots_nu.size == want, rho
+                curve = build_vtfo_curve(rho, alpha)
+                assert np.sum(curve.knots_nu > curve.formula_end) == want, rho
                 continue
             with pytest.raises(NumericalError) as info:
                 build_vtfo_curve(rho, alpha)
@@ -566,21 +599,21 @@ class TestPrefixBuild:
             CurveCache(directory=directory).get(rho, alpha, nu_max=stop)
             _assert_same_curve(CurveCache(directory=directory).get(rho, alpha), full)
 
-    def test_format_7_file_is_a_miss(self, tmp_path):
-        # a file of the format before the crossing before last, as that
-        # format wrote it, under today's name: it is rebuilt and replaced
+    def test_format_8_file_is_a_miss(self, tmp_path):
+        # a file of the format before the sampled formula knots, with that
+        # format's header, under today's name: it is rebuilt and replaced
         full = build_vtfo_curve(0.3, 0.05)
         cache = CurveCache(directory=str(tmp_path))
         path = tmp_path / (cache._stem(0.3, 0.05) + ".bin")
         body = np.stack([full.knots_nu, full.knots_c]).astype("<f8")
-        meta = {"format": "7", "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
-                "t_tilde": full.t_tilde, "t_last": full.t_last, "nu_mid": full.nu_mid}
+        meta = {"format": "8", "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
+                "t_tilde": full.t_tilde, "t_last": full.t_last, "nu_mid": full.nu_mid, "nu_prev": full.nu_prev}
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
         path.write_bytes(json.dumps({**meta, "sha256": digest.hexdigest()}).encode() + b"\n" + body.tobytes())
         assert CurveCache._load_file(path, 0.3, 0.05) is None
         _assert_same_curve(cache.get(0.3, 0.05), full)
-        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == "8"
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == "9"
         _assert_same_curve(CurveCache._load_file(path, 0.3, 0.05), full)
 
     def test_resume_reads_no_prefix_body_memory_holds(self, tmp_path, monkeypatch):
@@ -988,8 +1021,8 @@ class TestTableContract:
         again = tmp_path / "again.csv"
         write_curve_csv(again, loaded)
         assert again.read_bytes() == path.read_bytes()
-        # the cap's 434,982 knots become about 11k rows
-        assert built[-1].knots_nu.size > 400_000
+        # the cap's 29,978 knots, sampled at BUILD_TOL, become about 11k rows
+        assert built[-1].knots_nu.size <= 40_000
         assert loaded[-1].knots_nu.size <= 25_000
 
 
@@ -1069,9 +1102,11 @@ class TestSnapAndCache:
         files = os.listdir(tmp_path)
         # the key covers the file format and the build constants; files of
         # the brentq continuation (format "5") carried b0709dada779, those
-        # without the continuation's state (format "6") 2d22551741ce, and
-        # those without the crossing before last (format "7") 72ab516c52ed
-        assert files == ["vtfo_rho0.35_alpha0.05_1348503e18eb.bin"]
+        # without the continuation's state (format "6") 2d22551741ce, those
+        # without the crossing before last (format "7") 72ab516c52ed, and
+        # those with knots refined to an absolute 5e-7 (format "8")
+        # 1348503e18eb
+        assert files == ["vtfo_rho0.35_alpha0.05_31e76188683c.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))

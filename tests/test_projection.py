@@ -27,6 +27,7 @@ from conftest import (
     oracle_b,
     oracle_ptil2_matrix,
     oracle_q,
+    quad_pp,
     quadratic_form_Q,
 )
 
@@ -123,12 +124,14 @@ class TestQuadraticForm:
         data = judge_dataset([0, 0], x=[1.0, 2.0], y=[0.0, 0.0])
         ctx = build_projection(data)
         assert quadratic_form_Q(ctx, data.x, data.x) == pytest.approx(2.0, abs=1e-14)
+        assert ctx.quad_pp(data.x, data.x) == quad_pp(ctx, data.x, data.x)
 
     def test_zero_vector(self):
         rng = np.random.default_rng(4)
         data = judge_dataset(random_judge_labels(rng, 4), rng)
         ctx = build_projection(data)
         assert quadratic_form_Q(ctx, np.zeros(data.n), data.x) == 0.0
+        assert ctx.quad_pp(np.zeros(data.n), data.x) == 0.0
 
     def test_against_loop_oracle_dense(self):
         rng = np.random.default_rng(5)
@@ -139,6 +142,7 @@ class TestQuadraticForm:
         got = quadratic_form_Q(ctx, data.y, data.x)
         want = oracle_q(p, 5, data.y, data.x)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert ctx.quad_pp(data.y, data.x) == quad_pp(ctx, data.y, data.x)
 
     def test_against_loop_oracle_judge(self):
         rng = np.random.default_rng(6)
@@ -149,6 +153,7 @@ class TestQuadraticForm:
         got = quadratic_form_Q(ctx, data.y, data.x)
         want = oracle_q(p, 5, data.y, data.x)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert ctx.quad_pp(data.y, data.x) == quad_pp(ctx, data.y, data.x)
 
     @pytest.mark.parametrize("kind", ["judge", "dense"])
     def test_argument_symmetry_exact(self, kind):
@@ -158,14 +163,16 @@ class TestQuadraticForm:
         assert quadratic_form_Q(ctx, data.y, data.x) == quadratic_form_Q(
             ctx, data.x, data.y
         )
+        assert ctx.quad_pp(data.y, data.x) == ctx.quad_pp(data.x, data.y) == quad_pp(ctx, data.y, data.x)
 
     @pytest.mark.parametrize("kind", ["judge", "dense"])
     def test_profile_forms_are_the_single_forms(self, kind, monkeypatch):
-        # the four forms share their sums, and each equals its own call bit
-        # for bit; the judge form takes six judge sums
+        # the four forms share their sums, and each equals the one-form
+        # reference bit for bit, as does quad_pp; the judge form takes six
+        # judge sums
         ctx = build_projection(symmetry_dataset(kind, np.random.default_rng(33)))
         x, y = np.random.default_rng(34).standard_normal((2, ctx.n))
-        want = tuple(ctx.quad_pp(a, b) for a, b in ((x, x), (x, y), (y, y), (np.abs(x), np.abs(x))))
+        want = tuple(quad_pp(ctx, a, b) for a, b in ((x, x), (x, y), (y, y), (np.abs(x), np.abs(x))))
         sums = []
         if kind == "judge":
             judge_sums = JudgeProjection._judge_sums
@@ -173,6 +180,7 @@ class TestQuadraticForm:
         got = ctx.quad_forms(x, y)
         assert got == want and all(type(q) is float for q in got)
         assert len(sums) == (6 if kind == "judge" else 0)
+        assert ctx.quad_pp(x, y) == ctx.quad_pp(y, x) == want[1]
         with pytest.raises(DataError, match="dimension error"):
             ctx.quad_forms(x[:-1], y[:-1])
 
@@ -191,7 +199,7 @@ class TestQuadraticForm:
         data = judge_dataset(random_judge_labels(rng, 4), rng)
         ctx = build_projection(data)
         with pytest.raises(DataError, match="dimension error"):
-            quadratic_form_Q(ctx, data.x[:-1], data.x[:-1])
+            ctx.quad_pp(data.x[:-1], data.x[:-1])
 
 
 class TestCrossMoment:
@@ -297,6 +305,8 @@ class TestFastPathStructure:
                 qj = quadratic_form_Q(ctx_j, a, b)
                 qd = quadratic_form_Q(ctx_d, a, b)
                 assert qj == pytest.approx(qd, rel=1e-10, abs=1e-12)
+                for ctx in (ctx_j, ctx_d):
+                    assert ctx.quad_pp(a, b) == quad_pp(ctx, a, b)
             bj = kernel_b(ctx_j, data.x, data.y, data.x, data.y)
             bd = kernel_b(ctx_d, data.x, data.y, data.x, data.y)
             assert bj == pytest.approx(bd, rel=1e-10, abs=1e-12)
