@@ -64,14 +64,14 @@ class NormalizedStats:
 
 def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
     """(xi, nu, rho_raw, ar, t_squared) from the quadratic forms and the
-    variance objects, elementwise over arrays; t_squared is inf where the
-    closed form's denominator is not positive."""
-    xi = q_xe / np.sqrt(psi)
-    nu = q_xx / np.sqrt(upsilon)
-    rho_raw = tau / np.sqrt(psi * upsilon)
-    ar = q_ee / np.sqrt(phi)
-    denom = (nu - rho_raw * xi) ** 2 + (1.0 - rho_raw**2) * xi**2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    variance objects, elementwise, with no warning; t_squared is inf where the
+    closed form's denominator is not positive or only its numerator overflows."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xi = q_xe / np.sqrt(psi)
+        nu = q_xx / np.sqrt(upsilon)
+        rho_raw = tau / np.sqrt(psi * upsilon)
+        ar = q_ee / np.sqrt(phi)
+        denom = (nu - rho_raw * xi) ** 2 + (1.0 - rho_raw**2) * xi**2
         t_squared = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
     return xi, nu, rho_raw, ar, t_squared
 
@@ -108,8 +108,7 @@ class _Profile:
         degenerate points (upsilon, psi or phi nonpositive), where the
         fields hold nan or inf. t_squared may be inf at other points too."""
         q_xe, q_ee, tau, psi, phi = self.values(beta0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi)
+        xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi)
         degenerate = (psi <= 0.0) | (phi <= 0.0) | (self.upsilon <= 0.0)
         per_point = dict(xi=xi, rho=np.clip(rho_raw, -RHO_CAP, RHO_CAP), rho_raw=rho_raw,
                          rho_clamped=np.abs(rho_raw) > RHO_CAP, ar=ar, t_squared=t_squared,

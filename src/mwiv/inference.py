@@ -158,10 +158,7 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     known = np.ndim(rho) == 0
     nu = np.broadcast_to(stats.nu, np.shape(stats.t_squared))
     if method == "vtfo":
-        if known:
-            curve = curves.cache.get(min(abs(rho), RHO_CAP), alpha, nu_max=np.max(nu, initial=-np.inf))
-            return stats.t_squared, curve.evaluate_array(nu)
-        bins = np.broadcast_to(snap_rho_to_grid(rho), nu.shape)
+        bins = np.broadcast_to(min(abs(rho), RHO_CAP) if known else snap_rho_to_grid(rho), nu.shape)
         critical = np.full(nu.shape, np.nan)
         for r in np.unique(bins):
             rows = bins == r
@@ -179,12 +176,13 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
             return stats.t_squared, np.full(t_cond.shape, cw_critical_value(rho, 0.5 * (t_lo + t_hi), alpha))
         knots = np.linspace(t_lo, t_hi, 512)
         return stats.t_squared, np.interp(t_cond, knots, cw_critical_value(rho, knots, alpha))
-    if method == "ms1":
-        statistic, critical = stats.ar, float(ndtri(1.0 - alpha))
-    elif method == "ms2":
-        statistic, critical = stats.ar**2, two_sided_chi2(alpha)
-    else:  # lm
-        statistic, critical = stats.xi**2, two_sided_chi2(alpha)
+    with np.errstate(over="ignore"):  # a square that overflows to inf rejects, as it should
+        if method == "ms1":
+            statistic, critical = stats.ar, float(ndtri(1.0 - alpha))
+        elif method == "ms2":
+            statistic, critical = stats.ar**2, two_sided_chi2(alpha)
+        else:  # lm
+            statistic, critical = stats.xi**2, two_sided_chi2(alpha)
     return statistic, np.full(np.shape(statistic), critical)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .critval import _check_alpha
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .estimators import NormalizedStats, _normalize
 from .inference import CurveLibrary, _check_method, decide
 from .judge import _check_seed
@@ -213,6 +213,8 @@ def rejection_rates(
             xi=xi, nu=nu, rho=rho0, rho_raw=rho0, rho_clamped=False, ar=ar, t_squared=t2, beta0=float(d)
         )
         for m in methods:
+            if m in ("vtfo", "vtf", "cw") and np.isnan(t2).any():  # inf/inf: a NaN t^2 never rejects
+                raise NumericalError(f"t_squared overflows to NaN at s={dgp.s:g}, delta={float(d):g}")
             statistic, critical = decide(m, stats, alpha, curves)
             rates[m][i] = float(np.mean(statistic > critical))
 

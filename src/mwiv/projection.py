@@ -16,9 +16,9 @@ eight it needs from one stacked call.
 
 One class per instrument form, each holding only what its kernels read
 and neither holding an N x N array: ``JudgeProjection`` uses P_ij =
-1{same judge}/N_k; ``DenseProjection`` holds Z's thin QR factor q (P v =
-q q'v and diag P = 1 - M) and builds Ptil2 from q one row block at a time
-inside the pair kernel.
+1{same judge}/N_k; ``DenseProjection`` holds q of one thin QR of Z (P v =
+q q'v, P_ii = sum_k q_ik^2 = 1 - M_ii) and builds Ptil2 from q one row
+block at a time inside the pair kernel, the dense path's only O(N^2) work.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class DenseProjection(ProjectionContext):
         # Ptil2 is symmetric, so the block of rows r holds Ptil2[r, r.start:]
         # and its columns past r stand for the block below r too.
         out, spare = 0.0, None
-        for rows, ptil2 in _p_blocks(self.q, upper=True):
+        for rows, ptil2 in _p_blocks(self.q):
             # P_ij^2 / (M_ii M_jj + P_ij^2) in place, beside one denominator
             spare = np.empty(ptil2.size) if spare is None else spare  # the first block is the largest
             denom = np.multiply.outer(self.m[rows], self.m[rows.start:], out=spare[: ptil2.size].reshape(ptil2.shape))
@@ -166,16 +166,16 @@ class DenseProjection(ProjectionContext):
 _BLOCK = 1 << 19  # floats in a block of P's rows
 
 
-def _p_blocks(q: np.ndarray, upper: bool = False):
-    """(rows, P[rows, c:]) over consecutive row blocks of P = q q', with c =
-    0, or with ``upper`` c = rows.start; each is written over the last."""
+def _p_blocks(q: np.ndarray):
+    """(rows, P[rows, rows.start:]) over consecutive row blocks of P = q q',
+    the upper triangle and the diagonal block; each is written over the last."""
     n = q.shape[0]
     step = max(1, _BLOCK // n)
     buf = np.empty(min(step, n) * n)
     for lo in range(0, n, step):
-        rows, cols = slice(lo, min(lo + step, n)), slice(lo if upper else 0, n)
-        shape = (rows.stop - lo, n - cols.start)
-        yield rows, np.matmul(q[rows], q[cols].T, out=buf[: shape[0] * shape[1]].reshape(shape))
+        rows = slice(lo, min(lo + step, n))
+        shape = (rows.stop - lo, n - lo)
+        yield rows, np.matmul(q[rows], q[lo:].T, out=buf[: shape[0] * shape[1]].reshape(shape))
 
 
 def build_projection(data: Dataset) -> JudgeProjection | DenseProjection:
@@ -202,13 +202,13 @@ def _build_judge(raw_labels: np.ndarray) -> JudgeProjection:
 
 def _build_dense(z: np.ndarray) -> DenseProjection:
     n, k = z.shape
-    if np.linalg.matrix_rank(z) < k:
+    # One thin QR, Z = q r, keeps Z's conditioning; r has Z's singular values, and
+    # as in np.linalg.matrix_rank, rank < K when s_min <= s_max * max(N, K) * eps.
+    q, r = np.linalg.qr(z)
+    s = np.linalg.svd(r, compute_uv=False)
+    if s[-1] <= s[0] * max(n, k) * np.finfo(float).eps:
         raise DataError("rank-deficient instruments: Z'Z is singular")
-    # QR keeps the conditioning of Z, not of Z'Z.
-    q, _ = np.linalg.qr(z)
-    # diag P from the kernel's own row blocks, so its entries are the ones
-    # the kernel squares
-    m = 1.0 - np.concatenate([np.diagonal(p, rows.start).copy() for rows, p in _p_blocks(q)])
+    m = 1.0 - np.einsum("ij,ij->i", q, q)  # P_ii = sum_k q_ik^2
     if m.min() <= 1e-10 or m.max() >= 1.0:
         raise DataError("insufficient cluster size: an observation has leave-out leverage one")
     return DenseProjection(n=n, k=k, m=m, q=q)

@@ -519,6 +519,24 @@ class TestPower:
         assert out == ""
         assert "finite lo and hi" in err
 
+    def test_huge_s(self, tmp_path, capsys):
+        # from s about 1e155 both parts of t^2 overflow and t^2 is NaN, which
+        # never rejects, so vtfo refuses it; at 1e150 only squares overflow,
+        # to inf, and they reject with no warning
+        argv = ["power", "--method", "vtfo,ms2", "--grid=-1:1:3", "--draws", "2000",
+                "--cache-dir", str(tmp_path / "cache")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--s", "1e160"]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "s=1e+160" in err and "Warning" not in err
+            assert main([*argv, "--s", "1e150"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rates = [(row.split(",")[1], float(row.split(",")[2])) for row in out.splitlines()[1:]]
+        assert rates == [("vtfo", 1.0), ("ms2", 1.0), ("vtfo", 0.053), ("ms2", 0.055), ("vtfo", 1.0), ("ms2", 1.0)]
+
     def test_bad_method(self, tmp_path, capsys):
         code = main([
             "power", "--grid", "0:0:1", "--method", "waldo",

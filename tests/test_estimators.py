@@ -1,5 +1,7 @@
 """Point estimate, variance estimators, normalized statistics, identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,23 +227,23 @@ class TestVarianceEstimatesAt:
         b = variances_at(ctx, data, 3.0)[0]
         assert a == b
 
-    def test_weak_design_consistency(self):
-        # medians over 20 seeds stay inside 10 percent of population values
+    @pytest.mark.parametrize("scales", [None, (2.0, 1.0)], ids=["homoskedastic", "heteroskedastic"])
+    def test_weak_design_consistency(self, scales):
+        # medians over 20 seeds stay inside 10 percent of population values;
+        # heteroskedastic judges' error scales alternate 2.0 and 1.0
         n_judges, nk = 200, 100
         mu_sq = 0.3 * np.sqrt(n_judges * 2.0)
         pi_val = float(np.sqrt(mu_sq / (n_judges * (nk - 1))))
         pis = tuple(pi_val * np.sign(np.sin(np.arange(n_judges) + 0.5)))
+        judge_scales = None if scales is None else scales * (n_judges // 2)
         spec0 = JudgeDesignSpec(
             n_judges=n_judges, per_judge=(nk,) * n_judges, pi=pis,
-            beta=1.0, error_corr=0.5, seed=0,
+            beta=1.0, error_corr=0.5, judge_error_scale=judge_scales, seed=0,
         )
         pop = oracle_judge_moments(spec0)
         rels = {"upsilon": [], "tau": [], "psi": [], "phi": []}
         for seed in range(20):
-            spec = JudgeDesignSpec(
-                n_judges=n_judges, per_judge=(nk,) * n_judges, pi=pis,
-                beta=1.0, error_corr=0.5, seed=seed,
-            )
+            spec = dataclasses.replace(spec0, seed=seed)
             data = simulate_judge_data(spec)
             ctx = build_projection(data)
             upsilon, tau, psi, phi = variances_at(ctx, data, 1.0)

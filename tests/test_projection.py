@@ -92,6 +92,13 @@ class TestEntries:
         assert abs(np.trace(p) - 6.0) <= 1e-10
         assert np.max(np.abs(p @ p - p)) <= 1e-10
 
+    def test_dense_leverages_are_a_linear_solve(self):
+        rng = np.random.default_rng(18)
+        z = rng.standard_normal((200, 10))
+        ctx = build_projection(dense_dataset(z, rng))
+        hat_diag = np.einsum("ij,ji->i", z, np.linalg.solve(z.T @ z, z.T))
+        np.testing.assert_allclose(ctx.m, 1.0 - hat_diag, rtol=0.0, atol=1e-14)
+
     def test_judge_matches_dense_indicators(self):
         rng = np.random.default_rng(2)
         labels = random_judge_labels(rng, 5)
@@ -322,7 +329,7 @@ class TestStreamedPairKernel:
         rng = np.random.default_rng(30)
         z = rng.standard_normal((1000, 20))
         ctx = build_projection(dense_dataset(z, rng))
-        assert [len(p) for _, p in _p_blocks(ctx.q, upper=True)] == [524, 476]
+        assert [len(p) for _, p in _p_blocks(ctx.q)] == [524, 476]
         return ctx, oracle_ptil2_matrix(dense_hat_matrix(z)), rng
 
     def test_vectors_match_explicit_ptil2(self, dense):
@@ -392,12 +399,23 @@ class TestBuildErrors:
                 judge_dataset([0, 0, 1], y=[0.0, 1.0, 2.0], x=[1.0, 2.0, 3.0])
             )
 
-    def test_rank_deficient_instruments(self):
+    @pytest.mark.parametrize("last, nudge", [("collinear", 0.0), ("zero", 0.0), ("collinear", 1e-8), ("zero", 1e-8)],
+                             ids=["collinear", "zero", "collinear-nudged", "zero-nudged"])
+    def test_rank_deficient_instruments(self, last, nudge):
+        # a fourth column that is the sum of two others, or zero, is refused;
+        # moved by 1e-8 it builds, and each outcome is np.linalg.matrix_rank's
         rng = np.random.default_rng(15)
         z = rng.standard_normal((30, 3))
-        z = np.column_stack([z, z[:, 0] + z[:, 1]])
-        with pytest.raises(DataError, match="rank-deficient instruments"):
-            build_projection(dense_dataset(z, rng))
+        column = z[:, 0] + z[:, 1] if last == "collinear" else np.zeros(30)
+        z = np.column_stack([z, column + nudge * rng.standard_normal(30)])
+        data = dense_dataset(z, rng)
+        if np.linalg.matrix_rank(z) < 4:
+            assert nudge == 0.0
+            with pytest.raises(DataError, match="rank-deficient instruments"):
+                build_projection(data)
+        else:
+            assert nudge > 0.0
+            assert build_projection(data).k == 4
 
     def test_leverage_one_observation(self):
         # an instrument column that isolates one observation has M_ii = 0

@@ -20,6 +20,7 @@ checkout. Uses numpy and mwiv only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import os
@@ -42,9 +43,11 @@ def set_digest(cs) -> str:
     return h.hexdigest()[:16]
 
 
-def counted_set(mwiv, ctx, data, grid) -> tuple[object, int, int]:
-    """(set, builds, continuation steps) of one cold vtfo set."""
-    critval = mwiv.critval
+@contextlib.contextmanager
+def counting(critval):
+    """Count, in the yielded [builds, steps], the calls of
+    ``critval.build_vtfo_curve`` and the new knots ``critval._continuation``
+    places while the block runs; a resumed prefix's knots are not new."""
     counts = [0, 0]
     build, continuation = critval.build_vtfo_curve, critval._continuation
     signature = inspect.signature(continuation)
@@ -55,15 +58,22 @@ def counted_set(mwiv, ctx, data, grid) -> tuple[object, int, int]:
 
     def counting_continuation(*args, **kwargs):
         out = continuation(*args, **kwargs)
+        # start is (t, nu_mid, nu_prev, knots_nu, knots_c)
         start = signature.bind(*args, **kwargs).arguments.get("start")
-        counts[1] += len(out[0]) - (len(start[2]) if start else 0)
+        counts[1] += len(out[0]) - (len(start[3]) if start else 0)
         return out
 
     critval.build_vtfo_curve, critval._continuation = counting_build, counting_continuation
     try:
-        cs = mwiv.invert_confidence_set("vtfo", ctx, data, grid=grid, curves=mwiv.CurveLibrary())
+        yield counts
     finally:
         critval.build_vtfo_curve, critval._continuation = build, continuation
+
+
+def counted_set(mwiv, ctx, data, grid) -> tuple[object, int, int]:
+    """(set, builds, continuation steps) of one cold vtfo set."""
+    with counting(mwiv.critval) as counts:
+        cs = mwiv.invert_confidence_set("vtfo", ctx, data, grid=grid, curves=mwiv.CurveLibrary())
     return cs, counts[0], counts[1]
 
 
