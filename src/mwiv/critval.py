@@ -163,9 +163,8 @@ class CriticalValueCurve:
     def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None, nu_mid=None,
                nu_prev=None):
         """A built curve, whose formula segment ends at nu_tilde = t_tilde +
-        nu*, or at NU_MAX for the small-rho limit and closed-form-only
-        curves (no t_tilde)."""
-        end = NU_MAX if rho_abs < RHO_BUILD_FLOOR or t_tilde is None else t_tilde + domain_low
+        nu*, or at NU_MAX for the small-rho limit (no t_tilde)."""
+        end = NU_MAX if t_tilde is None else t_tilde + domain_low
         return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end, nu_mid, nu_prev)
 
     def _reaches(self, nu_max: float) -> bool:
@@ -462,19 +461,18 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
 
     Closed-form knots (``_closed_form_knots``) run from nu* to nu_tilde
     (``find_tangency``), then the continuation steps T by T_STEP from
-    t_tilde until its high crossing passes NU_MAX. When t_tilde >= NU_MAX the three-crossing
-    region starts past the build range and the closed form alone is the
-    curve (at the cap, alpha below about 3.4e-12).
+    t_tilde until its high crossing passes stop = min(nu_max, NU_MAX).
 
-    ``nu_max`` is the largest nu the caller will read. Below NU_MAX the
-    continuation stops once its high crossing passes it, and at or below
-    nu_tilde it does not run at all. Such a curve is a prefix: its knots
-    are the full curve's first knots bit for bit, so up to ``nu_max`` it
+    ``nu_max`` is the largest nu the caller will read; a non-finite one
+    builds the full curve. A stop at or below nu_tilde runs no step, and
+    the closed-form knots on [nu*, nu_tilde] are the curve: a short prefix,
+    or a tangency past the build range (at the cap, alpha below about
+    2.3e-9). A curve with nu_max below NU_MAX is a prefix: its knots are
+    the full curve's first knots bit for bit, so up to ``nu_max`` it
     evaluates exactly as the full curve does, and past its last knot it is
     not the curve. The closed-form knots always span [nu*, nu_tilde],
     because their base panels depend on the end point, and the small-rho
-    limit and closed-form-only curves are always built in full. A
-    non-finite ``nu_max`` builds the full curve.
+    limit is always built in full.
 
     ``prefix`` is a curve built earlier for the same |rho| and alpha. Its
     closed-form knots are reused, and the continuation resumes from the
@@ -511,14 +509,11 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
 
     _, nu_star = _nu_star(rho_abs, alpha)
     t_tilde, nu_tilde = _tangency(nu_star)
-    if t_tilde >= NU_MAX:
-        # the three-crossing region starts past the build range
-        return CriticalValueCurve._built(rho_abs, alpha, *_closed_form_knots(rho_abs, nu_star, NU_MAX), nu_star)
-
+    stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     start = None
     if prefix is None:
         nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
-        if nu_max <= nu_tilde:
+        if stop <= nu_tilde:
             return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
     else:
         n = int(np.searchsorted(prefix.knots_nu, nu_tilde, side="right"))
@@ -526,7 +521,6 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
         if prefix.t_last is not None:
             start = (prefix.t_last, prefix.nu_mid, prefix.nu_prev, prefix.knots_nu[n:].tolist(),
                      prefix.knots_c[n:].tolist())
-    stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
     try:
         cont_nu, cont_c, *state = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop, start)
     except NumericalError as exc:

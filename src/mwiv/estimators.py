@@ -44,7 +44,7 @@ class NormalizedStats:
     """(xi, nu, rho, ar, t_squared) at ``beta0``.
 
     rho is clamped to +-RHO_CAP (0.9999) for curve lookup; rho_raw keeps the
-    unclamped value and feeds the exact t_squared identity. q_xx and b_xxxx
+    unclamped value, which t_squared's closed form reads. q_xx and b_xxxx
     ride along for unboundedness checks. For an array of beta0 the
     beta0-dependent fields are arrays of its shape; nu, q_xx and b_xxxx
     stay scalars.
@@ -64,8 +64,9 @@ class NormalizedStats:
 
 def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
     """(xi, nu, rho_raw, ar, t_squared) from the quadratic forms and the
-    variance objects, elementwise, with no warning; t_squared is inf where the
-    closed form's denominator is not positive or only its numerator overflows."""
+    variance objects, elementwise, with no warning. t_squared is inf where the
+    closed form's denominator is not positive, and where only its numerator
+    (xi nu)^2 overflows it is the ratio divided through by nu^2."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xi = q_xe / np.sqrt(psi)
         nu = q_xx / np.sqrt(upsilon)
@@ -73,6 +74,10 @@ def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
         ar = q_ee / np.sqrt(phi)
         denom = (nu - rho_raw * xi) ** 2 + (1.0 - rho_raw**2) * xi**2
         t_squared = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
+        over = (denom > 0.0) & ~np.isfinite(t_squared)
+        if np.any(over):
+            x, r, p = (np.broadcast_to(v, over.shape)[over] for v in (xi, xi / nu, rho_raw))
+            t_squared[over] = x**2 / ((1.0 - p * r) ** 2 + (1.0 - p**2) * r**2)
     return xi, nu, rho_raw, ar, t_squared
 
 
@@ -136,7 +141,7 @@ def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     u0, u1, u2, w = y * my, x * my + y * mx, x * mx, y * mx
     l0, l1, l2 = (float(np.sum(lead * u)) for u in (u0, u1, u2))
     stack = np.array((u0, u1, u2, w)).T  # (N, 4) with contiguous columns
-    p = ctx.pair_weighted(stack, stack).tolist()  # upper triangle: (u0, u1, u2, w) pairs
+    p = ctx.pair_weighted(stack).tolist()  # upper triangle: (u0, u1, u2, w) pairs
     p00, p01, p02, p11, p12, p22, pw2, pww = *p[0][:3], *p[1][1:3], *p[2][2:], p[3][3]
     q_xx, q_xy, q_yy, q_abs = (q / np.sqrt(k) for q in ctx.quad_forms(x, y))
     ups = (l2 + p22) / k

@@ -171,10 +171,7 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
         t_cond = stats.nu - rho * stats.xi
         if not known:
             return stats.t_squared, cw_critical_value(rho, t_cond, alpha)
-        t_lo, t_hi = float(np.min(t_cond)), float(np.max(t_cond))
-        if t_hi - t_lo < 1e-9:
-            return stats.t_squared, np.full(t_cond.shape, cw_critical_value(rho, 0.5 * (t_lo + t_hi), alpha))
-        knots = np.linspace(t_lo, t_hi, 512)
+        knots = np.linspace(np.min(t_cond), np.max(t_cond), 512)
         return stats.t_squared, np.interp(t_cond, knots, cw_critical_value(rho, knots, alpha))
     with np.errstate(over="ignore"):  # a square that overflows to inf rejects, as it should
         if method == "ms1":
@@ -267,7 +264,8 @@ def invert_confidence_set(
     statistics = np.full(n, np.nan)
     criticals = np.full(n, np.nan)
     keep = ~degenerate
-    statistics[keep], criticals[keep] = decide(method, profile.stats(betas[keep])[0], alpha, curves)
+    kept = stats if keep.all() else profile.stats(betas[keep])[0]
+    statistics[keep], criticals[keep] = decide(method, kept, alpha, curves)
     rejects = degenerate | (statistics > criticals)
 
     accepted = ~rejects

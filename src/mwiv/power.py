@@ -101,18 +101,22 @@ class AltVariances(NamedTuple):
 
 def alternative_variances(dgp: AsymptoticDGP, delta: float) -> AltVariances:
     """Variance objects at a hypothesized coefficient offset delta from the
-    truth, via the polynomial expansion in delta."""
-    d = float(delta)
+    truth, via the polynomial expansion in delta; DataError where one overflows."""
+    d = np.float64(delta)  # its powers are Python's bit for bit, but overflow to inf
     u, t = dgp.upsilon, dgp.tau
     psi, phi = dgp.psi, dgp.phi
     s12, s13 = dgp.sigma12, dgp.sigma13
-    return AltVariances(
-        phi_b0=d**4 * u + 4.0 * d**3 * t + d**2 * (4.0 * psi + 2.0 * s13) + 4.0 * d * s12 + phi,
-        psi_b0=d**2 * u + 2.0 * d * t + psi,
-        tau_b0=d * u + t,
-        sigma12_b0=d**3 * u + 3.0 * d**2 * t + d * (2.0 * psi + s13) + s12,
-        sigma13_b0=d**2 * u + 2.0 * d * t + s13,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        alt = AltVariances(
+            phi_b0=d**4 * u + 4.0 * d**3 * t + d**2 * (4.0 * psi + 2.0 * s13) + 4.0 * d * s12 + phi,
+            psi_b0=d**2 * u + 2.0 * d * t + psi,
+            tau_b0=d * u + t,
+            sigma12_b0=d**3 * u + 3.0 * d**2 * t + d * (2.0 * psi + s13) + s12,
+            sigma13_b0=d**2 * u + 2.0 * d * t + s13,
+        )
+    if not np.all(np.isfinite(alt)):
+        raise DataError(f"delta={d:g} overflows the variance objects at it")
+    return alt
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
@@ -197,6 +201,8 @@ def rejection_rates(
         raise DataError(f"delta_grid must hold at most {MAX_DELTAS} deltas")
     if not np.all(np.isfinite(delta_grid)):
         raise DataError("delta_grid must be finite")
+    for d in (delta_grid.min(), delta_grid.max()):  # the largest |delta| of each sign, before any draw
+        alternative_variances(dgp, d)
     rates = {m: np.zeros(delta_grid.size) for m in methods}
     children = np.random.SeedSequence(seed).spawn(delta_grid.size)
 

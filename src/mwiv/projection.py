@@ -4,15 +4,14 @@ Everything downstream consumes the kernels built here:
 
 * leave-out quadratic forms  Q_ab = (1/sqrt(K)) sum_{i != j} P_ij a_i b_j,
   one at a time or the profile's four in one pass
-* the pair kernel            sum_{i != j} Ptil2_ij f_i g_j   with
-  Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2), on two vectors or, as the
-  matrix F' Ptil2 G, on two (N, m) stacks
+* the pair kernel            F' Ptil2 F of one (N, m) stack F, whose entry
+  (a, b) is sum_{i != j} Ptil2_ij f_ia f_jb with
+  Ptil2_ij = P_ij^2 / (M_ii M_jj + M_ij^2)
 * the leave-out fit          sum_{j != i} P_ij v_j, and the annihilator Mv
 
-The estimators' beta0 profile takes every variance object from them; a
+The estimators' beta0 profile takes every variance object from them: each
 cross moment B_abcd = (2/K) sum_{i != j} Ptil2_ij [a_i (Mb)_i] [c_j (Md)_j]
-is one pair kernel of two annihilated products, and the profile takes all
-eight it needs from one stacked call.
+it needs is an entry of one pair kernel call on four annihilated products.
 
 One class per instrument form, each holding only what its kernels read
 and neither holding an N x N array: ``JudgeProjection`` uses P_ij =
@@ -51,10 +50,9 @@ class ProjectionContext:
     m: np.ndarray  # annihilator diagonal M_ii, strictly inside (0, 1)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _check_length(self, *vecs: np.ndarray, stacks: bool = False) -> list[np.ndarray]:
+    def _check_length(self, *vecs: np.ndarray) -> list[np.ndarray]:
         out = [np.asarray(v, dtype=float) for v in vecs]
-        ndim = out[0].ndim if stacks else 1
-        if ndim not in (1, 2) or any(v.ndim != ndim or v.shape[0] != self.n for v in out):
+        if any(v.ndim != 1 or v.shape[0] != self.n for v in out):
             raise DataError(f"dimension error: expected length {self.n}")
         return out
 
@@ -77,10 +75,14 @@ class ProjectionContext:
         exactly."""
         return self._quad_forms(*self._check_length(x, y))
 
-    def pair_weighted(self, f: np.ndarray, g: np.ndarray):
-        """Unnormalized sum_{i != j} Ptil2_ij f_i g_j, exactly symmetric, or
-        for (N, a) and (N, b) stacks the (a, b) matrix F' Ptil2 G."""
-        return self._pair_weighted(*self._check_length(f, g, stacks=True))
+    def pair_weighted(self, f: np.ndarray) -> np.ndarray:
+        """F' Ptil2 F of an (N, m) stack F, with (a, b) entry the unnormalized sum_{i != j}
+        Ptil2_ij f_ia f_jb: the kernel's upper triangle, mirrored, so exactly symmetric."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim != 2 or f.shape[0] != self.n:
+            raise DataError(f"dimension error: expected an ({self.n}, m) stack")
+        out = self._pair_weighted(f)
+        return np.where(np.tri(len(out), k=-1, dtype=bool), out.T, out)
 
 
 @dataclass(frozen=True)
@@ -109,17 +111,13 @@ class JudgeProjection(ProjectionContext):
         return tuple(float(np.sum((a * b - ab) * self.inv_counts))
                      for a, b, ab in ((sx, sx, xx), (sx, sy, xy), (sy, sy, yy), (sa, sa, xx)))
 
-    def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
-        # Each entry runs the float ops of two vectors; a stack passed twice
-        # sums each column once and mirrors its upper triangle.
-        fs, gs = np.atleast_2d(f.T), np.atleast_2d(g.T)
-        sf = [self._judge_sums(v) for v in fs]
-        sg = sf if g is f else [self._judge_sums(v) for v in gs]
-        out = np.empty((len(fs), len(gs)))
-        for a, b in np.ndindex(out.shape):
-            mirror = g is f and b < a
-            out[a, b] = out[b, a] if mirror else np.sum((sf[a] * sg[b] - self._judge_sums(fs[a] * gs[b])) * self.pair_w)
-        return out if f.ndim == 2 else float(out[0, 0])
+    def _pair_weighted(self, f: np.ndarray) -> np.ndarray:
+        # the upper triangle, from each column's judge sums and each pair's
+        sums = [self._judge_sums(v) for v in f.T]
+        out = np.empty((len(sums), len(sums)))
+        for a, b in zip(*np.triu_indices(len(sums))):
+            out[a, b] = np.sum((sums[a] * sums[b] - self._judge_sums(f[:, a] * f[:, b])) * self.pair_w)
+        return out
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,7 @@ class DenseProjection(ProjectionContext):
         xx, xy, yy = (np.sum(w * (a * b)) for a, b in ((x, x), (x, y), (y, y)))
         return tuple(float(a @ b - d) for a, b, d in ((qx, qx, xx), (qx, qy, xy), (qy, qy, yy), (qa, qa, xx)))
 
-    def _pair_weighted(self, f: np.ndarray, g: np.ndarray):
-        # Canonical argument order so swapped calls run the same float ops.
-        if f.ndim == 1 and f.tobytes() > g.tobytes():
-            f, g = g, f
+    def _pair_weighted(self, f: np.ndarray) -> np.ndarray:
         # Ptil2 is symmetric, so the block of rows r holds Ptil2[r, r.start:]
         # and its columns past r stand for the block below r too.
         out, spare = 0.0, None
@@ -159,8 +154,8 @@ class DenseProjection(ProjectionContext):
             ptil2 /= np.add(denom, ptil2, out=denom)
             np.fill_diagonal(ptil2, 0.0)
             below = ptil2[:, len(ptil2):]
-            out = out + f[rows].T @ (ptil2 @ g[rows.start:]) + (below @ f[rows.stop:]).T @ g[rows]
-        return out if f.ndim == 2 else float(out)
+            out = out + f[rows].T @ (ptil2 @ f[rows.start:]) + (below @ f[rows.stop:]).T @ f[rows]
+        return out
 
 
 _BLOCK = 1 << 19  # floats in a block of P's rows

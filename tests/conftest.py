@@ -372,11 +372,18 @@ def oracle_decide(method, stats, alpha, curves):
     raise DataError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
 
 
+def pair(ctx, f, g):
+    """sum_{i != j} Ptil2_ij f_i g_j: the (0, 1) entry of the package's pair
+    kernel on the two-column stack (f, g)."""
+    return float(ctx.pair_weighted(np.column_stack([f, g]))[0, 1])
+
+
 def kernel_b(ctx, a, b, c, d):
     """B_abcd = (2/K) sum_{i != j} Ptil2_ij [a (Mb)]_i [c (Md)]_j from the
-    context's own annihilator and pair kernel, the calls the beta0 profile
-    makes for each of its cross moments; ``oracle_b`` is the loop version."""
-    return 2.0 * ctx.pair_weighted(a * ctx.annihilate(b), c * ctx.annihilate(d)) / ctx.k
+    context's own annihilator and pair kernel on the two-column stack
+    (a Mb, c Md); the beta0 profile takes all eight of its cross moments
+    from one call on a four-column stack. ``oracle_b`` is the loop version."""
+    return 2.0 * pair(ctx, a * ctx.annihilate(b), c * ctx.annihilate(d)) / ctx.k
 
 
 def quad_pp(ctx, a, b):
@@ -412,16 +419,16 @@ def oracle_normalized_stats(ctx, data, beta0):
 
     x_mx = x * mx
     e_mx = e0 * mx
-    pair_xx = ctx.pair_weighted(x_mx, x_mx)
+    pair_xx = pair(ctx, x_mx, x_mx)
     upsilon = (float(np.sum(lead_base * x_mx)) + pair_xx) / k
     tau = (
         0.5 * float(np.sum(lead_base * (x * me + e0 * mx)))
-        + ctx.pair_weighted(x_mx, e_mx)
+        + pair(ctx, x_mx, e_mx)
     ) / k
-    psi = (float(np.sum(lead_base * e0 * me)) + ctx.pair_weighted(e_mx, e_mx)) / k
+    psi = (float(np.sum(lead_base * e0 * me)) + pair(ctx, e_mx, e_mx)) / k
     # Fourth-moment plug-in; same pair kernel applied to e*(Me).
     e_me = e0 * me
-    phi = 2.0 * ctx.pair_weighted(e_me, e_me) / k
+    phi = 2.0 * pair(ctx, e_me, e_me) / k
     b_xxxx = 2.0 * pair_xx / k
 
     if upsilon <= 0.0:

@@ -520,22 +520,44 @@ class TestPower:
         assert "finite lo and hi" in err
 
     def test_huge_s(self, tmp_path, capsys):
-        # from s about 1e155 both parts of t^2 overflow and t^2 is NaN, which
-        # never rejects, so vtfo refuses it; at 1e150 only squares overflow,
-        # to inf, and they reject with no warning
-        argv = ["power", "--method", "vtfo,ms2", "--grid=-1:1:3", "--draws", "2000",
+        # at 1e150 only squares overflow, to inf, and they reject with no
+        # warning; from s about 1e154 (xi nu)^2 overflows too, and t^2 is
+        # read divided through by nu^2, so vtfo rates do not move. cw's
+        # T = nu - rho xi overflows its square at 1e160, and cw refuses it.
+        argv = ["power", "--grid=-1:1:3", "--draws", "2000", "--cache-dir", str(tmp_path / "cache")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in ("1e150", "1e160"):
+                assert main([*argv, "--method", "vtfo,ms2", "--s", s]) == 0
+                out, err = capsys.readouterr()
+                assert err == ""
+                rates = [(row.split(",")[1], float(row.split(",")[2])) for row in out.splitlines()[1:]]
+                assert rates == [("vtfo", 1.0), ("ms2", 1.0), ("vtfo", 0.053), ("ms2", 0.055),
+                                 ("vtfo", 1.0), ("ms2", 1.0)]
+            assert main([*argv, "--method", "cw", "--s", "1e160"]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "overflows its square" in err and "Warning" not in err
+
+    def test_overflowing_numerator_matches_lm(self, tmp_path, capsys):
+        # at s 1e154 only (xi nu)^2 overflows; vtfo and cw used to read an
+        # inf t^2 there and over-reject (0.179 against lm's 0.0465)
+        argv = ["power", "--s", "1e154", "--method", "vtfo,cw,lm", "--grid", "0:0:1", "--draws", "2000",
                 "--cache-dir", str(tmp_path / "cache")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--s", "1e160"]) == 4
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert "s=1e+160" in err and "Warning" not in err
-            assert main([*argv, "--s", "1e150"]) == 0
+            assert main(argv) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        rates = [(row.split(",")[1], float(row.split(",")[2])) for row in out.splitlines()[1:]]
-        assert rates == [("vtfo", 1.0), ("ms2", 1.0), ("vtfo", 0.053), ("ms2", 0.055), ("vtfo", 1.0), ("ms2", 1.0)]
+        rates = {row.split(",")[1]: float(row.split(",")[2]) for row in out.splitlines()[1:]}
+        assert rates["vtfo"] == rates["cw"] == rates["lm"]
+
+    def test_overflowing_delta(self, tmp_path, capsys):
+        code = main(["power", "--grid=-1e78:1e78:3", "--cache-dir", str(tmp_path / "cache")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "delta=-1e+78" in err and "Traceback" not in err
 
     def test_bad_method(self, tmp_path, capsys):
         code = main([

@@ -294,18 +294,23 @@ class TestBuildCurve:
             assert str(info.value) == f"{prefix}: continuation step failed: {want}"
 
     def test_closed_form_only_past_build_range(self, monkeypatch):
-        # t_tilde >= NU_MAX: no continuation; at the cap that takes alpha
-        # below about 3.4e-12, so the build range is moved here instead
+        # NU_MAX at or below nu_tilde: no continuation, and the closed-form
+        # knots on [nu*, nu_tilde] are the curve, as for a prefix that stops
+        # there; at the cap that takes alpha below about 2.3e-9, so the build
+        # range is moved here instead
         rho = 0.9
         nu_star, _ = fixed_point(rho, 0.05)
-        t_tilde, _ = find_tangency(rho, 0.05)
-        monkeypatch.setattr(critval, "NU_MAX", t_tilde)
-        curve = build_vtfo_curve(rho, 0.05)
-        assert curve.t_tilde is None and curve.t_last is None
-        assert curve.knots_nu[0] == nu_star and curve.knots_nu[-1] == t_tilde
-        np.testing.assert_allclose(curve.knots_c, closed_form_c(curve.knots_nu, rho, 0.05), rtol=1e-15)
+        t_tilde, nu_tilde = find_tangency(rho, 0.05)
+        prefix = build_vtfo_curve(rho, 0.05, nu_max=nu_tilde)
+        for nu_max in (t_tilde, nu_tilde):
+            monkeypatch.setattr(critval, "NU_MAX", nu_max)
+            curve = build_vtfo_curve(rho, 0.05)
+            assert curve.t_tilde == t_tilde and curve.t_last is None
+            assert curve.knots_nu[0] == nu_star and curve.knots_nu[-1] == curve.formula_end == nu_tilde
+            np.testing.assert_allclose(curve.knots_c, closed_form_c(curve.knots_nu, rho, 0.05), rtol=1e-15)
+            assert np.array_equal(curve.knots_nu, prefix.knots_nu) and np.array_equal(curve.knots_c, prefix.knots_c)
 
-        monkeypatch.setattr(critval, "NU_MAX", math.nextafter(t_tilde, math.inf))
+        monkeypatch.setattr(critval, "NU_MAX", math.nextafter(nu_tilde, math.inf))
         curve = build_vtfo_curve(rho, 0.05)
         assert curve.t_tilde == t_tilde
         assert curve.t_last == t_tilde + critval.T_STEP

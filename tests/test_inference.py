@@ -212,6 +212,16 @@ class TestConfidenceSets:
             else:
                 assert cs.analytic_unbounded is False
 
+    def test_grid_profile_evaluated_once(self, strong_data, curve_library, monkeypatch):
+        # with no degenerate point the set decides on the stats it screened
+        data, ctx = strong_data
+        calls = []
+        stats = estimators._Profile.stats
+        monkeypatch.setattr(estimators._Profile, "stats", lambda self, b: calls.append(b) or stats(self, b))
+        cs = invert_confidence_set("ms2", ctx, data, grid=(-1.0, 3.0, 41), curves=curve_library)
+        assert not cs.degenerate.any()
+        assert len(calls) == 1
+
     def test_duality_with_run_test(self, strong_data, curve_library):
         data, ctx = strong_data
         cs = invert_confidence_set(

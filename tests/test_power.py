@@ -15,6 +15,7 @@ from mwiv import (
     TableError,
     alternative_variances,
     analytic_power_bounds,
+    cw_critical_value,
     load_two_sided_table,
     power_csv_text,
     rejection_rates,
@@ -255,6 +256,15 @@ class TestRejectionRates:
         with pytest.raises(DataError, match="delta_grid must be finite"):
             rejection_rates(dgp, [0.0, bad], methods=("ms1",), n_draws=100, curves=curve_library)
 
+    @pytest.mark.parametrize("grid", [[0.0, 1e78], [-1e78, 0.0], [0.0, 1e200, 1.0]])
+    def test_overflowing_delta_refused_before_any_draw(self, curve_library, monkeypatch, grid):
+        # delta^4 past the largest float: a DataError naming delta, not an OverflowError
+        dgp = AsymptoticDGP(s=3.0, r=0.5)
+        assert np.all(np.isfinite(alternative_variances(dgp, 1e77)))
+        monkeypatch.setattr(power, "_draw_with_rng", lambda *args: pytest.fail("drew before refusing"))
+        with pytest.raises(DataError, match=r"delta=-?1e\+(78|200) overflows"):
+            rejection_rates(dgp, grid, methods=("ms1",), n_draws=100, curves=curve_library)
+
     def test_vtf_requires_table(self, curve_library):
         dgp = AsymptoticDGP(s=3.0, r=0.5)
         with pytest.raises(TableError, match="two-sided table unavailable"):
@@ -274,6 +284,23 @@ class TestRejectionRates:
                               curves=lib, seed=2)
         rate = float(res.rates["vtf"][0])
         assert 0.0 < rate < 0.15
+
+
+@pytest.mark.parametrize("s, r, seed", [(3.0, 0.5, 1), (2.0, -0.3, 2), (0.5, 0.9, 3)])
+def test_one_draw_cw_rate_is_its_decision(monkeypatch, s, r, seed):
+    # one draw gives one T, so the 512 interpolation knots are equal and
+    # the rate is the scalar quantile's decision
+    dgp = AsymptoticDGP(s=s, r=r)
+    deltas = [-2.0, -0.5, 0.0, 0.5, 2.0]
+    got = rejection_rates(dgp, deltas, methods=("cw",), n_draws=1, seed=seed).rates["cw"]
+    for d, draws, rate in zip(deltas, lab_draws(monkeypatch, dgp, 1, seed, deltas), got):
+        (q_ee, q_xe, q_xx), = draws
+        alt = alternative_variances(dgp, d)
+        xi = (q_xe + d * q_xx) / np.sqrt(alt.psi_b0)
+        nu = q_xx / np.sqrt(dgp.upsilon)
+        rho = alt.tau_b0 / np.sqrt(alt.psi_b0 * dgp.upsilon)
+        t2 = (xi * nu) ** 2 / ((nu - rho * xi) ** 2 + (1.0 - rho**2) * xi**2)
+        assert rate == float(t2 > cw_critical_value(rho, nu - rho * xi, 0.05))
 
 
 class TestExactRhoPrefixes:

@@ -27,6 +27,7 @@ from conftest import (
     oracle_b,
     oracle_ptil2_matrix,
     oracle_q,
+    pair,
     quad_pp,
     quadratic_form_Q,
 )
@@ -66,9 +67,8 @@ def p_matrix(ctx):
 
 
 def ptilde_sq_matrix(ctx):
-    """Ptil2 (zero diagonal) from pair_weighted on unit vectors."""
-    eye = np.eye(ctx.n)
-    return np.array([[ctx.pair_weighted(ei, ej) for ej in eye] for ei in eye])
+    """Ptil2 (zero diagonal) from pair_weighted on the stack of unit vectors."""
+    return ctx.pair_weighted(np.eye(ctx.n))
 
 
 class TestEntries:
@@ -234,13 +234,16 @@ class TestCrossMoment:
 
     @pytest.mark.parametrize("kind", ["judge", "dense"])
     def test_pair_swap_symmetry_exact(self, kind):
+        # B_abcd and B_cdab are the two off-diagonal entries of one Gram matrix
         rng = np.random.default_rng(11)
         data = symmetry_dataset(kind, rng)
         ctx = build_projection(data)
         a, b = data.x, data.y
         c = np.sin(np.arange(data.n, dtype=float))
         d = np.cos(np.arange(data.n, dtype=float))
-        assert kernel_b(ctx, a, b, c, d) == kernel_b(ctx, c, d, a, b)
+        gram = ctx.pair_weighted(np.column_stack([a * ctx.annihilate(b), c * ctx.annihilate(d)]))
+        assert gram[0, 1] == gram[1, 0]
+        assert kernel_b(ctx, a, b, c, d) == 2.0 * gram[1, 0] / ctx.k
 
     def test_multilinear_expansion_in_beta0(self):
         # B(e0,e0,e0,e0) with e0 = y - b x expands into 16 base moments,
@@ -321,7 +324,7 @@ class TestFastPathStructure:
 
 class TestStreamedPairKernel:
     """The dense pair kernel against an explicit Ptil2, and the judge
-    kernel's stacked call against its per-pair call."""
+    kernel's stacked call against its two-column calls."""
 
     @pytest.fixture(scope="class")
     def dense(self):
@@ -335,37 +338,38 @@ class TestStreamedPairKernel:
     def test_vectors_match_explicit_ptil2(self, dense):
         ctx, ptil2, rng = dense
         f, g = rng.standard_normal((2, ctx.n))
-        assert ctx.pair_weighted(f, g) == pytest.approx(f @ ptil2 @ g, rel=1e-12)
-        assert ctx.pair_weighted(f, g) == ctx.pair_weighted(g, f)
+        assert pair(ctx, f, g) == pytest.approx(f @ ptil2 @ g, rel=1e-12)
+        gram = ctx.pair_weighted(np.column_stack([f, g]))
+        assert gram[0, 1] == gram[1, 0]
 
     def test_stacks_match_explicit_ptil2(self, dense):
         ctx, ptil2, rng = dense
         f, g = rng.standard_normal((2, ctx.n, 4))
-        np.testing.assert_allclose(ctx.pair_weighted(f, g), f.T @ ptil2 @ g, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(ctx.pair_weighted(f, f), f.T @ ptil2 @ f, rtol=1e-12, atol=0.0)
+        for h in (f, np.hstack([f, g])):
+            gram = ctx.pair_weighted(h)
+            np.testing.assert_allclose(gram, h.T @ ptil2 @ h, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(gram, gram.T)
         for a in range(4):
             for b in range(4):
-                vec = ctx.pair_weighted(f[:, a], g[:, b])
-                assert ctx.pair_weighted(f, g)[a, b] == pytest.approx(vec, rel=1e-12)
+                assert gram[a, 4 + b] == pytest.approx(pair(ctx, f[:, a], g[:, b]), rel=1e-12)
 
     def test_judge_stack_entries_are_the_pair_kernel(self):
         rng = np.random.default_rng(31)
         ctx = build_projection(judge_dataset(random_judge_labels(rng, 30), rng))
-        f, g = rng.standard_normal((2, ctx.n, 4))
-        for stacked, right in ((ctx.pair_weighted(f, g), g), (ctx.pair_weighted(f, f), f)):
-            assert stacked.shape == (4, 4)
-            for a in range(4):
-                for b in range(4):
-                    assert stacked[a, b] == ctx.pair_weighted(f[:, a], right[:, b])
+        f = rng.standard_normal((ctx.n, 8))
+        stacked = ctx.pair_weighted(f)
+        assert stacked.shape == (8, 8)
+        for a in range(8):
+            for b in range(8):
+                assert stacked[a, b] == pair(ctx, f[:, a], f[:, b])
 
     @pytest.mark.parametrize("kind", ["judge", "dense"])
     def test_shapes_are_checked(self, kind):
         ctx = build_projection(symmetry_dataset(kind, np.random.default_rng(32)))
         n = ctx.n
-        for f, g in ((np.ones(n), np.ones((n, 2))), (np.ones((n - 1, 2)), np.ones((n - 1, 2))),
-                     (np.ones((n, 2, 1)), np.ones((n, 2, 1)))):
+        for f in (np.ones(n), np.ones((n - 1, 2)), np.ones((n, 2, 1))):
             with pytest.raises(DataError, match="dimension error"):
-                ctx.pair_weighted(f, g)
+                ctx.pair_weighted(f)
 
 
 class TestBuildErrors:
