@@ -42,40 +42,32 @@ MAX_DRAWS = 5 * 10**6
 MAX_DELTAS = 10**6
 
 
-def _default_base(r: float) -> tuple[float, float, float, float, float, float]:
-    return 1.0, (1.0 + r**2) / 2.0, 1.0, r / 2.0, r / 2.0, r**2
-
-
 @dataclass(frozen=True)
 class AsymptoticDGP:
-    """Limiting distribution parameters: concentration s, correlation knob r,
-    and the six base variance objects (defaults derived from r)."""
+    """Limiting distribution parameters: concentration s and correlation
+    knob r, with the six base variance objects set from r: phi = upsilon =
+    1, psi = (1 + r^2) / 2, tau = sigma12 = r / 2 and sigma13 = r^2. Their
+    covariance is positive definite at every |r| < 1: its leading minors
+    are 1 and 1/2 + r^2 / 4, and its determinant is (1 - r^6) / 2."""
 
     s: float
     r: float
-    phi: float = None  # type: ignore[assignment]
-    psi: float = None  # type: ignore[assignment]
-    upsilon: float = None  # type: ignore[assignment]
-    tau: float = None  # type: ignore[assignment]
-    sigma12: float = None  # type: ignore[assignment]
-    sigma13: float = None  # type: ignore[assignment]
+    phi: float = field(init=False)
+    psi: float = field(init=False)
+    upsilon: float = field(init=False)
+    tau: float = field(init=False)
+    sigma12: float = field(init=False)
+    sigma13: float = field(init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise DataError("invalid DGP: s must be finite")
         if not abs(self.r) < 1.0:
             raise DataError("invalid DGP: |r| must be < 1")
-        defaults = _default_base(self.r)
-        names = ("phi", "psi", "upsilon", "tau", "sigma12", "sigma13")
-        for name, value in zip(names, defaults):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
-            else:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        if self.phi <= 0.0 or self.psi <= 0.0 or self.upsilon <= 0.0:
-            raise DataError("invalid DGP: phi, psi, upsilon must be positive")
-        if float(np.linalg.eigvalsh(self.covariance())[0]) < -1e-10:
-            raise DataError("invalid DGP: covariance not positive semidefinite")
+        r = self.r
+        base = (1.0, (1.0 + r**2) / 2.0, 1.0, r / 2.0, r / 2.0, r**2)
+        for name, value in zip(("phi", "psi", "upsilon", "tau", "sigma12", "sigma13"), base):
+            object.__setattr__(self, name, value)
 
     def covariance(self) -> np.ndarray:
         """Covariance of (q_ee, q_xe, q_xx) in that order."""
@@ -210,8 +202,9 @@ def rejection_rates(
         rng = np.random.Generator(np.random.Philox(children[i]))
         draws = _draw_with_rng(dgp, n_draws, rng)
         q_ee, q_xe, q_xx = draws[:, 0], draws[:, 1], draws[:, 2]
-        q_ee0 = q_ee + 2.0 * d * q_xe + d**2 * q_xx
-        q_xe0 = q_xe + d * q_xx
+        with np.errstate(over="ignore", invalid="ignore"):  # s delta may overflow; the statistics then read inf
+            q_ee0 = q_ee + 2.0 * d * q_xe + d**2 * q_xx
+            q_xe0 = q_xe + d * q_xx
         alt = alternative_variances(dgp, d)
 
         xi, nu, rho0, ar, t2 = _normalize(q_xe0, q_xx, q_ee0, dgp.upsilon, alt.tau_b0, alt.psi_b0, alt.phi_b0)
@@ -221,6 +214,8 @@ def rejection_rates(
         for m in methods:
             if m in ("vtfo", "vtf", "cw") and np.isnan(t2).any():  # inf/inf: a NaN t^2 never rejects
                 raise NumericalError(f"t_squared overflows to NaN at s={dgp.s:g}, delta={float(d):g}")
+            if m == "cw" and not abs(rho0) < 1.0:  # the conditional quantile needs |rho| < 1
+                raise DataError(f"cw cannot run at delta={float(d):g}: the known rho rounds to {float(rho0)!r}")
             statistic, critical = decide(m, stats, alpha, curves)
             rates[m][i] = float(np.mean(statistic > critical))
 

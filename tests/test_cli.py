@@ -559,6 +559,32 @@ class TestPower:
         assert out == ""
         assert "delta=-1e+78" in err and "Traceback" not in err
 
+    def test_overflowing_shift_is_silent(self, tmp_path, capsys):
+        # s delta overflows the shifted draws at s 1e300, delta 1e9: they
+        # read inf with no numpy warning, and the rates stay defined
+        argv = ["power", "--s", "1e300", "--method", "vtfo,ms2", "--grid=-1e9:1e9:3", "--draws", "200",
+                "--cache-dir", str(tmp_path / "cache")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rates = [(row.split(",")[1], float(row.split(",")[2])) for row in out.splitlines()[1:]]
+        assert rates == [("vtfo", 1.0), ("ms2", 1.0), ("vtfo", 0.015), ("ms2", 0.05), ("vtfo", 1.0), ("ms2", 1.0)]
+
+    def test_cw_refuses_a_delta_whose_rho_rounds_to_one(self, tmp_path, capsys):
+        # at s 3, r 0.5 the known rho rounds to exactly -1 and 1 at delta
+        # -1e8 and 1e8; cw names the delta, and the other methods run there
+        argv = ["power", "--draws", "200", "--cache-dir", str(tmp_path / "cache")]
+        out_path = tmp_path / "power.csv"
+        assert main([*argv, "--grid=-1e8:1e8:3", "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert "cw" in err and "delta=-1e+08" in err and "Traceback" not in err
+        assert main([*argv, "--grid=-1e8:1e8:3", "--method", "vtfo,ms1,ms2,lm"]) == 0
+        assert main([*argv, "--grid=-4e7:4e7:3", "--method", "cw"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_method(self, tmp_path, capsys):
         code = main([
             "power", "--grid", "0:0:1", "--method", "waldo",

@@ -78,12 +78,6 @@ class TestDrawProtocol:
         with pytest.raises(DataError, match=r"\|r\| must be < 1"):
             AsymptoticDGP(s=0.0, r=-1.2)
 
-    def test_invalid_base(self):
-        with pytest.raises(DataError, match="must be positive"):
-            AsymptoticDGP(s=0.0, r=0.0, phi=0.0)
-        with pytest.raises(DataError, match="not positive semidefinite"):
-            AsymptoticDGP(s=0.0, r=0.0, sigma12=5.0)
-
     def test_n_draws_validation(self):
         dgp = AsymptoticDGP(s=0.0, r=0.0)
         with pytest.raises(DataError, match="n_draws must be >= 1"):
