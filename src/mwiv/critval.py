@@ -624,7 +624,8 @@ def cw_critical_value(rho, t_stat, alpha: float = 0.05):
     and ``t_stat`` are floats or arrays that broadcast together, so every
     row may carry its own rho; two floats (or 0-d arrays) give a float,
     anything else an array of the broadcast shape. Every row stops on its
-    own test, so a scalar call equals its row of an array call bit for bit.
+    own test, so a scalar call equals its row of an array call bit for bit;
+    after a refused step a row also stops at P's rounding, 1e-12 sum phi(x)|x|.
     A non-finite rho or T, or |rho| >= 1, is a DataError; a T whose square
     overflows is a NumericalError.
     """
@@ -654,9 +655,13 @@ def cw_critical_value(rho, t_stat, alpha: float = 0.05):
             probit = ndtri(0.5 * reject)
             density = np.exp(-0.5 * probit * probit) / math.sqrt(2.0 * math.pi)
             new = c - (probit - ndtri(0.5 * alpha)) * 2.0 * density / d_reject
-            new = np.where((new > lo) & (new < hi) & (np.abs(new - c) <= 0.5 * np.abs(step)), new, 0.5 * (lo + hi))
+            refused = ~((new > lo) & (new < hi) & (np.abs(new - c) <= 0.5 * np.abs(step)))
+            new = np.where(refused, 0.5 * (lo + hi), new)
             step = new - c
-            close = np.abs(reject - alpha) <= _CW_P_TOL
+            tol, zr = np.full(idx.size, _CW_P_TOL), z[refused]
+            rounding = _CW_Z_TOL * np.nansum(np.abs(zr) * np.exp(-0.5 * zr * zr), axis=1) / math.sqrt(2.0 * math.pi)
+            tol[refused] = np.maximum(rounding, _CW_P_TOL)
+            close = np.abs(reject - alpha) <= tol
             done = close | (np.abs(step) <= 4.0 * np.finfo(float).eps * c)
             c_star[idx[done]] = np.where(close, c, new)[done]
             idx, r, t_abs, lo, hi, step, guess, c = (
@@ -734,31 +739,30 @@ def load_curve_csv(path) -> list[CriticalValueCurve]:
     meta: dict[str, float] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for skip, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if not line.startswith("#"):
-                    if [p.strip() for p in line.split(",")] != ["rho", "nu", "crit"]:
-                        raise TableError(f"table parse error: bad header {line!r}")
-                    break
-                body = line[1:].strip()
-                if "=" in body:
-                    # bracketed keys contain '='; the value follows the last one
-                    key, _, value = body.rpartition("=")
-                    try:
-                        meta[key.strip()] = float(value)
-                    except ValueError as exc:
-                        raise TableError(f"table parse error: bad sidecar {line!r}") from exc
-            else:
-                raise TableError("table parse error: empty table")
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            complete = fh.read(1) == b"\n"
+            text = fh.read()
+        lines = text.split("\n")
+        for skip, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if not line.startswith("#"):
+                if [p.strip() for p in line.split(",")] != ["rho", "nu", "crit"]:
+                    raise TableError(f"table parse error: bad header {line!r}")
+                break
+            body = line[1:].strip()
+            if "=" in body:
+                # bracketed keys contain '='; the value follows the last one
+                key, _, value = body.rpartition("=")
+                try:
+                    meta[key.strip()] = float(value)
+                except ValueError as exc:
+                    raise TableError(f"table parse error: bad sidecar {line!r}") from exc
+        else:
+            raise TableError("table parse error: empty table")
         with warnings.catch_warnings():
             # a header without rows is reported as an empty table below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+            rows = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
     except OSError as exc:
         raise TableError(f"table parse error: {exc}") from exc
     except ValueError as exc:
@@ -772,7 +776,7 @@ def load_curve_csv(path) -> list[CriticalValueCurve]:
     if not np.all(np.diff(rhos) > 0.0):
         raise TableError("table grid error: rho blocks not sorted")
     n_counts = sum(1 for key in meta if key.partition("[")[0] == "knots")
-    if n_counts and (n_counts != starts.size or not complete):
+    if n_counts and (n_counts != starts.size or not text.endswith("\n")):
         raise TableError("table truncated: curves or rows missing")
     out = []
     for rho, lo, hi in zip(rhos.tolist(), starts, [*starts[1:], rows.shape[0]]):
@@ -785,17 +789,9 @@ def load_curve_csv(path) -> list[CriticalValueCurve]:
             raise TableError("table grid error: nu not strictly increasing")
         if n_counts and get("knots") != nu_arr.size:
             raise TableError(f"table truncated: rho {rho!r} has {nu_arr.size} rows, knots={get('knots')!r}")
-        out.append(
-            CriticalValueCurve(
-                rho_abs=rho,
-                alpha=float(get("alpha", float("nan"))),
-                knots_nu=nu_arr,
-                knots_c=rows[lo:hi, 2].copy(),
-                domain_low=float(get("domain_low", nu_arr[0])),
-                t_tilde=get("t_tilde"),
-                t_last=get("t_last"),
-            )
-        )
+        out.append(CriticalValueCurve(rho_abs=rho, alpha=float(get("alpha", float("nan"))), knots_nu=nu_arr,
+                                      knots_c=rows[lo:hi, 2].copy(), domain_low=float(get("domain_low", nu_arr[0])),
+                                      t_tilde=get("t_tilde"), t_last=get("t_last")))
     return out
 
 

@@ -6,14 +6,15 @@ degree 4; Q_xx, upsilon and B_xxxx do not depend on b0. One profile per
 (ctx, data), memoized, takes their coefficients from five kernel calls
 and evaluates them on a float or an array of b0 without forming an N x
 grid array. ``_normalize`` turns them into (xi, nu, rho, ar, t^2), here
-and in the power lab; t^2, a closed form in (xi, nu, rho), equals the
-Wald ratio (bhat - b0)^2 / Vhat by algebra.
+and in the power lab. t^2 is the Wald ratio Q_xe(b0)^2 / psi(bhat); acceptance
+criterion 1 checks the paper's identity, that it equals the just-identified
+TSLS t^2 written in (xi, nu, rho).
 
 A point is degenerate where upsilon, psi or phi is not positive; a psi or
 phi within 1e-12 of the summed magnitude of its terms counts as zero, so
 an exact fit (e0 = 0: the terms cancel to about 1e-15) stays degenerate.
-Where t^2's denominator is not positive, t^2 is inf; only the procedures
-that read t^2 treat that as degenerate too.
+Where psi(bhat) is not positive, t^2 is inf at every b0; only the
+procedures that read t^2 treat that as degenerate too.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class NormalizedStats:
     """(xi, nu, rho, ar, t_squared) at ``beta0``.
 
     rho is clamped to +-RHO_CAP (0.9999) for curve lookup; rho_raw keeps the
-    unclamped value, which t_squared's closed form reads. q_xx and b_xxxx
+    unclamped value, reported and read by no rule. q_xx and b_xxxx
     ride along for unboundedness checks. For an array of beta0 the
     beta0-dependent fields are arrays of its shape; nu, q_xx and b_xxxx
     stay scalars.
@@ -62,36 +63,32 @@ class NormalizedStats:
     b_xxxx: float | None = None
 
 
-def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi):
-    """(xi, nu, rho_raw, ar, t_squared) from the quadratic forms and the
-    variance objects, elementwise, with no warning. t_squared is inf where the
-    closed form's denominator is not positive, and where only its numerator
-    (xi nu)^2 overflows it is the ratio divided through by nu^2."""
+def _normalize(q_xe, q_xx, q_ee, upsilon, tau, psi, phi, psi_hat):
+    """(xi, nu, rho_raw, ar, t_squared) from the quadratic forms, the variance
+    objects and psi_hat, psi at the point estimate; elementwise, with no
+    warning. t_squared is the Wald ratio q_xe^2 / psi_hat: inf where psi_hat
+    is not positive, 0 where it is inf."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xi = q_xe / np.sqrt(psi)
         nu = q_xx / np.sqrt(upsilon)
         rho_raw = tau / np.sqrt(psi * upsilon)
         ar = q_ee / np.sqrt(phi)
-        denom = (nu - rho_raw * xi) ** 2 + (1.0 - rho_raw**2) * xi**2
-        t_squared = np.where(denom > 0.0, (xi * nu) ** 2 / denom, np.inf)
-        over = (denom > 0.0) & ~np.isfinite(t_squared)
-        if np.any(over):
-            x, r, p = (np.broadcast_to(v, over.shape)[over] for v in (xi, xi / nu, rho_raw))
-            t_squared[over] = x**2 / ((1.0 - p * r) ** 2 + (1.0 - p**2) * r**2)
+        t_squared = np.where(psi_hat > 0.0, q_xe**2 / psi_hat, np.inf)
     return xi, nu, rho_raw, ar, t_squared
 
 
 @dataclass(frozen=True)
 class _Profile:
     """The b0 polynomials of one (ctx, data): Q_xe, Q_ee, tau, psi and phi,
-    coefficients ascending in b0. Q_xe's constant is Q_xy, and q_xx_scale
-    is Q(|x|, |x|), the magnitude against which Q_xx counts as zero."""
+    coefficients ascending in b0. Q_xe's constant is Q_xy; Q_xx counts as zero
+    against q_xx_scale = Q(|x|, |x|); psi_hat is psi at the estimate Q_xy / Q_xx."""
 
     q_xx: float
     q_xx_scale: float
     upsilon: float
     b_xxxx: float
     polys: tuple
+    psi_hat: float
 
     def values(self, beta0) -> list[np.ndarray]:
         """The five polynomials at the flattened beta0; psi and phi are 0.0
@@ -111,9 +108,10 @@ class _Profile:
     def stats(self, beta0) -> tuple[NormalizedStats, np.ndarray]:
         """NormalizedStats at beta0 (floats for a float) and the mask of
         degenerate points (upsilon, psi or phi nonpositive), where the
-        fields hold nan or inf. t_squared may be inf at other points too."""
+        fields hold nan or inf. t_squared is inf at every point where
+        psi_hat is not positive."""
         q_xe, q_ee, tau, psi, phi = self.values(beta0)
-        xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi)
+        xi, nu, rho_raw, ar, t_squared = _normalize(q_xe, self.q_xx, q_ee, self.upsilon, tau, psi, phi, self.psi_hat)
         degenerate = (psi <= 0.0) | (phi <= 0.0) | (self.upsilon <= 0.0)
         per_point = dict(xi=xi, rho=np.clip(rho_raw, -RHO_CAP, RHO_CAP), rho_raw=rho_raw,
                          rho_clamped=np.abs(rho_raw) > RHO_CAP, ar=ar, t_squared=t_squared,
@@ -148,7 +146,12 @@ def _profile(ctx: ProjectionContext, data: Dataset) -> _Profile:
     phi = (2.0 * p00, -4.0 * p01, 2.0 * (2.0 * p02 + p11), -4.0 * p12, 2.0 * p22)
     polys = ((q_xy, -q_xx), (q_yy, -2.0 * q_xy, q_xx), ((0.5 * l1 + pw2) / k, -ups),
              ((l0 + pww) / k, -(l1 + 2.0 * pw2) / k, ups), tuple(c / k for c in phi))
-    profile = _Profile(q_xx=q_xx, q_xx_scale=q_abs, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # psi at beta_hat, as in values
+        b = q_xy / q_xx
+        psi_hat, scale = polyval(b, polys[3]), polyval(abs(b), np.abs(polys[3]))
+    # a beta_hat that is not finite, or a psi there that overflows, reads inf: t^2 reads 0, the nu -> 0 limit
+    psi_hat = float(np.inf if not np.isfinite(scale) else 0.0 if abs(psi_hat) <= _ZERO * scale else psi_hat)
+    profile = _Profile(q_xx=q_xx, q_xx_scale=q_abs, upsilon=ups, b_xxxx=2.0 * p22 / k, polys=polys, psi_hat=psi_hat)
     object.__setattr__(ctx, "_memo", (data, profile))
     return profile
 
@@ -176,12 +179,13 @@ def jive_variance(ctx: ProjectionContext, data: Dataset, beta_hat: float) -> flo
 
 
 def normalized_stats(ctx: ProjectionContext, data: Dataset, beta0) -> NormalizedStats:
-    """Normalized statistics (xi, nu, rho, ar) and the exact t_squared at beta0.
+    """Normalized statistics (xi, nu, rho, ar) and t_squared at beta0.
 
     A float beta0 gives float fields, an array gives arrays of its shape
     from the same profile. Raises NumericalError if any point is
-    degenerate or has a non-finite t_squared, DataError for a non-finite
-    beta0 or one whose polynomials overflow.
+    degenerate or has a non-finite t_squared (every point, where psi at
+    the point estimate is not positive), DataError for a non-finite beta0
+    or one whose polynomials overflow.
     """
     profile = _profile(ctx, data)
     stats, degenerate = profile.stats(beta0)

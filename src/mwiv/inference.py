@@ -185,7 +185,8 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
 
 def _testable_stats(method: str, profile, beta0) -> tuple[NormalizedStats, np.ndarray]:
     """Stats at beta0 and the points ``method`` cannot test: those the profile
-    marks degenerate, and for vtfo, vtf and cw (which read it) a non-finite t^2."""
+    marks degenerate, and for vtfo, vtf and cw (which read it) a non-finite
+    t^2, as at every point where psi at the point estimate is not positive."""
     stats, degenerate = profile.stats(beta0)
     if method in ("vtfo", "vtf", "cw"):
         degenerate = degenerate | ~np.isfinite(stats.t_squared)
@@ -241,11 +242,11 @@ def invert_confidence_set(
     projection kernels run once per set, not once per point.
     Grid points where the statistics are degenerate (a nonpositive or
     numerically zero variance object, or for vtfo, vtf and cw a t_squared
-    that is not finite) are excluded from the set and marked; if every
-    point is degenerate the inversion has nothing to report and errors
-    out. The other points go through ``decide``
-    together, so an error there (a failed curve build, say) is the set's
-    error, not a degenerate point.
+    that is not finite, as at every point where psi at the point estimate
+    is not positive) are excluded from the set and marked; if every point
+    is degenerate the inversion has nothing to report and errors out. The
+    other points go through ``decide`` together, so an error there (a
+    failed curve build, say) is the set's error, not a degenerate point.
     """
     alpha = _check_alpha(alpha)
     curves = curves if curves is not None else CurveLibrary()

@@ -407,8 +407,9 @@ def oracle_normalized_stats(ctx, data, beta0):
     """The direct per-point path: the variance objects from the projection
     kernels at e0 = y - beta0 x, then the normalization. The package's
     beta0 profile must give the same statistics and the same degenerate
-    points (NumericalError here, for a nonpositive variance object); t^2
-    is inf where its denominator is not positive, as in the package."""
+    points (NumericalError here, for a nonpositive variance object). t^2
+    is the closed form in (xi, nu, rho), inf where its denominator is not
+    positive."""
     x = data.x
     e0 = data.y - beta0 * x
     xhat = ctx.leave_out_fit(x)

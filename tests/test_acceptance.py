@@ -63,8 +63,10 @@ def random_judge_spec(rng, max_judges, max_cluster, lam=None):
 
 def test_criterion_1_t_identity():
     # 100 random judge datasets (N <= 500, K <= 25), 5 beta0 each: the
-    # squared t-statistic equals its xi/nu/rho closed form (the t_squared
-    # that normalized_stats reports) to 1e-8 relative.
+    # squared t-statistic that normalized_stats reports, the Wald ratio
+    # (beta_hat - beta0)^2 / V_hat, equals the just-identified TSLS t^2
+    # written in (xi, nu, rho), (xi nu)^2 / ((nu - rho xi)^2 + (1 - rho^2)
+    # xi^2), to 1e-8 relative.
     # Cells where the beta0 variance kernel is nonpositive have no defined
     # (xi, nu, rho); those are counted and must stay below 1% of cells.
     t0 = time.perf_counter()
@@ -76,17 +78,16 @@ def test_criterion_1_t_identity():
         spec = random_judge_spec(rng, max_judges=25, max_cluster=20)
         data = simulate_judge_data(spec)
         ctx = build_projection(data)
-        beta_hat = jive_point_estimate(ctx, data)
-        v_hat = jive_variance(ctx, data, beta_hat)
         for b0 in beta0_values:
             try:
                 st = normalized_stats(ctx, data, b0)
             except NumericalError:
                 degenerate += 1
                 continue
-            direct = (beta_hat - b0) ** 2 / v_hat
-            closed = st.t_squared
-            rel = abs(direct - closed) / max(abs(direct), abs(closed), 1e-12)
+            xi, nu, rho = st.xi, st.nu, st.rho_raw
+            closed = (xi * nu) ** 2 / ((nu - rho * xi) ** 2 + (1.0 - rho**2) * xi**2)
+            wald = st.t_squared
+            rel = abs(wald - closed) / max(abs(wald), abs(closed), 1e-12)
             worst = max(worst, rel)
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -521,9 +521,9 @@ class TestPower:
 
     def test_huge_s(self, tmp_path, capsys):
         # at 1e150 only squares overflow, to inf, and they reject with no
-        # warning; from s about 1e154 (xi nu)^2 overflows too, and t^2 is
-        # read divided through by nu^2, so vtfo rates do not move. cw's
-        # T = nu - rho xi overflows its square at 1e160, and cw refuses it.
+        # warning; t^2 = Q_xe^2 / psi(beta_hat) overflows only where it
+        # rejects, so vtfo rates do not move. cw's T = nu - rho xi
+        # overflows its square at 1e160, and cw refuses it.
         argv = ["power", "--grid=-1:1:3", "--draws", "2000", "--cache-dir", str(tmp_path / "cache")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -540,8 +540,8 @@ class TestPower:
             assert "overflows its square" in err and "Warning" not in err
 
     def test_overflowing_numerator_matches_lm(self, tmp_path, capsys):
-        # at s 1e154 only (xi nu)^2 overflows; vtfo and cw used to read an
-        # inf t^2 there and over-reject (0.179 against lm's 0.0465)
+        # at s 1e154 the closed form's (xi nu)^2 overflows; a t^2 read that
+        # way is inf, and vtfo and cw over-reject (0.179 against lm's 0.0465)
         argv = ["power", "--s", "1e154", "--method", "vtfo,cw,lm", "--grid", "0:0:1", "--draws", "2000",
                 "--cache-dir", str(tmp_path / "cache")]
         with warnings.catch_warnings():

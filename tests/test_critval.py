@@ -737,6 +737,21 @@ class TestConditionalWald:
             with pytest.raises(DataError):
                 cw_critical_value(rho, t, 0.05)
 
+    def test_tiny_rho_stops_at_rounding(self, monkeypatch):
+        # at rho 1e-6, T 1e-3 P's rounding from its roots' tolerance sits
+        # above the 1e-15 stop; without the rounding stop, refused Newton
+        # steps bisect c down to 4 ulp, in 48 steps
+        calls = []
+        solve = critval._cw_reject
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(critval, "_cw_reject", counting)
+        assert cw_critical_value(1e-6, 1e-3) == pytest.approx(1.0032920419700734e-06, rel=1e-14)
+        assert len(calls) <= 10
+
     def test_shapes(self):
         assert type(cw_critical_value(0.5, np.float64(1.0))) is float
         assert type(cw_critical_value(0.5, np.array(1.0))) is float

@@ -1,6 +1,7 @@
 """Point estimate, variance estimators, normalized statistics, identity."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -309,8 +310,8 @@ class TestNormalizedStats:
 
 class TestTSquaredIdentity:
     def test_dual_route_agreement(self):
-        # ratio form and the package's closed form, t^2 =
-        # xi^2 / (1 - 2 rho xi/nu + xi^2/nu^2) written out here as well
+        # the Wald ratio, the package's t^2, and the closed form t^2 =
+        # xi^2 / (1 - 2 rho xi/nu + xi^2/nu^2) written out here
         data = sim(20, 10, 0.6, seed=14, corr=0.5)
         ctx = build_projection(data)
         beta_hat = jive_point_estimate(ctx, data)
@@ -321,6 +322,33 @@ class TestTSquaredIdentity:
             triple = st.xi**2 / (1.0 - 2.0 * st.rho_raw * st.xi / st.nu + st.xi**2 / st.nu**2)
             assert direct == pytest.approx(triple, rel=1e-8)
             assert direct == pytest.approx(st.t_squared, rel=1e-8)
+
+    @pytest.mark.parametrize("b0", [-1e4, 1e4, -1e5, 1e5, -1e7, 1e7])
+    def test_wald_ratio_at_large_beta0(self, b0):
+        # criterion 9's data (simulate --judges 20 --cluster-size 10 --pi 0.5
+        # --seed 4), where the closed form in (xi, nu, rho) is off the ratio
+        # by 7.9e-9, 2.1e-6 and 2.3e-3 at |b0| 1e4, 1e5 and 1e7
+        data = sim(20, 10, 0.5, corr=0.5, seed=4)
+        ctx = build_projection(data)
+        beta_hat = jive_point_estimate(ctx, data)
+        ratio = (beta_hat - b0) ** 2 / jive_variance(ctx, data, beta_hat)
+        assert normalized_stats(ctx, data, b0).t_squared == pytest.approx(ratio, rel=1e-12)
+
+    def test_zero_first_stage_reads_zero(self):
+        # judges with x (1, 1, 0, 0) and (1, -1, 0, 0) add +0.5 and -0.5 to
+        # Q_xx, which is 0.0 exactly: the point estimate is not finite, psi
+        # there reads inf and t^2 reads 0, the closed form's nu -> 0 limit
+        labels = np.repeat(np.arange(6), 4)
+        x = np.tile([1.0, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0], 3)
+        y = np.random.default_rng(3).standard_normal(24)
+        data = Dataset(y=y, x=x, instruments=labels)
+        ctx = build_projection(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = normalized_stats(ctx, data, np.array([-2.0, 0.0, 0.5]))
+        assert st.q_xx == 0.0 and st.nu == 0.0
+        assert _profile(ctx, data).psi_hat == np.inf
+        assert np.array_equal(st.t_squared, np.zeros(3))
 
     def test_zero_at_point_estimate(self):
         data = sim(15, 8, 0.5, seed=15)
@@ -395,11 +423,11 @@ designs = st.one_of(judge_designs(), dense_designs())
 def assert_stats_close(got, want, where):
     """xi, nu, rho and ar within 1e-10 relative (absolute floor 1e-12).
 
-    t_squared's closed form divides by nu^2 - 2 rho nu xi + xi^2, which
-    cancels as |beta0| grows (by a factor near 4e8 at |beta0| = 1e4), so
-    any two roundings of (xi, nu, rho) move it by about eps times that
-    factor; its relative bound widens to 1e-14 times the factor where that
-    is larger than 1e-10.
+    The oracle's t_squared, a closed form, divides by nu^2 - 2 rho nu xi +
+    xi^2, which cancels as |beta0| grows (by a factor near 4e8 at |beta0| =
+    1e4), so any two roundings of (xi, nu, rho) move it by about eps times
+    that factor; its relative bound widens to 1e-14 times the factor where
+    that is larger than 1e-10.
     """
     def close(name, rel):
         a, b = (np.asarray(getattr(s, name), dtype=float) for s in (got, want))

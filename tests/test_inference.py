@@ -364,23 +364,27 @@ class TestConfidenceSets:
         ctx = build_projection(data)
         with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
             oracle_normalized_stats(ctx, data, 0.7)
-        # at 1.4, e0 = -0.7 x: the variances are positive, but t^2's
-        # denominator is zero in exact arithmetic and rounds to inf; only
-        # the procedures that read t^2 drop the point, and a test refuses
-        # exactly the points its set drops
+        # at 1.4, e0 = -0.7 x: the variances are positive, and ms1, ms2 and
+        # lm test the point; psi at the point estimate 0.7 is zero too, so
+        # vtfo and cw, which read t^2 = Q_xe^2 / psi(beta_hat), can test no
+        # point, and a test refuses exactly the points its set drops
         st = oracle_normalized_stats(ctx, data, 1.4)
         assert st.ar == pytest.approx(2.4586, abs=1e-4) and st.xi == pytest.approx(-2.2437, abs=1e-4)
         want = {"ms1": st.ar, "ms2": st.ar**2, "lm": st.xi**2}
-        for method in ("ms1", "ms2", "lm", "vtfo", "cw"):
+        for method in ("ms1", "ms2", "lm"):
             cs = invert_confidence_set(method, ctx, data, grid=(0.0, 1.4, 3), curves=curve_library)
             assert cs.betas[1] == 0.7 and cs.degenerate[1], method
-            assert cs.degenerate[2] == (method not in want), method
+            assert not cs.degenerate[2], method
             assert cs.rejects.all(), method
-            if method in want:
-                assert cs.statistics[2] == pytest.approx(want[method], rel=1e-10), method
-                dec = run_test(method, ctx, data, 1.4, curves=curve_library)
-                assert (dec.statistic, dec.critical, dec.reject) == (cs.statistics[2], cs.criticals[2], True), method
-            for b0 in (0.7,) if method in want else (0.7, 1.4):
+            assert cs.statistics[2] == pytest.approx(want[method], rel=1e-10), method
+            dec = run_test(method, ctx, data, 1.4, curves=curve_library)
+            assert (dec.statistic, dec.critical, dec.reject) == (cs.statistics[2], cs.criticals[2], True), method
+            with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
+                run_test(method, ctx, data, 0.7, curves=curve_library)
+        for method in ("vtfo", "cw"):
+            with pytest.raises(NumericalError, match="all grid points degenerate"):
+                invert_confidence_set(method, ctx, data, grid=(0.0, 1.4, 3), curves=curve_library)
+            for b0 in (0.0, 0.7, 1.4):
                 with pytest.raises(NumericalError, match="variance estimate nonpositive at beta0"):
                     run_test(method, ctx, data, b0, curves=curve_library)
 

@@ -1,6 +1,7 @@
 """Asymptotic power lab: draw protocol, variance expansion, rates, bounds."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,26 @@ class TestRejectionRates:
             curves=curve_library, seed=3,
         )
         assert float(res.rates["ms2"][1]) > 0.5
+
+    @pytest.mark.parametrize("s", [0.0, 1e300, -1e300])
+    @pytest.mark.parametrize("r", [0.99, -0.99])
+    def test_extreme_cells_never_warn_or_read_nan(self, curve_library, monkeypatch, s, r):
+        # t^2 = q_xe^2 / psi(beta_hat): psi(beta_hat) is inf only where q_xe
+        # is finite, so t^2 is never inf / inf
+        t_squared = []
+        decide = power.decide
+
+        def recording(method, stats, *args):
+            t_squared.append(stats.t_squared)
+            return decide(method, stats, *args)
+
+        monkeypatch.setattr(power, "decide", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rejection_rates(AsymptoticDGP(s, r), [-1e76, -1.0, 0.0, 1.0, 1e76], methods=("vtfo", "ms2", "lm"),
+                                  n_draws=200, curves=curve_library, seed=5)
+        assert len(t_squared) == 15 and not any(np.isnan(t).any() for t in t_squared)
+        assert all(np.all((res.rates[m] >= 0.0) & (res.rates[m] <= 1.0)) for m in res.methods)
 
     def test_smooth_through_rho_sign_change(self, curve_library):
         # the alternative correlation crosses zero at delta = -0.25 for
