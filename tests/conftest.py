@@ -529,27 +529,88 @@ def _oracle_gap(nu, t, rho_abs, nu_star, nu_tilde, cont_nu, cont_c):
     return t2_w_curve(nu, t, rho_abs) - c
 
 
-def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde):
-    """The continuation with its middle crossing from ``brentq`` on the
-    bracket the package grows: (knots past nu_tilde, their c, the last T)."""
+def accepted_steps(calls):
+    """The calls of a build's accepted continuation steps, from every call
+    it made at a T (each call a tuple whose first item is its T). A
+    rejected trial is retaken from the same T at a shorter step, so a call
+    at or past the T of a later call was rejected."""
+    kept = []
+    for call in calls:
+        while kept and kept[-1][0] >= call[0]:
+            kept.pop()
+        kept.append(call)
+    return kept
+
+
+def continuation_steps(rho, alpha=0.05):
+    """(curve, the T of each continuation step): a package build with
+    ``critval._closed_form_crossings``, called once per step at its T,
+    recorded and kept to the accepted steps."""
+    calls, crossings = [], critval._closed_form_crossings
+
+    def record(nu_star, t):
+        calls.append((t,))
+        return crossings(nu_star, t)
+
+    critval._closed_form_crossings = record
+    try:
+        curve = critval.build_vtfo_curve(rho, alpha)
+    finally:
+        critval._closed_form_crossings = crossings
+    return curve, [t for t, in accepted_steps(calls)]
+
+
+def _oracle_middle(lo, guess, step, quad_hi, nu_tilde, cap, args):
+    """The middle crossing at one step by ``brentq``: the first sign change
+    of the gap above ``lo``, the crossing a step before, where the hump it
+    ended has grown. From ``guess``, the secant prediction, the gap is
+    scanned up from ``lo`` in 64ths of the predicted move, then in steps
+    that double, and at every knot on the way, where the gap has its
+    corners; a knot where the gap is within 1e-11 c of zero is the
+    crossing, as at a breakpoint the package lands on. Without a guess
+    (the first step), the bracket is the one the package grows from
+    ``lo``."""
+    g_lo = _oracle_gap(lo, *args)
+    if g_lo == 0.0:
+        return lo
+    cont_nu = args[4]
+    if guess is not None and lo < guess < cap:
+        a, width = lo, (guess - lo) / 64.0
+        for k in range(2000):
+            end = min(cap, a + width * (1.0 if k < 256 else 2.0 ** (k - 255)))
+            knots = range(bisect_right(cont_nu, a), bisect_right(cont_nu, end))
+            for b, touch in [*((cont_nu[i], 1e-11 * args[5][i]) for i in knots), (end, 0.0)]:
+                g = math.copysign(1.0, g_lo) * _oracle_gap(b, *args)
+                if abs(g) <= touch:
+                    return b
+                if g < 0.0:
+                    return float(brentq(_oracle_gap, a, b, args=args, xtol=critval.ROOT_TOL))
+                a = b
+            if end == cap:
+                break
+    hi, grow = min(max(quad_hi, lo + step) if lo < nu_tilde else lo + step, cap), step
+    for _ in range(200):
+        if g_lo * _oracle_gap(hi, *args) < 0.0:
+            break
+        hi, grow = min(cap, hi + grow), 2.0 * grow
+    else:
+        raise NumericalError("continuation step failed: root bracketing failure")
+    return float(brentq(_oracle_gap, lo, hi, args=args, xtol=critval.ROOT_TOL))
+
+
+def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde, ts):
+    """The continuation at the conditioning values ``ts`` with its middle
+    crossing from ``brentq`` (``_oracle_middle``), predicted from the last
+    two by the secant in T: (knots past nu_tilde, their c, the last T)."""
     cont_nu = [nu_tilde]
     cont_c = [critval._closed(nu_tilde, rho, nu_star)]
-    nu_m = 0.5 * (t_tilde + nu_star)
-    t = t_tilde
-    for _ in range(critval.MAX_ITER):
-        t += critval.T_STEP
+    nu_m, nu_prev, last, step = 0.5 * (t_tilde + nu_star), None, t_tilde, None
+    for t in ts:
+        step, step_prev, last = t - last, step, t
         nu_l, quad_hi = critval._closed_form_crossings(nu_star, t)
         args = (t, rho, nu_star, nu_tilde, cont_nu, cont_c)
-        cap = t * (1.0 - 1e-12)
-        hi_m, grow = min(max(quad_hi, nu_m + critval.T_STEP), cap), critval.T_STEP
-        h_lo = _oracle_gap(nu_m, *args)
-        for _ in range(200):
-            if h_lo == 0.0 or h_lo * _oracle_gap(hi_m, *args) < 0.0:
-                break
-            hi_m, grow = min(cap, hi_m + grow), 2.0 * grow
-        else:
-            raise NumericalError("continuation step failed: root bracketing failure")
-        nu_m = float(brentq(_oracle_gap, nu_m, hi_m, args=args, xtol=critval.ROOT_TOL))
+        guess = None if nu_prev is None else nu_m + (nu_m - nu_prev) * (step / step_prev)
+        nu_prev, nu_m = nu_m, _oracle_middle(nu_m, guess, step, quad_hi, nu_tilde, t * (1.0 - 1e-12), args)
         if not nu_star <= nu_l <= nu_m <= t:
             raise NumericalError("crossing order violated")
         hump_prob = float(ndtr((nu_m - t) / rho) - ndtr((nu_l - t) / rho))
@@ -561,17 +622,16 @@ def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde):
             raise NumericalError("continuation step failed: frontier did not advance")
         cont_nu.append(nu_h)
         cont_c.append(t2_w_curve(nu_h, t, rho))
-        if nu_h >= critval.NU_MAX:
-            return cont_nu[1:], cont_c[1:], t
-    raise NumericalError("continuation step failed: NU_MAX not reached")
+    return cont_nu[1:], cont_c[1:], last
 
 
-def oracle_vtfo_curve(rho, alpha=0.05):
+def oracle_vtfo_curve(rho, alpha=0.05, ts=()):
     """The curve build with scalar loops: formula knots sampled panel by
-    panel and the continuation's middle crossing from ``brentq``. Returns
-    (knots_nu, knots_c, domain_low, t_tilde, t_last, n_closed), where the
-    first ``n_closed`` knots are closed-form or limit knots; a failed
-    continuation raises the package's NumericalError message."""
+    panel and the continuation's middle crossing from ``brentq``, at the
+    conditioning values ``ts`` (the package's steps, ``continuation_steps``).
+    Returns (knots_nu, knots_c, domain_low, t_tilde, t_last, n_closed),
+    where the first ``n_closed`` knots are closed-form or limit knots; a
+    failed continuation raises the package's NumericalError message."""
     rho_abs = abs(float(rho))
     if rho_abs < RHO_BUILD_FLOOR:
         pairs = _oracle_sample(lambda nu: small_rho_limit_c(nu, alpha), 0.0, critval.NU_MAX, critval.LIMIT_TOL)
@@ -584,7 +644,7 @@ def oracle_vtfo_curve(rho, alpha=0.05):
         return np.array(nus), np.array(cs), nu_star, None, None, len(nus)
     nus, cs = _oracle_closed_form_knots(rho_abs, nu_star, nu_tilde)
     try:
-        cont_nu, cont_c, t_last = _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde)
+        cont_nu, cont_c, t_last = _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, ts)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
     return np.array(nus + cont_nu), np.array(cs + cont_c), nu_star, t_tilde, t_last, len(nus)

@@ -38,7 +38,14 @@ from mwiv import (
 from mwiv import critval
 from mwiv.critval import t2_w_curve
 
-from conftest import conditional_reject_prob, oracle_cw_accept, oracle_cw_quantile, oracle_vtfo_curve
+from conftest import (
+    accepted_steps,
+    conditional_reject_prob,
+    continuation_steps,
+    oracle_cw_accept,
+    oracle_cw_quantile,
+    oracle_vtfo_curve,
+)
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -149,33 +156,25 @@ class TestContinuation:
         t = curve.t_tilde + 0.01
         assert abs(conditional_reject_prob(curve, t) - 0.05) <= 1e-6
 
-    def test_high_knot_later_becomes_middle_crossing(self, monkeypatch):
-        # each step's middle crossing is what _middle_crossing returns; the
-        # high crossings are the knots past nu_tilde
+    def test_high_knot_later_becomes_middle_crossing(self):
+        # the high crossings are the knots past nu_tilde; the middle crossing
+        # at the end of a prefix (its state) sweeps past them, and a step
+        # that lands on a breakpoint puts it exactly on one
         rho = 0.5
-        mids = []
-        solve = critval._middle_crossing
-
-        def record(*args):
-            mids.append(solve(*args))
-            return mids[-1]
-
-        monkeypatch.setattr(critval, "_middle_crossing", record)
-        _, nu_tilde = find_tangency(rho, 0.05)
-        curve = build_vtfo_curve(rho, 0.05)
-        highs = curve.knots_nu[curve.knots_nu > nu_tilde]
-        assert len(mids) == highs.size
+        full = build_vtfo_curve(rho, 0.05)
+        highs = full.knots_nu[full.knots_nu > full.formula_end]
+        mids = np.array([build_vtfo_curve(rho, 0.05, nu_max=stop).nu_mid for stop in highs[::5]])
+        assert np.all(np.diff(mids) > 0.0) and mids[-1] > full.formula_end
         target = highs[4]
-        assert mids[4] < target
-        crossed = [s for s in range(5, len(mids)) if mids[s] >= target]
-        assert crossed, "middle crossing never swept past the earlier high knot"
-        s = crossed[0]
-        assert mids[s - 1] < target <= mids[s]
-        assert max(mids) > nu_tilde
+        assert mids[0] < target <= mids[-1]
+        assert np.isin(mids, highs).any()
 
     @pytest.mark.parametrize("rho,alpha", [(0.02, 0.05), (0.5, 0.05), (0.9, 0.05), (0.9, 0.01)])
     def test_low_crossing_on_closed_form(self, monkeypatch, rho, alpha):
-        # every step's low crossing solves t2 = c on the closed-form segment
+        # every step's low crossing solves t2 = c on the closed-form segment;
+        # the accepted steps, one per knot past nu_tilde, climb from t_tilde
+        # in two half steps of at most STEP_FIRST to t_last, none longer than
+        # STEP_MAX (up to rounding)
         roots = []
         crossings = critval._closed_form_crossings
 
@@ -189,8 +188,11 @@ class TestContinuation:
         t_tilde, nu_tilde = find_tangency(rho, alpha)
         curve = build_vtfo_curve(rho, alpha)
         steps = int(np.sum(curve.knots_nu > nu_tilde))
-        assert len(roots) == steps > 100
-        assert [t for t, _ in roots] == pytest.approx(t_tilde + critval.T_STEP * np.arange(1, steps + 1))
+        ts = np.array([t for t, _ in accepted_steps(roots)])
+        assert ts.size == steps > 100
+        assert ts[0] == 0.5 * (t_tilde + ts[1]) and ts[1] <= t_tilde + critval.STEP_FIRST
+        assert ts[-1] == curve.t_last
+        assert np.all(np.diff(ts) > 0.0) and np.all(np.diff(ts) <= critval.STEP_MAX * (1.0 + 1e-12))
         for t, nu_l in roots:
             assert nu_star < nu_l <= nu_tilde
             c = closed_form_c(nu_l, rho, alpha)
@@ -235,13 +237,13 @@ LOOP_ORACLE_RHO = [0.01, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9959, 0.99
 
 class TestLoopOracle:
     """A build against ``oracle_vtfo_curve``: the knot refinement panel by
-    panel and the middle crossing from ``brentq``."""
+    panel and the middle crossing from ``brentq``, at the package's steps."""
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     @pytest.mark.parametrize("rho", LOOP_ORACLE_RHO)
     def test_knots_match(self, rho, alpha):
-        nu, c, domain_low, t_tilde, t_last, n_closed = oracle_vtfo_curve(rho, alpha)
-        curve = build_vtfo_curve(rho, alpha)
+        curve, ts = continuation_steps(rho, alpha)
+        nu, c, domain_low, t_tilde, t_last, n_closed = oracle_vtfo_curve(rho, alpha, ts)
         assert curve.knots_nu.size == nu.size
         assert (curve.domain_low, curve.t_tilde, curve.t_last) == (domain_low, t_tilde, t_last)
         # closed-form and limit knots: the same nu; c from array arithmetic
@@ -261,21 +263,12 @@ class TestLoopOracle:
 # continuation knots (one per step) of its curve or the reason its build
 # fails.
 HIGH_ALPHA_RHO = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9)
-F, B = "frontier did not advance", "root bracketing failure"
+F = "frontier did not advance"
 HIGH_ALPHA_OUTCOMES = {
-    0.14: (3985, 3962, 3922, 3844, 3766, 3691, 3611, 3542, 3453, 3380, 3346, 3301),
-    0.15: (3986, 3963, 3926, 3849, 3779, 3707, 3620, 3548, 3481, 3395, 3377, 3319),
-    0.16: (3986, 3965, 3927, 3860, 3781, 3706, 3648, 3558, 3508, 3410, 3406, 3353),
-    0.17: (3987, 3966, 3933, 3857, 3785, F, F, F, 3531, 3461, 3400, 3393),
-    0.18: (3987, 3968, *[F] * 10),
-    0.19: (3988, 3969, *[F] * 10),
-    0.2: (3988, *[F] * 11),
-    0.22: (3989, *[F] * 11),
-    0.25: (3991, *[F] * 11),
-    0.3: (3993, *[F] * 11),
-    0.35: (F,) * 12,
-    0.4: (3997, *[F] * 11),
-    0.45: (B, 3996, *[F] * 10),
+    0.14: (49774, 26026, 15752, 9470, 6945, 5521, 4605, 3920, 3396, 3028, 2886, 2717),
+    0.15: (62214, 30197, 17666, 10424, 7661, 6066, 4948, 4277, 3759, 3297, 3168, 2946),
+    0.16: (84066, 37377, 20783, 11814, 8441, 6602, 5531, 4616, 4137, 3542, 3437, 3217),
+    **{alpha: (F,) * 12 for alpha in (0.17, 0.18, 0.19, 0.2, 0.22, 0.25, 0.3, 0.35, 0.4, 0.45)},
 }
 
 
@@ -310,10 +303,13 @@ class TestBuildCurve:
             np.testing.assert_allclose(curve.knots_c, closed_form_c(curve.knots_nu, rho, 0.05), rtol=1e-15)
             assert np.array_equal(curve.knots_nu, prefix.knots_nu) and np.array_equal(curve.knots_c, prefix.knots_c)
 
+        # the first step past the tangency is two half steps of STEP_FIRST
         monkeypatch.setattr(critval, "NU_MAX", math.nextafter(nu_tilde, math.inf))
         curve = build_vtfo_curve(rho, 0.05)
         assert curve.t_tilde == t_tilde
-        assert curve.t_last == t_tilde + critval.T_STEP
+        assert curve.t_last == t_tilde + critval.STEP_FIRST
+        assert curve.step_last == pytest.approx(0.5 * critval.STEP_FIRST, rel=1e-9)
+        assert np.sum(curve.knots_nu > nu_tilde) == 2
 
     def test_numpy_alpha_is_a_float(self, tmp_path):
         # a NumPy scalar alpha enters as a float, so its repr never reaches
@@ -463,10 +459,10 @@ PREFIX_RHO = [0.1, 0.3, 0.5, 0.9, 0.99, RHO_CAP]
 
 def _prefix_stops(rho):
     """Stop points below nu*, inside [nu*, nu_tilde], exactly nu_tilde and
-    above it."""
+    above it, the last more than a step below NU_MAX."""
     nu_star, _ = fixed_point(rho, 0.05)
     _, nu_tilde = find_tangency(rho, 0.05)
-    return [0.5 * nu_star, 0.5 * (nu_star + nu_tilde), nu_tilde, 6.0, 15.0, 39.9]
+    return [0.5 * nu_star, 0.5 * (nu_star + nu_tilde), nu_tilde, 6.0, 15.0, 39.5]
 
 
 class TestPrefixBuild:
@@ -486,8 +482,9 @@ class TestPrefixBuild:
             if stop <= nu_tilde:
                 assert part.knots_nu[-1] == nu_tilde and part.t_last is None, stop
             else:
+                # a step past a breakpoint knot places two knots
                 assert part.knots_nu[-1] >= stop and part.t_last <= full.t_last, stop
-                assert n == full.knots_nu.size or part.knots_nu[-2] < stop, stop
+                assert n == full.knots_nu.size or np.sum(part.knots_nu >= stop) <= 2, stop
             nu = np.concatenate([
                 part.knots_nu[part.knots_nu <= stop], rng.uniform(0.0, stop, 2000), [0.0, part.domain_low, stop],
             ])
@@ -506,7 +503,7 @@ class TestPrefixBuild:
         # a prefix is kept in memory and in the prefix file; the small-rho
         # limit curve is always built in full, so it goes to the full file
         cache = CurveCache(directory=str(tmp_path / "cache") if directory else None)
-        asks = ((0.3, 6.0), (0.9, 6.0), (0.01, 6.0), (0.3, 39.9))
+        asks = ((0.3, 6.0), (0.9, 6.0), (0.01, 6.0), (0.3, 39.5))
         for rho, stop in asks:
             first = cache.get(rho, 0.05, nu_max=stop)
             assert cache.get(rho, 0.05, nu_max=stop) is first
@@ -556,70 +553,126 @@ class TestPrefixBuild:
         # the full file replaced the prefix file
         assert [p.name for p in tmp_path.iterdir()] == [f"vtfo_rho{rho!r}_alpha0.05_{critval._CACHE_KEY}.bin"]
 
+    @staticmethod
+    def _steps(monkeypatch, build):
+        """(curve, fallbacks, steps) of one build: ``steps`` holds the T of
+        each step tried, rejected trials included, one
+        ``_closed_form_crossings`` call each, and ``fallbacks`` the 1-based
+        numbers of the steps whose middle crossing took the bracketed
+        solve: only it evaluates the gap at the last crossing itself."""
+        steps, last, fallbacks = [], [None], []
+        excess, middle, crossings = critval._excess, critval._middle_crossing, critval._closed_form_crossings
+
+        def cross(nu_star, t):
+            steps.append((t,))
+            return crossings(nu_star, t)
+
+        def solve(lo, *args):
+            last[0] = lo
+            return middle(lo, *args)
+
+        def gap(nu, *args):
+            if nu == last[0] and len(steps) not in fallbacks:
+                fallbacks.append(len(steps))
+            return excess(nu, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(critval, "_closed_form_crossings", cross)
+            patch.setattr(critval, "_middle_crossing", solve)
+            patch.setattr(critval, "_excess", gap)
+            return build(), fallbacks, steps
+
     @pytest.mark.parametrize("rho,alpha", [(0.5, 0.05), (0.9, 0.12)])
     def test_resume_after_the_first_step_and_around_a_fallback(self, tmp_path, monkeypatch, rho, alpha):
-        def fallback_steps(build):
-            # the steps of one build whose middle crossing took the bracketed
-            # solve: only it evaluates the gap at the last crossing itself
-            last, steps, fallbacks = [None], [0], []
-            excess, middle = critval._excess, critval._middle_crossing
-
-            def solve(lo, *args):
-                last[0] = lo
-                steps[0] += 1
-                return middle(lo, *args)
-
-            def gap(nu, *args):
-                if nu == last[0] and steps[0] not in fallbacks:
-                    fallbacks.append(steps[0])
-                return excess(nu, *args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(critval, "_middle_crossing", solve)
-                patch.setattr(critval, "_excess", gap)
-                return build(), fallbacks
-
-        full, fallbacks = fallback_steps(lambda: build_vtfo_curve(rho, alpha))
-        nu_star, _ = fixed_point(rho, alpha)
+        full, fallbacks, steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha))
         t_tilde, nu_tilde = find_tangency(rho, alpha)
         highs = full.knots_nu[full.knots_nu > nu_tilde]
-        # the first step has no crossing before it; the second predicts from
-        # the double root at the tangency
+        kept = [steps.index(step) + 1 for step in accepted_steps(steps)]
+        assert len(kept) == highs.size
+        # the first step has no crossing before it; from alpha 0.12 the
+        # bracketed solve runs again
         assert fallbacks[0] == 1 and (len(fallbacks) > 1) == (alpha > 0.1)
 
-        # a stop at the k-th high crossing stops right after step k
-        stops = {1: math.nextafter(nu_tilde, math.inf)}
-        for k in fallbacks[1:2]:
-            stops.update({k - 1: highs[k - 2], k: highs[k - 1]})
-        for k, stop in stops.items():
-            part = build_vtfo_curve(rho, alpha, nu_max=stop)
-            assert part.knots_nu[-1] == highs[k - 1] and round((part.t_last - t_tilde) / critval.T_STEP) == k
-            if k == 1:
-                assert part.nu_prev == 0.5 * (t_tilde + nu_star)
+        # a stop just past nu_tilde stops after the first step, two half
+        # steps of at most STEP_FIRST; stops at the knots of a later accepted
+        # fallback and of the step before it stop after the step that
+        # placed them
+        stops = [math.nextafter(nu_tilde, math.inf)]
+        for s in [s for s in fallbacks if s in kept[2:]][:1]:
+            stops += [highs[kept.index(s) - 1], highs[kept.index(s)]]
+        assert len(stops) == (3 if alpha > 0.1 else 1)
+        for k, stop in enumerate(stops):
+            part, _, part_steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha, nu_max=stop))
+            n = int(np.sum(part.knots_nu > nu_tilde))
+            assert part.knots_nu[-1] >= stop and np.array_equal(part.knots_nu[-n:], highs[:n])
+            assert part.t_last == steps[kept[n - 1] - 1][0]
+            if k == 0:
+                assert n == 2 and part.t_last <= t_tilde + critval.STEP_FIRST
             # the resumed run takes the full build's solver path, step for step
-            resumed, resumed_fallbacks = fallback_steps(lambda: build_vtfo_curve(rho, alpha, prefix=part))
-            assert resumed_fallbacks == [s - k for s in fallbacks if s > k]
+            m = len(part_steps)
+            assert part_steps == steps[:m]
+            resumed, resumed_fallbacks, _ = self._steps(monkeypatch,
+                                                        lambda: build_vtfo_curve(rho, alpha, prefix=part))
+            assert resumed_fallbacks == [s - m for s in fallbacks if s > m]
             _assert_same_curve(resumed, full)
-            directory = str(tmp_path / f"step{k}")
+            directory = str(tmp_path / f"stop{k}")
             CurveCache(directory=directory).get(rho, alpha, nu_max=stop)
             _assert_same_curve(CurveCache(directory=directory).get(rho, alpha), full)
 
-    def test_format_8_file_is_a_miss(self, tmp_path):
-        # a file of the format before the sampled formula knots, with that
-        # format's header, under today's name: it is rebuilt and replaced
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.99])
+    def test_resume_inside_a_breakpoint_landing(self, monkeypatch, rho):
+        # a stop inside the step cut short to land on a breakpoint stops
+        # after it, with the new breakpoint its last knot and the next step
+        # back at STEP_FIRST; resumed, it is the full curve, state included
+        breakpoints, landing = [], critval._landing
+        monkeypatch.setattr(critval, "_landing", lambda b, *args: breakpoints.append(b) or landing(b, *args))
+        full = build_vtfo_curve(rho, 0.05)
+        monkeypatch.undo()
+        # the first call is for nu_tilde, each later one for a knot placed
+        # where the middle crossing met the breakpoint before it
+        assert breakpoints[0] == full.formula_end and len(breakpoints) > 5
+        for b in breakpoints[1:4]:
+            i = int(np.searchsorted(full.knots_nu, b))
+            assert full.knots_nu[i] == b
+            part = build_vtfo_curve(rho, 0.05, nu_max=0.5 * (full.knots_nu[i - 1] + b))
+            assert part.knots_nu[-1] == part.breakpoint == b and part.step_next == critval.STEP_FIRST
+            assert np.array_equal(part.knots_nu, full.knots_nu[:i + 1])
+            assert np.array_equal(part.knots_c, full.knots_c[:i + 1])
+            _assert_same_curve(build_vtfo_curve(rho, 0.05, prefix=part), full)
+
+    @pytest.mark.parametrize("rho,parent", [(0.1, 3885), (0.5, 3425), (0.9, 2969), (0.99, 2866)])
+    def test_steps_at_most_half_the_fixed_step_rule(self, rho, parent):
+        # continuation steps of a full build, one per knot past nu_tilde,
+        # against those of the fixed 0.01 step the controlled step replaced
+        curve = build_vtfo_curve(rho, 0.05)
+        assert np.sum(curve.knots_nu > curve.formula_end) <= parent // 2
+
+    @staticmethod
+    def _old_format_is_a_miss(tmp_path, version):
+        """A file of an older format under today's name, with that format's
+        header: it is a miss, rebuilt and replaced."""
         full = build_vtfo_curve(0.3, 0.05)
         cache = CurveCache(directory=str(tmp_path))
         path = tmp_path / (cache._stem(0.3, 0.05) + ".bin")
         body = np.stack([full.knots_nu, full.knots_c]).astype("<f8")
-        meta = {"format": "8", "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
+        meta = {"format": version, "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
                 "t_tilde": full.t_tilde, "t_last": full.t_last, "nu_mid": full.nu_mid, "nu_prev": full.nu_prev}
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
         path.write_bytes(json.dumps({**meta, "sha256": digest.hexdigest()}).encode() + b"\n" + body.tobytes())
         assert CurveCache._load_file(path, 0.3, 0.05) is None
         _assert_same_curve(cache.get(0.3, 0.05), full)
-        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == "9"
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == critval._FORMAT_VERSION == "10"
         _assert_same_curve(CurveCache._load_file(path, 0.3, 0.05), full)
+
+    def test_format_8_file_is_a_miss(self, tmp_path):
+        # the format before the sampled formula knots
+        self._old_format_is_a_miss(tmp_path, "8")
+
+    def test_format_9_file_is_a_miss(self, tmp_path):
+        # the format before the controlled step, whose stop state had no
+        # step lengths and no breakpoint
+        self._old_format_is_a_miss(tmp_path, "9")
 
     def test_resume_reads_no_prefix_body_memory_holds(self, tmp_path, monkeypatch):
         # memory's prefix of the cap is as long as the prefix file, so a
@@ -1123,10 +1176,10 @@ class TestSnapAndCache:
         # the key covers the file format and the build constants; files of
         # the brentq continuation (format "5") carried b0709dada779, those
         # without the continuation's state (format "6") 2d22551741ce, those
-        # without the crossing before last (format "7") 72ab516c52ed, and
-        # those with knots refined to an absolute 5e-7 (format "8")
-        # 1348503e18eb
-        assert files == ["vtfo_rho0.35_alpha0.05_31e76188683c.bin"]
+        # without the crossing before last (format "7") 72ab516c52ed, those
+        # with knots refined to an absolute 5e-7 (format "8") 1348503e18eb,
+        # and those of the fixed 0.01 step in T (format "9") 31e76188683c
+        assert files == ["vtfo_rho0.35_alpha0.05_80cdb7d80a3c.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))
@@ -1247,8 +1300,9 @@ class TestSnapAndCache:
 
 
 def _assert_same_curve(got, want):
-    """The nine stored fields equal, types included."""
-    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid", "nu_prev"):
+    """The twelve stored fields equal, types included."""
+    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid", "nu_prev", "step_last", "step_next",
+                 "breakpoint"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and a == b, name
     for name in ("knots_nu", "knots_c"):
@@ -1272,6 +1326,9 @@ def cache_curves(draw):
         t_last=draw(st.none() | finite),
         nu_mid=draw(st.none() | finite),
         nu_prev=draw(st.none() | finite),
+        step_last=draw(st.none() | finite),
+        step_next=draw(st.none() | finite),
+        breakpoint=draw(st.none() | finite),
     )
 
 

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 import mwiv
@@ -29,10 +30,14 @@ def test_builds_row(tool, capsys):
                          "fallbacks", "prefix_s", "p_knots", "csv_rows", "csv_s"]
     curve = mwiv.build_vtfo_curve(0.5, 0.05)
     assert int(got["knots"]) == curve.knots_nu.size
-    assert int(got["steps"]) == round((curve.t_last - curve.t_tilde) / 0.01) > 3000
-    # the predictor finds each middle crossing in about two gap evaluations;
-    # only the first step past the tangency, which has no crossing before
-    # it, takes the bracketed solve
+    # one knot past formula_end per step, at most half the 3425 steps of
+    # the fixed 0.01 step
+    assert int(got["steps"]) == np.sum(curve.knots_nu > curve.formula_end) > 300
+    assert int(got["steps"]) <= 3425 // 2
+    # the predictor finds each middle crossing in about two gap evaluations,
+    # and a step landing on a breakpoint takes none; only the first step
+    # past the tangency, which has no crossing before it, takes the
+    # bracketed solve
     assert float(got["evals/step"]) <= 2.2
     assert got["fallbacks"] == "1"
 
@@ -54,7 +59,7 @@ def test_watching_a_resumed_build(tool):
         curve = critval.build_vtfo_curve(0.5, nu_max=15.0, prefix=prefix)
     assert [c.name for c in calls] == ["build_vtfo_curve"]
     assert calls[0].result is curve
-    assert tool.added_steps(critval, calls) == curve.knots_nu.size - prefix.knots_nu.size == 299
+    assert tool.added_steps(calls) == curve.knots_nu.size - prefix.knots_nu.size == 66
     assert critval.build_vtfo_curve is mwiv.build_vtfo_curve
 
 

@@ -1,4 +1,4 @@
-"""tools/size_scan.py: its table, run on this checkout."""
+"""tools/size_scan.py: its tables, run on this checkout."""
 
 import importlib.util
 import os
@@ -21,3 +21,13 @@ def test_table(capsys):
     for row in rows:
         errs = [float(x) for x in row.split()[1:3]]
         assert float(row.split()[3]) == max(map(abs, errs)) <= 1e-6
+
+
+def test_dense(capsys):
+    # 20 uniform T on [t_tilde, t_last] and 50 geometric ones past t_tilde
+    assert load_tool().main(["--rho", "0.5", "--dense", "20"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["rho", "t_tilde", "t_last", "near", "at_T", "tail", "at_T", "scan_s"]
+    rho, t_tilde, t_last, near, at_near, tail, at_tail, _ = map(float, row.split())
+    assert rho == 0.5 and t_tilde <= at_near <= t_tilde + 2.0 < at_tail <= t_last
+    assert max(near, tail) <= 1e-6

@@ -132,18 +132,16 @@ def watching(module, *names):
             setattr(module, name, f)
 
 
-def steps(critval, curve) -> int:
-    """Continuation steps of a built curve (0 for None or a curve without
-    any): each moves T by T_STEP from t_tilde and places one knot."""
-    if curve is None or curve.t_last is None:
-        return 0
-    return round((curve.t_last - curve.t_tilde) / critval.T_STEP)
+def steps(curve) -> int:
+    """Continuation steps of a built curve (0 for None): its knots past
+    ``formula_end``, one per step under any step rule."""
+    return 0 if curve is None else int(np.sum(curve.knots_nu > curve.formula_end))
 
 
-def added_steps(critval, builds) -> int:
+def added_steps(builds) -> int:
     """The continuation steps that recorded ``build_vtfo_curve`` calls
     added: each curve's steps less those of the prefix it resumed."""
-    return sum(steps(critval, b.result) - steps(critval, b.kwargs.get("prefix")) for b in builds)
+    return sum(steps(b.result) - steps(b.kwargs.get("prefix")) for b in builds)
 
 
 def judge_sets(mwiv, n: int):
@@ -184,7 +182,7 @@ def builds(mwiv, args) -> None:
         for rho in (float(r) for r in args.rho.split(",")):
             total, cont = fastest(args.repeat, lambda: continuation_s(rho, alpha))
             curve, evals, fallbacks = counted_build(critval, rho, alpha)
-            n = steps(critval, curve)
+            n = steps(curve)
             per_step = f"{evals / n:10.2f}" if n else f"{'-':>10}"
             prefix_s, prefix = fastest(args.repeat,
                                        lambda: critval.build_vtfo_curve(rho, alpha, nu_max=args.prefix_nu))
@@ -205,7 +203,7 @@ def sets(mwiv, args) -> None:
         with watching(mwiv.critval, "build_vtfo_curve") as calls:
             cs = cold_set()
         nu_hat = float(mwiv.normalized_stats(ctx, data, float(grid[0])).nu)
-        print(f"{label:>14} {nu_hat:8.3f} {best:8.4f} {len(calls):6d} {added_steps(mwiv.critval, calls):7d} "
+        print(f"{label:>14} {nu_hat:8.3f} {best:8.4f} {len(calls):6d} {added_steps(calls):7d} "
               f"{digest(cs.statistics, cs.criticals, cs.rejects, cs.intervals):>16}")
 
 
