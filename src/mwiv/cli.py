@@ -125,7 +125,7 @@ def cmd_cs(args) -> int:
 def cmd_curve(args) -> int:
     rhos = _parse_float_list(args.rho, "--rho")
     cache = CurveCache(directory=_resolve_cache_dir(args.cache_dir))
-    curves = [cache.get(r, args.alpha) for r in rhos]
+    curves = cache.get_many(rhos, args.alpha)
     if args.out:
         write_curve_csv(args.out, curves)
     else:

@@ -46,7 +46,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import tempfile
+import threading
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -963,9 +965,88 @@ def snap_rho_to_grid(rho):
     return float(out) if out.ndim == 0 else out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (1 where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _build_share(misses, alpha: float) -> list:
+    """``build_vtfo_curve`` for each (|rho|, nu_max, prefix) of ``misses`` in
+    turn, up to the first that fails, whose error takes its curve's place."""
+    built = []
+    for rho_abs, stop, prefix in misses:
+        try:
+            built.append(build_vtfo_curve(rho_abs, alpha, stop, prefix=prefix))
+        except Exception as exc:  # raised by CurveCache.get_many, in |rho| order
+            built.append(exc)
+            break
+    return built
+
+
+def _dealt(m: int, k: int) -> tuple[int, int]:
+    """(share, place in it) of the m-th miss dealt to shares 0, 1, ..., k - 1,
+    k - 1, ..., 0, 0, 1, ..., which balances them better than a round robin."""
+    row, col = divmod(m, k)
+    return (col if row % 2 == 0 else k - 1 - col), row
+
+
+def _build_shares(misses, alpha: float) -> list:
+    """``_build_share(misses, alpha)`` on the usable CPUs at once.
+
+    The misses, in ascending |rho| and so costliest first, are dealt back
+    and forth into k = min(misses, usable CPUs) shares (``_dealt``). This
+    process builds the last share and forks a child for each other one,
+    which pickles its curves to an unnamed temporary file (a pipe took
+    three times as long to pass a weak set's 2 MB of knots); a share no
+    child stored is built here. The builds stay here when k is 1, without
+    ``os.fork``, or while another thread runs (a child would inherit its
+    locks held). Every child is reaped before this returns.
+    """
+    k = min(len(misses), _usable_cpus())
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return _build_share(misses, alpha)
+    shares = [[] for _ in range(k)]
+    for m, miss in enumerate(misses):
+        shares[_dealt(m, k)[0]].append(miss)
+    children, received = [], []
+    try:
+        for share in shares[:-1]:
+            spool = tempfile.TemporaryFile(buffering=0)
+            pid = os.fork()
+            if pid == 0:  # the child: store its share, then exit without the parent's clean-up
+                code = 1
+                try:
+                    with open(spool.fileno(), "wb", closefd=False) as sink:
+                        pickle.dump(_build_share(share, alpha), sink)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, spool))
+        own = _build_share(shares[-1], alpha)
+    finally:
+        for pid, spool in children:
+            with spool:
+                stored = os.waitpid(pid, 0)[1] == 0
+                spool.seek(0)
+                received.append(spool.readall() if stored else None)
+    built = [_build_share(share, alpha) if sent is None else pickle.loads(sent)
+             for share, sent in zip(shares, received)] + [own]
+    out = []
+    for m in range(len(misses)):
+        share, place = _dealt(m, k)
+        out.append(built[share][place])
+        if isinstance(out[-1], Exception):
+            break
+    return out
+
+
 class CurveCache:
     """Curve store keyed by (|rho|, alpha) that builds each curve only as
     far as it is read, and keeps and resumes what it built.
+
+    ``get_many`` builds the curves one call misses on the usable CPUs at
+    once (``_build_shares``), with no option; ``get`` is its one-curve
+    case. Only the calling process writes files and fills memory.
 
     ``directory=None`` keeps curves in memory only. On disk each (|rho|,
     alpha) has up to two binary files (``_save_file``), named from one stem
@@ -996,45 +1077,61 @@ class CurveCache:
         """A curve for (|rho|, alpha) that holds the full curve's knots up to
         ``nu_max``, the largest nu the caller reads (NU_MAX, the default, or
         a NaN asks for the full curve); past its last knot a prefix is not
-        the curve, so read it no further than ``nu_max``.
+        the curve, so read it no further than ``nu_max``. The one-curve case
+        of ``get_many``."""
+        return self.get_many([rho], alpha, [nu_max])[0]
 
-        It looks in memory, then in the full file, then in the prefix file.
-        If none reaches ``nu_max``, it continues the longest of them
-        (``build_vtfo_curve``'s ``prefix``), or builds from the start, up to
-        ``nu_max``. It keeps the result in memory and writes it to the full
-        file when it is the full curve, deleting the prefix file, else to
-        the prefix file.
+    def get_many(self, rhos, alpha: float = 0.05, nu_maxes=None) -> list[CriticalValueCurve]:
+        """``get`` for each of ``rhos``, each up to its entry of ``nu_maxes``
+        (all NU_MAX when None); a |rho| asked for twice is served once.
+
+        Each curve comes from memory, else the full file, else the prefix
+        file. The misses, which none holds far enough, continue the longest
+        of them (``build_vtfo_curve``'s ``prefix``) or build from the start,
+        all at once (``_build_shares``). In ascending |rho|, each built curve
+        is kept in memory and written to the full file when it is the full
+        curve, deleting the prefix file, else to the prefix file; the first
+        failed build raises its error there, and no later curve is kept.
         """
-        rho_abs = abs(float(rho))
         alpha = _check_alpha(alpha)
-        key = (repr(rho_abs), repr(alpha))
-        best = self._memory.get(key)
-        if best is not None and best._reaches(nu_max):
-            return best
-        stem = None
-        if self.directory is not None:
-            stem = os.path.join(self.directory, self._stem(rho_abs, alpha))
-            for path in (stem + ".bin", stem + ".part.bin"):
-                hit = self._load_file(path, rho_abs, alpha, 0 if best is None else best.knots_nu.size)
-                if hit is not None:
-                    best = self._memory[key] = hit
-                    if hit._reaches(nu_max):
-                        return hit
-        curve = build_vtfo_curve(rho_abs, alpha, nu_max, prefix=best)
-        if stem is not None:
-            try:
-                os.makedirs(self.directory, exist_ok=True)
-                if curve._reaches(NU_MAX):
-                    self._save_file(stem + ".bin", curve)
-                    # the full file is read first and always reaches
-                    with contextlib.suppress(FileNotFoundError):
-                        os.remove(stem + ".part.bin")
-                else:
-                    self._save_file(stem + ".part.bin", curve)
-            except OSError as exc:
-                raise DataError(f"cannot write the curve cache directory {self.directory!r}: {exc}") from exc
-        self._memory[key] = curve
-        return curve
+        wanted = {}
+        for rho, nu_max in zip(rhos, [NU_MAX] * len(rhos) if nu_maxes is None else nu_maxes):
+            rho_abs, stop = abs(float(rho)), (nu_max if nu_max < NU_MAX else NU_MAX)
+            wanted[rho_abs] = max(stop, wanted.get(rho_abs, stop))
+        curves, misses = {}, []
+        for rho_abs, stop in sorted(wanted.items()):
+            key = (repr(rho_abs), repr(alpha))
+            best = self._memory.get(key)
+            if self.directory is not None and (best is None or not best._reaches(stop)):
+                stem = os.path.join(self.directory, self._stem(rho_abs, alpha))
+                for path in (stem + ".bin", stem + ".part.bin"):
+                    hit = self._load_file(path, rho_abs, alpha, 0 if best is None else best.knots_nu.size)
+                    if hit is not None:
+                        best = self._memory[key] = hit
+                        if hit._reaches(stop):
+                            break
+            if best is not None and best._reaches(stop):
+                curves[rho_abs] = best
+            else:
+                misses.append((rho_abs, stop, best))
+        for (rho_abs, _, _), curve in zip(misses, _build_shares(misses, alpha)):
+            if isinstance(curve, Exception):
+                raise curve
+            if self.directory is not None:
+                stem = os.path.join(self.directory, self._stem(rho_abs, alpha))
+                try:
+                    os.makedirs(self.directory, exist_ok=True)
+                    if curve._reaches(NU_MAX):
+                        self._save_file(stem + ".bin", curve)
+                        # the full file is read first and always reaches
+                        with contextlib.suppress(FileNotFoundError):
+                            os.remove(stem + ".part.bin")
+                    else:
+                        self._save_file(stem + ".part.bin", curve)
+                except OSError as exc:
+                    raise DataError(f"cannot write the curve cache directory {self.directory!r}: {exc}") from exc
+            self._memory[(repr(rho_abs), repr(alpha))] = curves[rho_abs] = curve
+        return [curves[abs(float(rho))] for rho in rhos]
 
     @staticmethod
     def _save_file(path, curve: CriticalValueCurve) -> None:

@@ -143,13 +143,14 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
       delta 2, rho 0.931). cw interpolates between 512 quantiles on T's
       range.
 
-    Either way vtfo asks the cache for each curve only up to the largest
-    nu it reads (``CurveCache.get``'s ``nu_max``; a NaN asks for the full
-    curve). A confidence set has one nu, so in the weak-identification
-    regime most bins need no continuation step, and the power lab's draws
-    rarely pass nu 7. The prefix gives the full curve's critical values
-    bit for bit, and the cache keeps it and resumes it when a later call
-    reads further.
+    Either way vtfo asks the cache for all its curves in one
+    ``CurveCache.get_many`` call, which builds the missing ones on the
+    usable CPUs at once, and for each curve only up to the largest nu it
+    reads (a NaN asks for the full curve). A confidence set has one nu, so
+    in the weak-identification regime most bins need no continuation step,
+    and the power lab's draws rarely pass nu 7. The prefix gives the full
+    curve's critical values bit for bit, and the cache keeps it and resumes
+    it when a later call reads further.
 
     vtf interpolates the external table at rho either way. ``method`` must
     have passed ``_check_method``.
@@ -159,11 +160,11 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     nu = np.broadcast_to(stats.nu, np.shape(stats.t_squared))
     if method == "vtfo":
         bins = np.broadcast_to(min(abs(rho), RHO_CAP) if known else snap_rho_to_grid(rho), nu.shape)
+        rhos = np.unique(bins)
+        rows = [bins == r for r in rhos]
         critical = np.full(nu.shape, np.nan)
-        for r in np.unique(bins):
-            rows = bins == r
-            nu_rows = nu[rows]
-            critical[rows] = curves.cache.get(r, alpha, nu_max=np.max(nu_rows)).evaluate_array(nu_rows)
+        for at, curve in zip(rows, curves.cache.get_many(rhos, alpha, [np.max(nu[at]) for at in rows])):
+            critical[at] = curve.evaluate_array(nu[at])
         return stats.t_squared, critical
     if method == "vtf":
         return stats.t_squared, curves.two_sided.lookup_array(nu, rho)

@@ -1,6 +1,7 @@
 """Command-line interface: reports, files, exit codes, cache behavior."""
 
 import os
+import re
 import shutil
 import tracemalloc
 import warnings
@@ -11,6 +12,8 @@ import pytest
 from mwiv import (
     Dataset,
     JudgeDesignSpec,
+    build_projection,
+    normalized_stats,
     read_dataset_csv,
     simulate_judge_data,
     snap_rho_to_grid,
@@ -332,6 +335,31 @@ class TestConfidenceSet:
         assert err.startswith("error: vtfo curve build failed at rho=0.")
         assert ", alpha=0.2: " in err
 
+    def test_failed_forked_builds_exit_4_as_in_one_process(self, tmp_path, capsys, monkeypatch):
+        # every bin fails at alpha 0.2; with the builds in two processes the
+        # error is the lowest bin's, as in one
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--judges", "20", "--cluster-size", "10", "--pi", "0.5",
+                     "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        betas = np.linspace(0.0, 2.0, 11)
+        dataset = read_dataset_csv(data)
+        ctx = build_projection(dataset)
+        assert len({snap_rho_to_grid(normalized_stats(ctx, dataset, b).rho) for b in betas}) >= 2
+        forks, fork = [], os.fork
+        monkeypatch.setattr(critval.os, "fork", lambda: forks.append(None) or fork())
+        got = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(critval, "_usable_cpus", lambda: cpus)
+            code = main(["cs", "--data", str(data), "--method", "vtfo", "--alpha", "0.2",
+                         "--grid", "0:2:11", "--cache-dir", str(tmp_path / f"cache{cpus}")])
+            got[cpus] = (code, *capsys.readouterr())
+        assert len(forks) == 1
+        assert got[2] == got[1]
+        code, out, err = got[2]
+        assert code == 4 and out == ""
+        assert re.fullmatch(r"error: vtfo curve build failed at rho=0\.\d+, alpha=0\.2: .*\n", err)
+
     def test_bad_grid(self, strong_csv, capsys):
         code = main(["cs", "--data", str(strong_csv), "--grid", "oops"])
         err = capsys.readouterr().err
@@ -389,6 +417,20 @@ class TestCurve:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write the curve cache directory")
         assert str(blocker / "sub") in captured.err
+
+    def test_multi_rho_table_from_one_cache_call(self, tmp_path, capsys, monkeypatch):
+        # the three curves are built in two processes at once, and the table
+        # and cache files are those of one process
+        forks, fork = [], os.fork
+        monkeypatch.setattr(critval.os, "fork", lambda: forks.append(None) or fork())
+        for cpus in (2, 1):
+            monkeypatch.setattr(critval, "_usable_cpus", lambda: cpus)
+            assert main(["curve", "--rho", "0.8,0.2,0.5", "--out", str(tmp_path / f"{cpus}.csv"),
+                         "--cache-dir", str(tmp_path / f"cache{cpus}")]) == 0
+        assert len(forks) == 1
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        files = [{p.name: p.read_bytes() for p in (tmp_path / f"cache{cpus}").iterdir()} for cpus in (2, 1)]
+        assert files[0] == files[1] and len(files[0]) == 3
 
     def test_multi_rho_stdout(self, tmp_path, capsys):
         code = main([

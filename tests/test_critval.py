@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -1297,6 +1298,119 @@ class TestSnapAndCache:
         blocker.write_text("")
         with pytest.raises(DataError, match="curve cache directory"):
             CurveCache(directory=str(blocker / "sub")).get(0.3, 0.05)
+
+
+def _forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(critval.os, "fork", counted)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestParallelBuilds:
+    """``get_many`` builds its misses in forked children, whatever the CPUs
+    of the host (``_usable_cpus`` is set), and gives what one process gives."""
+
+    ASKS = [0.7, 0.01, RHO_CAP, 0.3, 0.9, 0.1, 0.5, -0.3]
+    STOPS = [20.0, 3.0, math.nan, critval.NU_MAX, 3.0, 12.0, 15.0, 6.0]
+
+    def test_same_curves_and_files_as_one_process(self, tmp_path, monkeypatch):
+        # three shares over seven misses, one of them resuming a prefix that
+        # memory and the prefix file hold, and -0.3 served with 0.3
+        forks = _forks(monkeypatch)
+        got = {}
+        for cpus in (3, 1):
+            monkeypatch.setattr(critval, "_usable_cpus", lambda: cpus)
+            cache = CurveCache(directory=str(tmp_path / str(cpus)))
+            cache.get(0.5, 0.05, nu_max=6.0)
+            got[cpus] = cache.get_many(self.ASKS, 0.05, self.STOPS)
+            assert [c.rho_abs for c in got[cpus]] == [abs(r) for r in self.ASKS]
+            assert got[cpus][3] is got[cpus][7] and len(cache._memory) == 7
+        assert len(forks) == 2
+        _no_child_left()
+        for a, b in zip(got[3], got[1]):
+            _assert_same_curve(a, b)
+        assert _files(tmp_path / "3") == _files(tmp_path / "1")
+
+    def test_first_failure_in_rho_order_and_no_child_left(self, tmp_path, monkeypatch):
+        # the curves below the failure are kept, as one process keeps them,
+        # and one process builds nothing past it
+        forks, builds, build = _forks(monkeypatch), [], critval.build_vtfo_curve
+
+        def counted(rho, *args, **kwargs):
+            builds.append(rho)
+            return build(rho, *args, **kwargs)
+
+        monkeypatch.setattr(critval, "build_vtfo_curve", counted)
+        errors = {}
+        for cpus in (3, 1):
+            monkeypatch.setattr(critval, "_usable_cpus", lambda: cpus)
+            builds.clear()
+            cache = CurveCache(directory=str(tmp_path / str(cpus)))
+            with pytest.raises(DataError, match="rho out of range") as exc:
+                cache.get_many([1.5, 0.5, 0.3, 2.5], 0.05, [6.0] * 4)
+            assert sorted(cache._memory) == [("0.3", "0.05"), ("0.5", "0.05")]
+            with pytest.raises(NumericalError) as failed:
+                cache.get_many([0.6, 0.2, 0.4, 0.8], 0.2)
+            errors[cpus] = (str(exc.value), str(failed.value))
+            _no_child_left()
+        assert len(forks) == 4
+        assert builds == [0.3, 0.5, 1.5, 0.2]
+        assert errors[3] == errors[1]
+        assert errors[3][1].startswith("vtfo curve build failed at rho=0.2, alpha=0.2: ")
+        assert _files(tmp_path / "3") == _files(tmp_path / "1")
+
+    def test_share_of_a_child_that_sent_nothing_is_built_here(self, monkeypatch):
+        parent, build_share = os.getpid(), critval._build_share
+
+        def dying(misses, alpha):
+            if os.getpid() != parent:
+                os._exit(1)
+            return build_share(misses, alpha)
+
+        monkeypatch.setattr(critval, "_build_share", dying)
+        monkeypatch.setattr(critval, "_usable_cpus", lambda: 3)
+        forks = _forks(monkeypatch)
+        got = CurveCache().get_many(self.ASKS, 0.05, self.STOPS)
+        assert len(forks) == 2
+        _no_child_left()
+        monkeypatch.setattr(critval, "_usable_cpus", lambda: 1)
+        for a, b in zip(got, CurveCache().get_many(self.ASKS, 0.05, self.STOPS)):
+            _assert_same_curve(a, b)
+
+    def test_no_fork_for_hits_one_miss_or_a_second_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(critval, "_usable_cpus", lambda: 3)
+        forks = _forks(monkeypatch)
+        cache = CurveCache(directory=str(tmp_path))
+        cache.get_many([0.3, -0.3], 0.05)  # one miss
+        cache.get_many([0.3, 0.6], 0.05, [critval.NU_MAX, 5.0])  # one miss, one hit in memory
+        CurveCache(directory=str(tmp_path)).get_many([0.6, 0.3], 0.05, [5.0, 5.0])  # hits on disk
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            cache.get_many([0.2, 0.4], 0.05, [8.0, 8.0])
+        finally:
+            release.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+        assert forks == []
 
 
 def _assert_same_curve(got, want):

@@ -1,6 +1,7 @@
 """Hypothesis tests, confidence set inversion, unboundedness rules."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from mwiv import (
     two_sided_chi2,
     write_curve_csv,
 )
-from mwiv import estimators, inference
+from mwiv import critval, estimators, inference
 
 Q2 = 3.8414588206941254
 SQ = 1.6448536269514722
@@ -424,6 +425,33 @@ class TestDecide:
             assert np.array_equal(cs.rejects, want[:, 0] > want[:, 1]), method
             # squares of array statistics may round differently from scalar ones
             assert np.all(np.abs(cs.statistics - want[:, 0]) <= np.spacing(np.abs(want[:, 0]))), method
+
+    def test_vtfo_set_with_a_child_that_sent_nothing(self, strong_data, monkeypatch):
+        # two children, one of which exits before it sends its share: the
+        # set equals the one built in one process
+        data, ctx = strong_data
+        beta_hat = jive_point_estimate(ctx, data)
+        grid = (beta_hat - 0.1, beta_hat + 0.1, 41)
+        parent, build_share, fork, forks = os.getpid(), critval._build_share, os.fork, []
+
+        def counted():
+            forks.append(None)  # before the fork, so that each child sees its number
+            return fork()
+
+        def first_child_dies(misses, alpha):
+            if os.getpid() != parent and len(forks) == 1:
+                os._exit(1)
+            return build_share(misses, alpha)
+
+        monkeypatch.setattr(critval.os, "fork", counted)
+        monkeypatch.setattr(critval, "_build_share", first_child_dies)
+        sets = {}
+        for cpus in (3, 1):
+            monkeypatch.setattr(critval, "_usable_cpus", lambda: cpus)
+            sets[cpus] = invert_confidence_set("vtfo", ctx, data, grid=grid, curves=CurveLibrary())
+        assert len(forks) == 2
+        for name in ("statistics", "criticals", "rejects", "intervals"):
+            assert np.array_equal(getattr(sets[3], name), getattr(sets[1], name)), name
 
     def test_cw_set_is_one_quantile_call(self, strong_data, curve_library, monkeypatch):
         data, ctx = strong_data

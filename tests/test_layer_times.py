@@ -47,10 +47,17 @@ def test_sets_table(tool, capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["design", "nu_hat", "set_s", "builds", "steps", "sha256"]
     assert [r.split()[:2] for r in rows] == DESIGNS
-    for row in rows:
+    for row, (judges, per, a) in zip(rows, tool.JUDGE_DESIGNS):
         builds, steps, digest = row.split()[4:]
         assert 1 <= int(builds) <= int(steps)
         assert len(digest) == 16
+        # one build per distinct snapped bin of the tested points, whichever
+        # process built it
+        data = tool.judge_design(mwiv, judges, per, a)
+        ctx = mwiv.build_projection(data)
+        betas = np.linspace(*mwiv.default_grid(ctx, data, 41))
+        rho = [mwiv.normalized_stats(ctx, data, float(b)).rho for b in betas]
+        assert int(builds) == np.unique(critval.snap_rho_to_grid(np.array(rho))).size
 
 
 def test_watching_a_resumed_build(tool):
@@ -59,7 +66,7 @@ def test_watching_a_resumed_build(tool):
         curve = critval.build_vtfo_curve(0.5, nu_max=15.0, prefix=prefix)
     assert [c.name for c in calls] == ["build_vtfo_curve"]
     assert calls[0].result is curve
-    assert tool.added_steps(calls) == curve.knots_nu.size - prefix.knots_nu.size == 66
+    assert tool.steps(curve) - tool.steps(prefix) == curve.knots_nu.size - prefix.knots_nu.size == 66
     assert critval.build_vtfo_curve is mwiv.build_vtfo_curve
 
 

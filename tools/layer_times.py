@@ -7,10 +7,11 @@
     python3 tools/layer_times.py --src ../parent/src profile --repeat 5
 
 Each subcommand prints one table. A time is the fastest of ``--repeat``
-runs, and a count comes from one more, untimed run whose calls
-``watching`` records, the one place this script replaces an ``mwiv``
-attribute. A digest is the first 16 hex digits of a sha256 over a run's
-outputs, equal on two checkouts whose outputs are byte-identical.
+runs, and a count comes from one more, untimed run: from the curves its
+library holds, for ``sets``, else from the calls ``watching`` records,
+the one place this script replaces an ``mwiv`` attribute. A digest is the
+first 16 hex digits of a sha256 over a run's outputs, equal on two
+checkouts whose outputs are byte-identical.
 ``--src`` picks the source tree to import ``mwiv`` from.
 
 ``builds``, per (rho, alpha): a vtfo curve build split into the
@@ -24,9 +25,10 @@ exact-rho curves, and its knots; and the rows and time of
 
 ``sets``, per judge design of JUDGE_DESIGNS: a cold vtfo confidence set
 over ``default_grid(ctx, data, --n)`` with a fresh memory-only
-``CurveLibrary``, with nu_hat, seconds, curve builds (a resumed prefix
-included), the continuation steps they add, and a digest of its
-statistics, critical values, reject flags and intervals.
+``CurveLibrary``, with nu_hat, seconds, curve builds (the curves the
+library holds after the set, one build each, whichever process made it),
+their continuation steps, and a digest of its statistics, critical
+values, reject flags and intervals.
 
 ``cw``: per rho of the tests' oracle set, one ``cw_critical_value`` call
 on 512 T over [-6.3, 14.1] at alpha 0.05, with milliseconds, Newton
@@ -138,12 +140,6 @@ def steps(curve) -> int:
     return 0 if curve is None else int(np.sum(curve.knots_nu > curve.formula_end))
 
 
-def added_steps(builds) -> int:
-    """The continuation steps that recorded ``build_vtfo_curve`` calls
-    added: each curve's steps less those of the prefix it resumed."""
-    return sum(steps(b.result) - steps(b.kwargs.get("prefix")) for b in builds)
-
-
 def judge_sets(mwiv, n: int):
     """(label, ctx, data, grid) per design of JUDGE_DESIGNS, the grid
     ``default_grid(ctx, data, n)``."""
@@ -196,14 +192,15 @@ def builds(mwiv, args) -> None:
 def sets(mwiv, args) -> None:
     print(f"{'design':>14} {'nu_hat':>8} {'set_s':>8} {'builds':>6} {'steps':>7} {'sha256':>16}")
     for label, ctx, data, grid in judge_sets(mwiv, args.n):
-        def cold_set():
-            return mwiv.invert_confidence_set("vtfo", ctx, data, grid=grid, curves=mwiv.CurveLibrary())
+        def cold_set(library):
+            return mwiv.invert_confidence_set("vtfo", ctx, data, grid=grid, curves=library)
 
-        best, _ = fastest(args.repeat, cold_set)
-        with watching(mwiv.critval, "build_vtfo_curve") as calls:
-            cs = cold_set()
+        best, _ = fastest(args.repeat, cold_set, fresh=mwiv.CurveLibrary)
+        library = mwiv.CurveLibrary()
+        cs = cold_set(library)
+        held = list(library.cache._memory.values())
         nu_hat = float(mwiv.normalized_stats(ctx, data, float(grid[0])).nu)
-        print(f"{label:>14} {nu_hat:8.3f} {best:8.4f} {len(calls):6d} {added_steps(calls):7d} "
+        print(f"{label:>14} {nu_hat:8.3f} {best:8.4f} {len(held):6d} {sum(map(steps, held)):7d} "
               f"{digest(cs.statistics, cs.criticals, cs.rejects, cs.intervals):>16}")
 
 
