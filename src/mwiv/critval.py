@@ -79,7 +79,7 @@ __all__ = [
 
 RHO_CAP = 0.9999
 RHO_BUILD_FLOOR = 0.02
-_FORMAT_VERSION = "10"
+_FORMAT_VERSION = "11"
 
 # Curve construction grid and tolerances.
 STEP_FIRST = 1e-5  # the continuation's first step past t_tilde and past each breakpoint, in T
@@ -141,13 +141,7 @@ class CriticalValueCurve:
     the last knot the final value extends as a constant. ``t_tilde`` and
     ``t_last`` record the conditioning values where the continuation
     started and stopped (None for the small-rho limit curve and for
-    ranges the continuation never reached), ``nu_mid`` the middle
-    crossing at ``t_last`` and ``nu_prev`` the one a step before, which
-    with it predicts the next, ``step_last`` the step between them,
-    ``step_next`` the step the controller proposes next and ``breakpoint``
-    the kink the middle crossing meets next (``_continuation``): with
-    ``t_last`` they are the state the continuation stopped in, from which
-    a prefix resumes.
+    ranges the continuation never reached).
 
     A built curve is made for conditional size alpha at 0 <= T <=
     ``t_last``: the formula holds it exactly, and so does each continuation
@@ -178,19 +172,13 @@ class CriticalValueCurve:
     t_tilde: float | None = None
     t_last: float | None = None
     formula_end: float | None = None
-    nu_mid: float | None = None
-    nu_prev: float | None = None
-    step_last: float | None = None
-    step_next: float | None = None
-    breakpoint: float | None = None
 
     @classmethod
-    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None, *state):
+    def _built(cls, rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde=None, t_last=None):
         """A built curve, whose formula segment ends at nu_tilde = t_tilde +
-        nu*, or at NU_MAX for the small-rho limit (no t_tilde); ``state`` is
-        (nu_mid, nu_prev, step_last, step_next, breakpoint), or empty."""
+        nu*, or at NU_MAX for the small-rho limit (no t_tilde)."""
         end = NU_MAX if t_tilde is None else t_tilde + domain_low
-        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end, *state)
+        return cls(rho_abs, alpha, knots_nu, knots_c, domain_low, t_tilde, t_last, end)
 
     def _reaches(self, nu_max: float) -> bool:
         """Whether the curve holds every knot the full curve has up to
@@ -394,17 +382,12 @@ def _landing(b: float, rho: float, nu_star: float, nu_tilde: float, cont_nu: lis
     return t_b
 
 
-def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float,
-                  nu_max: float = NU_MAX, start=None):
-    """Three-crossing continuation until a high crossing passes ``nu_max``:
-    (its knots past nu_tilde, their c, and the state it stopped in: the
-    last T, the middle crossing there and a step before, the step between
-    them, the step proposed next and the pending breakpoint).
-
-    ``start`` is that state of a prefix, followed by its knots past
-    nu_tilde and their c. None starts at the tangency, T = t_tilde, with no
-    knots past nu_tilde, no crossing before the double root there, a first
-    step of STEP_FIRST and nu_tilde the pending breakpoint.
+def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_tilde: float, nu_max: float = NU_MAX):
+    """Three-crossing continuation from the tangency, T = t_tilde, until a
+    high crossing passes ``nu_max``: (its knots past nu_tilde, their c, the
+    last T). It starts with the double root at t_tilde as the middle
+    crossing, no crossing before it, a first step of STEP_FIRST and
+    nu_tilde the pending breakpoint.
 
     Each step takes the low crossing from the closed-form quadratic, the
     middle one from ``_middle_crossing`` on the curve built so far,
@@ -443,15 +426,11 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
     estimate needs three knots on one side of a kink, so it is taken as
     two half steps and checked as one, on the longer of its two panels.
     No step depends on ``nu_max``, so a stop below NU_MAX gives the first
-    knots of the full run, and a run resumed from that stop gives the
-    rest, bit for bit.
+    knots of the full run, bit for bit.
     """
     # at t_tilde the low and middle crossings meet in the double root
-    t, nu_m, nu_prev, step_last, h, brk, past_nu, past_c = start or (
-        t_tilde, 0.5 * (t_tilde + nu_star), None, None, STEP_FIRST, nu_tilde, [], [])
-    cont_nu = [nu_tilde, *past_nu]
-    cont_c = [_closed(nu_tilde, rho, nu_star), *past_c]
-    panel = max(1, bisect_right(cont_nu, nu_m))
+    t, nu_m, nu_prev, step_last, h, brk = t_tilde, 0.5 * (t_tilde + nu_star), None, None, STEP_FIRST, nu_tilde
+    cont_nu, cont_c, panel = [nu_tilde], [_closed(nu_tilde, rho, nu_star)], 1
     t_break = _landing(brk, rho, nu_star, nu_tilde, cont_nu, cont_c)
     r2 = rho * rho
     for _ in range(MAX_ITER):
@@ -508,7 +487,7 @@ def _continuation(rho: float, alpha: float, nu_star: float, t_tilde: float, nu_t
             brk, h = cont_nu[-1], STEP_FIRST
             t_break = _landing(brk, rho, nu_star, nu_tilde, cont_nu, cont_c)
         if cont_nu[-1] >= nu_max:
-            return cont_nu[1:], cont_c[1:], t, nu_m, nu_prev, step_last, h, brk
+            return cont_nu[1:], cont_c[1:], t
     raise NumericalError("continuation step failed: NU_MAX not reached")
 
 
@@ -572,8 +551,7 @@ def _closed_form_knots(rho_abs: float, nu_star: float, nu_end: float):
     return nus, np.concatenate([cs, closed(ladder)])[first]
 
 
-def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
-                     prefix: CriticalValueCurve | None = None) -> CriticalValueCurve:
+def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX) -> CriticalValueCurve:
     """Construct the one-sided curve for |rho| at level alpha.
 
     Closed-form knots (``_closed_form_knots``) run from nu* to nu_tilde
@@ -596,14 +574,6 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
     not the curve. The closed-form knots always span [nu*, nu_tilde],
     because their base panels depend on the end point, and the small-rho
     limit is always built in full.
-
-    ``prefix`` is a curve built earlier for the same |rho| and alpha. Its
-    closed-form knots are reused, and the continuation resumes from the
-    state it stopped in (``t_last``, ``nu_mid``, ``nu_prev``,
-    ``step_last``, ``step_next``, ``breakpoint``) instead of the tangency,
-    running at least one step. No step depends on where a run stopped, so
-    a curve grown in any number of pieces equals one built at once, bit
-    for bit. ``CurveCache.get`` grows its curves this way.
 
     The construction only sees rho through rho^2 and |rho|, so the sign of
     rho is irrelevant. Below RHO_BUILD_FLOOR the continuation is
@@ -632,25 +602,17 @@ def build_vtfo_curve(rho: float, alpha: float = 0.05, nu_max: float = NU_MAX,
 
     _, nu_star = _nu_star(rho_abs, alpha)
     t_tilde, nu_tilde = _tangency(nu_star)
+    nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
     stop = nu_max if nu_max < NU_MAX else NU_MAX  # nan builds in full too
-    start = None
-    if prefix is None:
-        nus, cs = _closed_form_knots(rho_abs, nu_star, nu_tilde)
-        if stop <= nu_tilde:
-            return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
-    else:
-        n = int(np.searchsorted(prefix.knots_nu, nu_tilde, side="right"))
-        nus, cs = prefix.knots_nu[:n], prefix.knots_c[:n]
-        if prefix.t_last is not None:
-            start = (prefix.t_last, prefix.nu_mid, prefix.nu_prev, prefix.step_last, prefix.step_next,
-                     prefix.breakpoint, prefix.knots_nu[n:].tolist(), prefix.knots_c[n:].tolist())
+    if stop <= nu_tilde:
+        return CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde=t_tilde)
     try:
-        cont_nu, cont_c, *state = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop, start)
+        cont_nu, cont_c, t_last = _continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, stop)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={alpha!r}: {exc}") from exc
 
     nus, cs = np.concatenate([nus, cont_nu]), np.concatenate([cs, cont_c])
-    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde, *state)
+    knots = CriticalValueCurve._built(rho_abs, alpha, nus, cs, nu_star, t_tilde, t_last)
     if not np.all(np.diff(knots.knots_nu) > 0.0):
         raise NumericalError("continuation step failed: knots not strictly increasing")
     return knots
@@ -971,12 +933,12 @@ def _usable_cpus() -> int:
 
 
 def _build_share(misses, alpha: float) -> list:
-    """``build_vtfo_curve`` for each (|rho|, nu_max, prefix) of ``misses`` in
-    turn, up to the first that fails, whose error takes its curve's place."""
+    """``build_vtfo_curve`` for each (|rho|, nu_max) of ``misses`` in turn,
+    up to the first that fails, whose error takes its curve's place."""
     built = []
-    for rho_abs, stop, prefix in misses:
+    for rho_abs, stop in misses:
         try:
-            built.append(build_vtfo_curve(rho_abs, alpha, stop, prefix=prefix))
+            built.append(build_vtfo_curve(rho_abs, alpha, stop))
         except Exception as exc:  # raised by CurveCache.get_many, in |rho| order
             built.append(exc)
             break
@@ -1042,7 +1004,7 @@ def _build_shares(misses, alpha: float) -> list:
 
 class CurveCache:
     """Curve store keyed by (|rho|, alpha) that builds each curve only as
-    far as it is read, and keeps and resumes what it built.
+    far as it is read, and keeps what it built.
 
     ``get_many`` builds the curves one call misses on the usable CPUs at
     once (``_build_shares``), with no option; ``get`` is its one-curve
@@ -1054,9 +1016,8 @@ class CurveCache:
 
     * ``<stem>.bin`` holds the full curve. Once written it is never
       rewritten, so a warm cache directory stays as it is;
-    * ``<stem>.part.bin`` holds the longest prefix built so far, with the
-      state its continuation stopped in. A longer prefix replaces it, and
-      the full file, once written, deletes it.
+    * ``<stem>.part.bin`` holds the longest prefix built so far. A longer
+      prefix replaces it, and the full file, once written, deletes it.
 
     Each file is a JSON header line, then the (2, n) little-endian float64
     array of ``knots_nu`` and ``knots_c``. Writes go through a temporary
@@ -1086,16 +1047,20 @@ class CurveCache:
         (all NU_MAX when None); a |rho| asked for twice is served once.
 
         Each curve comes from memory, else the full file, else the prefix
-        file. The misses, which none holds far enough, continue the longest
-        of them (``build_vtfo_curve``'s ``prefix``) or build from the start,
-        all at once (``_build_shares``). In ascending |rho|, each built curve
-        is kept in memory and written to the full file when it is the full
+        file. The misses, which none holds far enough, are built from the
+        tangency up to their ``nu_max``, however long a prefix is held, all
+        at once (``_build_shares``). In ascending |rho|, each built curve is
+        kept in memory and written to the full file when it is the full
         curve, deleting the prefix file, else to the prefix file; the first
         failed build raises its error there, and no later curve is kept.
+        ``nu_maxes`` of another length than ``rhos`` is a DataError.
         """
         alpha = _check_alpha(alpha)
+        nu_maxes = [NU_MAX] * len(rhos) if nu_maxes is None else nu_maxes
+        if len(nu_maxes) != len(rhos):
+            raise DataError(f"get_many needs one nu_max per rho: {len(rhos)} rho, {len(nu_maxes)} nu_max")
         wanted = {}
-        for rho, nu_max in zip(rhos, [NU_MAX] * len(rhos) if nu_maxes is None else nu_maxes):
+        for rho, nu_max in zip(rhos, nu_maxes):
             rho_abs, stop = abs(float(rho)), (nu_max if nu_max < NU_MAX else NU_MAX)
             wanted[rho_abs] = max(stop, wanted.get(rho_abs, stop))
         curves, misses = {}, []
@@ -1113,8 +1078,8 @@ class CurveCache:
             if best is not None and best._reaches(stop):
                 curves[rho_abs] = best
             else:
-                misses.append((rho_abs, stop, best))
-        for (rho_abs, _, _), curve in zip(misses, _build_shares(misses, alpha)):
+                misses.append((rho_abs, stop))
+        for (rho_abs, _), curve in zip(misses, _build_shares(misses, alpha)):
             if isinstance(curve, Exception):
                 raise curve
             if self.directory is not None:
@@ -1147,11 +1112,6 @@ class CurveCache:
             "domain_low": curve.domain_low,
             "t_tilde": curve.t_tilde,
             "t_last": curve.t_last,
-            "nu_mid": curve.nu_mid,
-            "nu_prev": curve.nu_prev,
-            "step_last": curve.step_last,
-            "step_next": curve.step_next,
-            "breakpoint": curve.breakpoint,
         }
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
@@ -1187,9 +1147,7 @@ class CurveCache:
             digest.update(body)
             if digest.hexdigest() != want:
                 return None
-            return CriticalValueCurve._built(
-                rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"], meta["t_tilde"], meta["t_last"],
-                meta["nu_mid"], meta["nu_prev"], meta["step_last"], meta["step_next"], meta["breakpoint"],
-            )
+            return CriticalValueCurve._built(rho_abs, meta["alpha"], body[0], body[1], meta["domain_low"],
+                                             meta["t_tilde"], meta["t_last"])
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None

@@ -149,8 +149,8 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     reads (a NaN asks for the full curve). A confidence set has one nu, so
     in the weak-identification regime most bins need no continuation step,
     and the power lab's draws rarely pass nu 7. The prefix gives the full
-    curve's critical values bit for bit, and the cache keeps it and resumes
-    it when a later call reads further.
+    curve's critical values bit for bit; the cache keeps it, and builds
+    anew from the tangency when a later call reads further.
 
     vtf interpolates the external table at rho either way. ``method`` must
     have passed ``_check_method``.

@@ -601,16 +601,18 @@ def _oracle_middle(lo, guess, step, quad_hi, nu_tilde, cap, args):
 def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde, ts):
     """The continuation at the conditioning values ``ts`` with its middle
     crossing from ``brentq`` (``_oracle_middle``), predicted from the last
-    two by the secant in T: (knots past nu_tilde, their c, the last T)."""
+    two by the secant in T: (knots past nu_tilde, their c, the last T, the
+    middle crossing at each T)."""
     cont_nu = [nu_tilde]
     cont_c = [critval._closed(nu_tilde, rho, nu_star)]
-    nu_m, nu_prev, last, step = 0.5 * (t_tilde + nu_star), None, t_tilde, None
+    nu_m, nu_prev, last, step, mids = 0.5 * (t_tilde + nu_star), None, t_tilde, None, []
     for t in ts:
         step, step_prev, last = t - last, step, t
         nu_l, quad_hi = critval._closed_form_crossings(nu_star, t)
         args = (t, rho, nu_star, nu_tilde, cont_nu, cont_c)
         guess = None if nu_prev is None else nu_m + (nu_m - nu_prev) * (step / step_prev)
         nu_prev, nu_m = nu_m, _oracle_middle(nu_m, guess, step, quad_hi, nu_tilde, t * (1.0 - 1e-12), args)
+        mids.append(nu_m)
         if not nu_star <= nu_l <= nu_m <= t:
             raise NumericalError("crossing order violated")
         hump_prob = float(ndtr((nu_m - t) / rho) - ndtr((nu_l - t) / rho))
@@ -622,7 +624,7 @@ def _oracle_continuation(rho, alpha, nu_star, t_tilde, nu_tilde, ts):
             raise NumericalError("continuation step failed: frontier did not advance")
         cont_nu.append(nu_h)
         cont_c.append(t2_w_curve(nu_h, t, rho))
-    return cont_nu[1:], cont_c[1:], last
+    return cont_nu[1:], cont_c[1:], last, mids
 
 
 def oracle_vtfo_curve(rho, alpha=0.05, ts=()):
@@ -644,7 +646,17 @@ def oracle_vtfo_curve(rho, alpha=0.05, ts=()):
         return np.array(nus), np.array(cs), nu_star, None, None, len(nus)
     nus, cs = _oracle_closed_form_knots(rho_abs, nu_star, nu_tilde)
     try:
-        cont_nu, cont_c, t_last = _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, ts)
+        cont_nu, cont_c, t_last, _ = _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, ts)
     except NumericalError as exc:
         raise NumericalError(f"vtfo curve build failed at rho={rho_abs!r}, alpha={float(alpha)!r}: {exc}") from exc
     return np.array(nus + cont_nu), np.array(cs + cont_c), nu_star, t_tilde, t_last, len(nus)
+
+
+def oracle_middle_crossings(rho, alpha=0.05, ts=()):
+    """The middle crossing at each of the conditioning values ``ts`` (the
+    package's steps, ``continuation_steps``), from the oracle continuation
+    (``_oracle_continuation``)."""
+    rho_abs = abs(float(rho))
+    nu_star, _ = fixed_point(rho_abs, alpha)
+    t_tilde, nu_tilde = find_tangency(rho_abs, alpha)
+    return _oracle_continuation(rho_abs, alpha, nu_star, t_tilde, nu_tilde, ts)[3]

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import threading
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     continuation_steps,
     oracle_cw_accept,
     oracle_cw_quantile,
+    oracle_middle_crossings,
     oracle_vtfo_curve,
 )
 
@@ -159,12 +161,14 @@ class TestContinuation:
 
     def test_high_knot_later_becomes_middle_crossing(self):
         # the high crossings are the knots past nu_tilde; the middle crossing
-        # at the end of a prefix (its state) sweeps past them, and a step
-        # that lands on a breakpoint puts it exactly on one
+        # at each step (the oracle continuation's, at the package's steps)
+        # sweeps past them, and a step that lands on a breakpoint puts it
+        # exactly on one
         rho = 0.5
-        full = build_vtfo_curve(rho, 0.05)
+        full, ts = continuation_steps(rho, 0.05)
         highs = full.knots_nu[full.knots_nu > full.formula_end]
-        mids = np.array([build_vtfo_curve(rho, 0.05, nu_max=stop).nu_mid for stop in highs[::5]])
+        mids = np.array(oracle_middle_crossings(rho, 0.05, ts))
+        assert mids.size == highs.size
         assert np.all(np.diff(mids) > 0.0) and mids[-1] > full.formula_end
         target = highs[4]
         assert mids[0] < target <= mids[-1]
@@ -306,11 +310,11 @@ class TestBuildCurve:
 
         # the first step past the tangency is two half steps of STEP_FIRST
         monkeypatch.setattr(critval, "NU_MAX", math.nextafter(nu_tilde, math.inf))
-        curve = build_vtfo_curve(rho, 0.05)
+        curve, ts = continuation_steps(rho, 0.05)
         assert curve.t_tilde == t_tilde
-        assert curve.t_last == t_tilde + critval.STEP_FIRST
-        assert curve.step_last == pytest.approx(0.5 * critval.STEP_FIRST, rel=1e-9)
-        assert np.sum(curve.knots_nu > nu_tilde) == 2
+        assert curve.t_last == ts[-1] == t_tilde + critval.STEP_FIRST
+        assert ts[1] - ts[0] == pytest.approx(0.5 * critval.STEP_FIRST, rel=1e-9)
+        assert len(ts) == np.sum(curve.knots_nu > nu_tilde) == 2
 
     def test_numpy_alpha_is_a_float(self, tmp_path):
         # a NumPy scalar alpha enters as a float, so its repr never reaches
@@ -456,36 +460,104 @@ class TestBuildCurve:
 
 
 PREFIX_RHO = [0.1, 0.3, 0.5, 0.9, 0.99, RHO_CAP]
+# each rho of PREFIX_RHO at alpha 0.05, and one case where the bracketed
+# solve runs again past the first step
+PREFIX_CASES = [*(pytest.param(rho, 0.05, id=repr(rho)) for rho in PREFIX_RHO), (0.9, 0.12)]
 
 
-def _prefix_stops(rho):
-    """Stop points below nu*, inside [nu*, nu_tilde], exactly nu_tilde and
-    above it, the last more than a step below NU_MAX."""
-    nu_star, _ = fixed_point(rho, 0.05)
-    _, nu_tilde = find_tangency(rho, 0.05)
-    return [0.5 * nu_star, 0.5 * (nu_star + nu_tilde), nu_tilde, 6.0, 15.0, 39.5]
+def _prefix_stops(rho, alpha=0.05):
+    """Stop points below nu*, inside [nu*, nu_tilde], exactly nu_tilde,
+    just past it (after the first step) and above it, the last more than a
+    step below NU_MAX."""
+    nu_star, _ = fixed_point(rho, alpha)
+    _, nu_tilde = find_tangency(rho, alpha)
+    return [0.5 * nu_star, 0.5 * (nu_star + nu_tilde), nu_tilde, math.nextafter(nu_tilde, math.inf), 6.0, 15.0,
+            39.5]
 
 
 class TestPrefixBuild:
-    @pytest.mark.parametrize("rho", PREFIX_RHO)
-    def test_prefix_is_the_full_curve_up_to_its_stop(self, curve_library, rho):
-        full = curve_library.cache.get(rho, 0.05)
-        _, nu_tilde = find_tangency(rho, 0.05)
+    @staticmethod
+    def _steps(monkeypatch, build):
+        """(curve, fallbacks, steps) of one build: ``steps`` holds the T of
+        each step tried, rejected trials included, one
+        ``_closed_form_crossings`` call each, and ``fallbacks`` the 1-based
+        numbers of the steps whose middle crossing took the bracketed
+        solve: only it evaluates the gap at the last crossing itself."""
+        steps, last, fallbacks = [], [None], []
+        excess, middle, crossings = critval._excess, critval._middle_crossing, critval._closed_form_crossings
+
+        def cross(nu_star, t):
+            steps.append((t,))
+            return crossings(nu_star, t)
+
+        def solve(lo, *args):
+            last[0] = lo
+            return middle(lo, *args)
+
+        def gap(nu, *args):
+            if nu == last[0] and len(steps) not in fallbacks:
+                fallbacks.append(len(steps))
+            return excess(nu, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(critval, "_closed_form_crossings", cross)
+            patch.setattr(critval, "_middle_crossing", solve)
+            patch.setattr(critval, "_excess", gap)
+            return build(), fallbacks, steps
+
+    @pytest.mark.parametrize("rho,alpha", PREFIX_CASES)
+    def test_prefix_is_the_full_curve_up_to_its_stop(self, monkeypatch, rho, alpha):
+        # a prefix is the full build stopped early: the same steps, solver
+        # path included, up to the step whose high crossing passes the stop
+        breakpoints, landing = [], critval._landing
+        with monkeypatch.context() as patch:
+            patch.setattr(critval, "_landing", lambda b, *args: breakpoints.append(b) or landing(b, *args))
+            full, fallbacks, steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha))
+        t_tilde, nu_tilde = find_tangency(rho, alpha)
+        highs = full.knots_nu[full.knots_nu > nu_tilde]
+        kept = [steps.index(step) + 1 for step in accepted_steps(steps)]
+        assert len(kept) == highs.size
+        # the first step has no crossing before it; from alpha 0.12 the
+        # bracketed solve runs again
+        assert fallbacks[0] == 1 and (len(fallbacks) > 1) == (alpha > 0.1)
+        # the first breakpoint is nu_tilde, each later one a knot placed
+        # where the middle crossing met the one before
+        assert breakpoints[0] == nu_tilde and len(breakpoints) > 5
+
+        # the stops of _prefix_stops; the knots of a later accepted fallback
+        # and of the step before it; and stops inside the steps cut short to
+        # land on the first breakpoints past nu_tilde, which end on them
+        stops = _prefix_stops(rho, alpha)
+        for s in [s for s in fallbacks if s in kept[2:]][:1]:
+            stops += [highs[kept.index(s) - 1], highs[kept.index(s)]]
+        assert len(stops) == (9 if alpha > 0.1 else 7)
+        lands = {}
+        for b in breakpoints[1:4]:
+            i = int(np.searchsorted(full.knots_nu, b))
+            assert full.knots_nu[i] == b
+            lands[0.5 * (full.knots_nu[i - 1] + b)] = b
         rng = np.random.default_rng(8)
-        for stop in _prefix_stops(rho):
-            part = build_vtfo_curve(rho, 0.05, nu_max=stop)
+        for stop in [*stops, *lands]:
+            part, _, part_steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha, nu_max=stop))
             n = part.knots_nu.size
             assert n <= full.knots_nu.size
             assert np.array_equal(part.knots_nu, full.knots_nu[:n]), stop
             assert np.array_equal(part.knots_c, full.knots_c[:n]), stop
-            assert (part.rho_abs, part.alpha, part.domain_low, part.t_tilde) == (
-                full.rho_abs, full.alpha, full.domain_low, full.t_tilde)
+            assert (part.rho_abs, part.alpha, part.domain_low, part.t_tilde, part.formula_end) == (
+                full.rho_abs, full.alpha, full.domain_low, full.t_tilde, full.formula_end)
+            assert part_steps == steps[:len(part_steps)], stop
+            past = int(np.sum(part.knots_nu > nu_tilde))
             if stop <= nu_tilde:
-                assert part.knots_nu[-1] == nu_tilde and part.t_last is None, stop
+                assert part.knots_nu[-1] == nu_tilde and part.t_last is None and past == 0, stop
             else:
                 # a step past a breakpoint knot places two knots
-                assert part.knots_nu[-1] >= stop and part.t_last <= full.t_last, stop
+                assert part.knots_nu[-1] >= stop and part.t_last == steps[kept[past - 1] - 1][0], stop
                 assert n == full.knots_nu.size or np.sum(part.knots_nu >= stop) <= 2, stop
+            if stop == math.nextafter(nu_tilde, math.inf):
+                # the first step, two half steps of at most STEP_FIRST
+                assert past == 2 and part.t_last <= t_tilde + critval.STEP_FIRST
+            if stop in lands:
+                assert part.knots_nu[-1] == lands[stop], stop
             nu = np.concatenate([
                 part.knots_nu[part.knots_nu <= stop], rng.uniform(0.0, stop, 2000), [0.0, part.domain_low, stop],
             ])
@@ -526,120 +598,36 @@ class TestPrefixBuild:
         for rho, stop in asks:
             _assert_same_curve(fresh.get(rho, 0.05, nu_max=stop), cache.get(rho, 0.05, nu_max=stop))
 
-    @pytest.mark.parametrize("rho", PREFIX_RHO)
-    def test_resumed_prefix_equals_a_full_build(self, curve_library, tmp_path, monkeypatch, rho):
-        # k pieces, through one cache's memory and through fresh caches over
-        # one directory; each piece resumes the last, never builds anew
-        full = curve_library.cache.get(rho, 0.05)
-        closed_builds = []
-        closed_form_knots = critval._closed_form_knots
-
-        def counted(*args):
-            closed_builds.append(args)
-            return closed_form_knots(*args)
-
-        monkeypatch.setattr(critval, "_closed_form_knots", counted)
-        memory = CurveCache()
-        for stop in [*_prefix_stops(rho), critval.NU_MAX]:
-            for got in (memory.get(rho, 0.05, nu_max=stop),
-                        CurveCache(directory=str(tmp_path)).get(rho, 0.05, nu_max=stop)):
-                n = got.knots_nu.size
-                assert got._reaches(stop), stop
-                assert np.array_equal(got.knots_nu, full.knots_nu[:n]), stop
-                assert np.array_equal(got.knots_c, full.knots_c[:n]), stop
-        assert len(closed_builds) == 2
-        for got in (memory.get(rho, 0.05), CurveCache(directory=str(tmp_path)).get(rho, 0.05)):
-            _assert_same_curve(got, full)
-            assert (got.t_last, got.nu_mid, got.formula_end) == (full.t_last, full.nu_mid, full.formula_end)
-        # the full file replaced the prefix file
-        assert [p.name for p in tmp_path.iterdir()] == [f"vtfo_rho{rho!r}_alpha0.05_{critval._CACHE_KEY}.bin"]
-
-    @staticmethod
-    def _steps(monkeypatch, build):
-        """(curve, fallbacks, steps) of one build: ``steps`` holds the T of
-        each step tried, rejected trials included, one
-        ``_closed_form_crossings`` call each, and ``fallbacks`` the 1-based
-        numbers of the steps whose middle crossing took the bracketed
-        solve: only it evaluates the gap at the last crossing itself."""
-        steps, last, fallbacks = [], [None], []
-        excess, middle, crossings = critval._excess, critval._middle_crossing, critval._closed_form_crossings
-
-        def cross(nu_star, t):
-            steps.append((t,))
-            return crossings(nu_star, t)
-
-        def solve(lo, *args):
-            last[0] = lo
-            return middle(lo, *args)
-
-        def gap(nu, *args):
-            if nu == last[0] and len(steps) not in fallbacks:
-                fallbacks.append(len(steps))
-            return excess(nu, *args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(critval, "_closed_form_crossings", cross)
-            patch.setattr(critval, "_middle_crossing", solve)
-            patch.setattr(critval, "_excess", gap)
-            return build(), fallbacks, steps
-
-    @pytest.mark.parametrize("rho,alpha", [(0.5, 0.05), (0.9, 0.12)])
-    def test_resume_after_the_first_step_and_around_a_fallback(self, tmp_path, monkeypatch, rho, alpha):
-        full, fallbacks, steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha))
-        t_tilde, nu_tilde = find_tangency(rho, alpha)
-        highs = full.knots_nu[full.knots_nu > nu_tilde]
-        kept = [steps.index(step) + 1 for step in accepted_steps(steps)]
-        assert len(kept) == highs.size
-        # the first step has no crossing before it; from alpha 0.12 the
-        # bracketed solve runs again
-        assert fallbacks[0] == 1 and (len(fallbacks) > 1) == (alpha > 0.1)
-
-        # a stop just past nu_tilde stops after the first step, two half
-        # steps of at most STEP_FIRST; stops at the knots of a later accepted
-        # fallback and of the step before it stop after the step that
-        # placed them
-        stops = [math.nextafter(nu_tilde, math.inf)]
-        for s in [s for s in fallbacks if s in kept[2:]][:1]:
-            stops += [highs[kept.index(s) - 1], highs[kept.index(s)]]
-        assert len(stops) == (3 if alpha > 0.1 else 1)
-        for k, stop in enumerate(stops):
-            part, _, part_steps = self._steps(monkeypatch, lambda: build_vtfo_curve(rho, alpha, nu_max=stop))
-            n = int(np.sum(part.knots_nu > nu_tilde))
-            assert part.knots_nu[-1] >= stop and np.array_equal(part.knots_nu[-n:], highs[:n])
-            assert part.t_last == steps[kept[n - 1] - 1][0]
-            if k == 0:
-                assert n == 2 and part.t_last <= t_tilde + critval.STEP_FIRST
-            # the resumed run takes the full build's solver path, step for step
-            m = len(part_steps)
-            assert part_steps == steps[:m]
-            resumed, resumed_fallbacks, _ = self._steps(monkeypatch,
-                                                        lambda: build_vtfo_curve(rho, alpha, prefix=part))
-            assert resumed_fallbacks == [s - m for s in fallbacks if s > m]
-            _assert_same_curve(resumed, full)
-            directory = str(tmp_path / f"stop{k}")
-            CurveCache(directory=directory).get(rho, alpha, nu_max=stop)
-            _assert_same_curve(CurveCache(directory=directory).get(rho, alpha), full)
-
-    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.99])
-    def test_resume_inside_a_breakpoint_landing(self, monkeypatch, rho):
-        # a stop inside the step cut short to land on a breakpoint stops
-        # after it, with the new breakpoint its last knot and the next step
-        # back at STEP_FIRST; resumed, it is the full curve, state included
-        breakpoints, landing = [], critval._landing
-        monkeypatch.setattr(critval, "_landing", lambda b, *args: breakpoints.append(b) or landing(b, *args))
-        full = build_vtfo_curve(rho, 0.05)
-        monkeypatch.undo()
-        # the first call is for nu_tilde, each later one for a knot placed
-        # where the middle crossing met the breakpoint before it
-        assert breakpoints[0] == full.formula_end and len(breakpoints) > 5
-        for b in breakpoints[1:4]:
-            i = int(np.searchsorted(full.knots_nu, b))
-            assert full.knots_nu[i] == b
-            part = build_vtfo_curve(rho, 0.05, nu_max=0.5 * (full.knots_nu[i - 1] + b))
-            assert part.knots_nu[-1] == part.breakpoint == b and part.step_next == critval.STEP_FIRST
-            assert np.array_equal(part.knots_nu, full.knots_nu[:i + 1])
-            assert np.array_equal(part.knots_c, full.knots_c[:i + 1])
-            _assert_same_curve(build_vtfo_curve(rho, 0.05, prefix=part), full)
+    def test_miss_over_a_held_prefix_builds_from_the_tangency(self, tmp_path, monkeypatch):
+        # memory and the prefix file hold a prefix to nu 6; a get that reads
+        # further builds from the tangency, as a cold miss does, and gives
+        # the one-shot build, through the same cache and through a fresh one
+        rho, held = 0.5, tmp_path / "held"
+        CurveCache(directory=str(held)).get(rho, 0.05, nu_max=6.0)
+        stem = CurveCache()._stem(rho, 0.05)
+        want = {stop: build_vtfo_curve(rho, 0.05, stop) for stop in (15.0, critval.NU_MAX)}
+        builds, build, closed_form_knots = [], critval.build_vtfo_curve, critval._closed_form_knots
+        monkeypatch.setattr(critval, "build_vtfo_curve", lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(critval, "_closed_form_knots", lambda *args: builds.append("closed") or
+                            closed_form_knots(*args))
+        for fresh in (False, True):
+            directory = tmp_path / str(fresh)
+            shutil.copytree(held, directory)
+            cache = CurveCache(directory=str(directory))
+            short = cache.get(rho, 0.05, nu_max=6.0)
+            assert builds == []
+            for stop, name in ((15.0, stem + ".part.bin"), (critval.NU_MAX, stem + ".bin")):
+                if fresh:
+                    cache = CurveCache(directory=str(directory))
+                got = cache.get(rho, 0.05, nu_max=stop)
+                assert builds == [(rho, 0.05, stop), "closed"]
+                builds.clear()
+                _assert_same_curve(got, want[stop])
+                # a longer prefix replaces the prefix file; the full file deletes it
+                assert [p.name for p in directory.iterdir()] == [name]
+                _assert_same_curve(CurveCache._load_file(directory / name, rho, 0.05), got)
+                assert got.knots_nu.size > short.knots_nu.size
+                assert np.array_equal(got.knots_nu[:short.knots_nu.size], short.knots_nu)
 
     @pytest.mark.parametrize("rho,parent", [(0.1, 3885), (0.5, 3425), (0.9, 2969), (0.99, 2866)])
     def test_steps_at_most_half_the_fixed_step_rule(self, rho, parent):
@@ -656,14 +644,16 @@ class TestPrefixBuild:
         cache = CurveCache(directory=str(tmp_path))
         path = tmp_path / (cache._stem(0.3, 0.05) + ".bin")
         body = np.stack([full.knots_nu, full.knots_c]).astype("<f8")
+        # formats "8" to "10" held the continuation's stop state, here null
+        state = ["nu_mid", "nu_prev", *(["step_last", "step_next", "breakpoint"] if version == "10" else [])]
         meta = {"format": version, "rho": 0.3, "alpha": 0.05, "knots": body.shape[1], "domain_low": full.domain_low,
-                "t_tilde": full.t_tilde, "t_last": full.t_last, "nu_mid": full.nu_mid, "nu_prev": full.nu_prev}
+                "t_tilde": full.t_tilde, "t_last": full.t_last, **dict.fromkeys(state)}
         digest = hashlib.sha256(json.dumps(meta).encode())
         digest.update(body)
         path.write_bytes(json.dumps({**meta, "sha256": digest.hexdigest()}).encode() + b"\n" + body.tobytes())
         assert CurveCache._load_file(path, 0.3, 0.05) is None
         _assert_same_curve(cache.get(0.3, 0.05), full)
-        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == critval._FORMAT_VERSION == "10"
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["format"] == critval._FORMAT_VERSION == "11"
         _assert_same_curve(CurveCache._load_file(path, 0.3, 0.05), full)
 
     def test_format_8_file_is_a_miss(self, tmp_path):
@@ -675,10 +665,16 @@ class TestPrefixBuild:
         # step lengths and no breakpoint
         self._old_format_is_a_miss(tmp_path, "9")
 
+    def test_format_10_file_is_a_miss(self, tmp_path):
+        # the last format whose header held the continuation's stop state,
+        # from which a prefix was resumed
+        self._old_format_is_a_miss(tmp_path, "10")
+
     def test_resume_reads_no_prefix_body_memory_holds(self, tmp_path, monkeypatch):
-        # memory's prefix of the cap is as long as the prefix file, so a
-        # resume stops after the file's header; a longer prefix that another
-        # cache wrote is read in full and served without a build
+        # memory's prefix of the cap is as long as the prefix file, so the
+        # miss reads the file's header only and builds from the tangency; a
+        # longer prefix that another cache wrote is read in full and served
+        # without a build
         bodies = []
 
         class Recording(io.BufferedReader):
@@ -1179,8 +1175,9 @@ class TestSnapAndCache:
         # without the continuation's state (format "6") 2d22551741ce, those
         # without the crossing before last (format "7") 72ab516c52ed, those
         # with knots refined to an absolute 5e-7 (format "8") 1348503e18eb,
-        # and those of the fixed 0.01 step in T (format "9") 31e76188683c
-        assert files == ["vtfo_rho0.35_alpha0.05_80cdb7d80a3c.bin"]
+        # those of the fixed 0.01 step in T (format "9") 31e76188683c, and
+        # those holding the continuation's stop state (format "10") 80cdb7d80a3c
+        assert files == ["vtfo_rho0.35_alpha0.05_d94ed07e0fa3.bin"]
         raw = (tmp_path / files[0]).read_bytes()
 
         fresh = CurveCache(directory=str(tmp_path))
@@ -1193,6 +1190,17 @@ class TestSnapAndCache:
     def test_memory_only_cache(self):
         cache = CurveCache()
         assert cache.get(0.2, 0.05) is cache.get(0.2, 0.05)
+
+    @pytest.mark.parametrize("nu_maxes", [[7.0], [7.0, 7.0, 7.0]], ids=["one too few", "one too many"])
+    def test_nu_maxes_of_another_length_is_a_data_error(self, tmp_path, monkeypatch, nu_maxes):
+        # one nu_max too few or too many: refused before any lookup or build
+        CurveCache(directory=str(tmp_path)).get(0.3, 0.05, nu_max=7.0)
+        cache = CurveCache(directory=str(tmp_path))
+        monkeypatch.setattr(CurveCache, "_load_file", None)
+        monkeypatch.setattr(critval, "build_vtfo_curve", None)
+        with pytest.raises(DataError, match=f"one nu_max per rho: 2 rho, {len(nu_maxes)} nu_max"):
+            cache.get_many([0.3, 0.5], 0.05, nu_maxes)
+        assert cache._memory == {}
 
     @pytest.mark.parametrize("cut", [
         "row boundary", "middle of a row", "inside the header", "at the header line break", "inside the body",
@@ -1274,7 +1282,7 @@ class TestSnapAndCache:
         names = [name for name in os.listdir(directory) if name.startswith("vtfo_rho")]
         assert len(names) >= 3
 
-        def no_build(rho, alpha=0.05, nu_max=critval.NU_MAX, prefix=None):
+        def no_build(rho, alpha=0.05, nu_max=critval.NU_MAX):
             raise AssertionError(f"rebuilt rho {rho!r}, alpha {alpha!r}")
 
         monkeypatch.setattr(critval, "build_vtfo_curve", no_build)
@@ -1331,7 +1339,7 @@ class TestParallelBuilds:
     STOPS = [20.0, 3.0, math.nan, critval.NU_MAX, 3.0, 12.0, 15.0, 6.0]
 
     def test_same_curves_and_files_as_one_process(self, tmp_path, monkeypatch):
-        # three shares over seven misses, one of them resuming a prefix that
+        # three shares over seven misses, one of them over a prefix that
         # memory and the prefix file hold, and -0.3 served with 0.3
         forks = _forks(monkeypatch)
         got = {}
@@ -1414,9 +1422,8 @@ class TestParallelBuilds:
 
 
 def _assert_same_curve(got, want):
-    """The twelve stored fields equal, types included."""
-    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last", "nu_mid", "nu_prev", "step_last", "step_next",
-                 "breakpoint"):
+    """The seven stored fields equal, types included."""
+    for name in ("rho_abs", "alpha", "domain_low", "t_tilde", "t_last"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and a == b, name
     for name in ("knots_nu", "knots_c"):
@@ -1427,8 +1434,8 @@ def _assert_same_curve(got, want):
 @st.composite
 def cache_curves(draw):
     """One curve as a build makes it: strictly increasing knots, the
-    continuation range and its stop state as None or a float, domain_low
-    0.0 as on the small-rho limit curve or any float."""
+    continuation range as None or a float, domain_low 0.0 as on the
+    small-rho limit curve or any float."""
     nus = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
     return CriticalValueCurve(
         rho_abs=draw(st.floats(0.0, RHO_CAP)),
@@ -1438,11 +1445,6 @@ def cache_curves(draw):
         domain_low=draw(st.just(0.0) | finite),
         t_tilde=draw(st.none() | finite),
         t_last=draw(st.none() | finite),
-        nu_mid=draw(st.none() | finite),
-        nu_prev=draw(st.none() | finite),
-        step_last=draw(st.none() | finite),
-        step_next=draw(st.none() | finite),
-        breakpoint=draw(st.none() | finite),
     )
 
 

@@ -61,9 +61,11 @@ def test_sets_table(tool, capsys):
 
 
 def test_watching_a_resumed_build(tool):
+    # two prefix builds, both from the tangency: the longer one's steps
+    # less the shorter one's are the steps between their stops
     prefix = mwiv.build_vtfo_curve(0.5, nu_max=12.0)
     with tool.watching(critval, "build_vtfo_curve") as calls:
-        curve = critval.build_vtfo_curve(0.5, nu_max=15.0, prefix=prefix)
+        curve = critval.build_vtfo_curve(0.5, nu_max=15.0)
     assert [c.name for c in calls] == ["build_vtfo_curve"]
     assert calls[0].result is curve
     assert tool.steps(curve) - tool.steps(prefix) == curve.knots_nu.size - prefix.knots_nu.size == 66

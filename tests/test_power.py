@@ -320,10 +320,9 @@ def test_one_draw_cw_rate_is_its_decision(monkeypatch, s, r, seed):
 
 class TestExactRhoPrefixes:
     # A fresh library builds each exact-rho curve only up to the largest nu
-    # drawn, keeps it and resumes it for a later delta at the same rho: each
-    # rho is built from the start once (criterion 5's two capped deltas read
-    # one cap curve). The rates must equal those read off full curves, byte
-    # for byte.
+    # drawn at it, over all deltas: each rho is built once (criterion 5's
+    # two capped deltas read one cap curve). The rates must equal those read
+    # off full curves, byte for byte.
     @pytest.mark.parametrize("s, r, deltas, n_draws, seed", [
         (3.0, 0.5, [-2.0, 0.0, 2.0], 10000, 10),  # the two power-curve benchmark designs
         (2.0, -0.3, [-2.0, 0.0, 2.0], 10000, 11),
@@ -346,10 +345,9 @@ class TestExactRhoPrefixes:
         started = []
         build = critval.build_vtfo_curve
 
-        def counted(rho, alpha=0.05, nu_max=critval.NU_MAX, prefix=None):
-            if prefix is None:
-                started.append(rho)
-            return build(rho, alpha, nu_max, prefix=prefix)
+        def counted(rho, alpha=0.05, nu_max=critval.NU_MAX):
+            started.append(rho)
+            return build(rho, alpha, nu_max)
 
         monkeypatch.setattr(critval, "build_vtfo_curve", counted)
         got = rejection_rates(dgp, deltas, curves=fresh, **kw)
