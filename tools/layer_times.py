@@ -5,6 +5,7 @@
     python3 tools/layer_times.py sets --repeat 3 --n 801
     python3 tools/layer_times.py cw --repeat 5 --n 801
     python3 tools/layer_times.py --src ../parent/src profile --repeat 5
+    python3 tools/layer_times.py power --repeat 5
 
 Each subcommand prints one table. A time is the fastest of ``--repeat``
 runs, and a count comes from one more, untimed run: from the curves its
@@ -48,6 +49,11 @@ tracemalloc peaks, in MB of 2**20 bytes, of one build and of the first
 profile, each in its own untimed run; and a digest of the variance, the
 grid and the set.
 
+``power``, per design of POWER_DESIGNS (the benchmark's ``power-curve``
+pair at seeds 10 and 11, and ``mwiv power``'s defaults): seconds of
+``rejection_rates`` for the five default methods at 1e4 draws with a
+fresh memory-only ``CurveLibrary``, and a digest of its rates.
+
 Uses numpy, mwiv and, for ``cw``, the tests' oracle.
 """
 
@@ -72,6 +78,9 @@ JUDGE_DESIGNS = ((40, 10, 1.5), (100, 8, 1.0), (32, 10, 0.3))
 # ORACLE_RHO of tests/test_critval.py
 CW_RHOS = (0.05, 0.3, 0.5, 0.7, 0.931, 0.99, 0.9999, -0.6)
 CW_T = np.linspace(-6.3, 14.1, 512)
+# (label, s, r, deltas, seed)
+POWER_DESIGNS = (("s3 r0.5", 3.0, 0.5, (-2.0, 0.0, 2.0), 10), ("s2 r-0.3", 2.0, -0.3, (-2.0, 0.0, 2.0), 11),
+                 ("default", 3.0, 0.5, tuple(np.linspace(-10.0, 10.0, 41)), 0))
 ALPHA = 0.05
 
 
@@ -265,6 +274,15 @@ def profile(mwiv, args) -> None:
               f"{profile_mb:10.1f} {digest((var, grid, cs.intervals), cs.statistics, cs.criticals, cs.rejects):>16}")
 
 
+def power(mwiv, args) -> None:
+    print(f"{'design':>9} {'deltas':>6} {'power_s':>8} {'sha256':>16}")
+    for label, s, r, deltas, seed in POWER_DESIGNS:
+        dgp = mwiv.AsymptoticDGP(s=s, r=r)
+        best, res = fastest(args.repeat, lambda library: mwiv.rejection_rates(dgp, deltas, curves=library, seed=seed),
+                            fresh=mwiv.CurveLibrary)
+        print(f"{label:>9} {len(deltas):6d} {best:8.4f} {digest(*(res.rates[m] for m in res.methods)):>16}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree holding mwiv")
@@ -273,7 +291,8 @@ def main(argv=None) -> int:
     for run, repeat, what in ((builds, 5, "vtfo curve builds per (rho, alpha)"),
                               (sets, 3, "cold vtfo confidence sets per judge design"),
                               (cw, 5, "cw quantile solves and cw confidence sets"),
-                              (profile, 5, "the beta0 profile and the calls that read it")):
+                              (profile, 5, "the beta0 profile and the calls that read it"),
+                              (power, 5, "power lab rejection rates per design")):
         sub[run] = tables.add_parser(run.__name__, help=what)
         sub[run].add_argument("--repeat", type=int, default=repeat, help="runs per timing; the fastest is shown")
         sub[run].set_defaults(run=run)
